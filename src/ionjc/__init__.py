@@ -31,12 +31,9 @@ from .hamiltonians import (
     standard_rwa_generator,
 )
 from .propagators import (
-    PropagatorRequest,
     evolve_states,
     exact_propagator,
     pipeline_propagator,
-    propagate,
-    propagator_infidelity,
     rwa_jc_propagator,
     rwa_jc_propagator_multi,
     standard_rwa_propagator,
@@ -51,7 +48,6 @@ from .transforms import (
     conditional_displacement,
     linearizing_transform,
     mixing_rotation,
-    rotating_frame,
 )
 
 __version__ = "0.1.0"

@@ -19,12 +19,12 @@ import numpy as np
 from .chain import ChainModel, LaserDrive
 from .fock import HilbertConfig
 from .hamiltonians import ModelSpec
+from .propagators import METHODS
 
 HBAR_SI = 1.054571817e-34
 AMU_SI = 1.66053906892e-27
 
 EXPERIMENTS = ("modes", "resonance", "sweep-rabi", "evolve")
-METHODS = ("exact", "pipeline_exact", "pipeline_rwa", "standard_rwa", "rwa_jc")
 MAX_IONS = 10
 
 

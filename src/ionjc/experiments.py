@@ -20,6 +20,7 @@ from .config import ConfigError, ExperimentConfig
 from .fock import (
     basis_state,
     coherent_state,
+    guarded_infidelity,
     mode_occupations,
     population_above_guard,
     spin_signs,
@@ -30,7 +31,6 @@ from .propagators import (
     exact_propagator,
     jc_coupling,
     pipeline_propagator,
-    propagator_infidelity,
     standard_rwa_propagator,
 )
 
@@ -125,13 +125,13 @@ def _sweep_point(cfg: ExperimentConfig, omega_r: float) -> tuple:
 
     u_exact = exact_propagator(balanced_model, t_pulse)
     u_rwa = pipeline_propagator(balanced_model, t_pulse, mode="rwa", resonant_pairs=[(drive_idx, mode)])
-    infid_balanced = propagator_infidelity(u_rwa, u_exact)
+    infid_balanced = guarded_infidelity(u_rwa, u_exact)
 
     # conventional comparator sits on the uncorrected resonance delta = nu_k
     standard_model = model.with_drive(drive_idx, Omega_R=omega_r, omega_L=omega_ge - nu_k)
     u_exact_std = exact_propagator(standard_model, t_pulse)
     u_std = standard_rwa_propagator(standard_model, drive_idx, mode, t_pulse)
-    infid_standard = propagator_infidelity(u_std, u_exact_std)
+    infid_standard = guarded_infidelity(u_std, u_exact_std)
 
     return (
         omega_r,

@@ -166,6 +166,8 @@ _SPIN_2X2 = {
     "minus": np.array([[0, 0], [1, 0]], dtype=complex),  # |g><e|
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "ee": np.array([[1, 0], [0, 0]], dtype=complex),     # |e><e|
+    "gg": np.array([[0, 0], [0, 1]], dtype=complex),     # |g><g|
 }
 
 
@@ -214,14 +216,14 @@ def ladder(config: HilbertConfig, mode: int, kind: str) -> OperatorMatrix:
 
 
 def spin_op(config: HilbertConfig, ion: int, kind: str) -> OperatorMatrix:
-    """Pauli operator on the ion-th spin factor (|e> before |g|)."""
+    """Pauli operator or |e>/|g> projector on the ion-th spin factor (|e> before |g>)."""
     if not 1 <= ion <= config.n_spins:
         raise ValueError(f"ion index {ion} out of range 1..{config.n_spins}")
     try:
         s = _SPIN_2X2[kind]
     except KeyError:
         raise ValueError(f"unknown spin kind {kind!r}") from None
-    return OperatorMatrix(config, embed_factors(config, spin_ops={ion: s}), hermitian=kind in ("z", "x"))
+    return OperatorMatrix(config, embed_factors(config, spin_ops={ion: s}), hermitian=kind not in ("plus", "minus"))
 
 
 def _expm_hermitian(entries: np.ndarray, t: float) -> np.ndarray:

@@ -6,20 +6,19 @@ offsets, so unitary-equivalence checks close including global phases: an
 ``OffsetHamiltonian`` with offset c is unitarily equivalent to the
 rotating-frame Hamiltonian plus c times the identity.
 
-The anharmonic part of the Coulomb interaction is carried as a named zero
-placeholder (``include_W``); it commutes with every transformation used here
-and is reserved for a perturbative treatment.
+The anharmonic part of the Coulomb interaction is not modelled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .chain import ChainModel, LaserDrive, lamb_dicke_matrix
 from .fock import (
+    _SPIN_2X2,
     HilbertConfig,
     OperatorMatrix,
     _expm_hermitian,
@@ -31,10 +30,6 @@ from .fock import (
 )
 from .transforms import BalancedParams, balanced_params
 
-_SP = np.array([[0, 1], [0, 0]], dtype=complex)
-_SM = np.array([[0, 0], [1, 0]], dtype=complex)
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-
 
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
@@ -44,12 +39,9 @@ class ModelSpec:
     drives: tuple[LaserDrive, ...]
     config: HilbertConfig
     omega_ge: float = 0.0
-    include_W: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "drives", tuple(self.drives))
-        if self.include_W:
-            raise NotImplementedError("anharmonic correction is a placeholder, must stay off")
         if self.config.n_modes != self.chain.N:
             raise ValueError("config.n_modes must equal the chain ion count")
         if len(self.drives) != self.config.n_spins:
@@ -76,13 +68,7 @@ class ModelSpec:
         """Copy of the model with one drive's fields replaced (1-based index)."""
         drives = list(self.drives)
         drives[index - 1] = replace(drives[index - 1], **changes)
-        return ModelSpec(
-            chain=self.chain,
-            drives=tuple(drives),
-            config=self.config,
-            omega_ge=self.omega_ge,
-            include_W=self.include_W,
-        )
+        return replace(self, drives=tuple(drives))
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,10 +83,13 @@ class OffsetHamiltonian:
     offset: float
 
 
-def _number_diagonal(model: ModelSpec) -> np.ndarray:
-    """Diagonal of sum_p nu_p n_p over the full space."""
-    occ = mode_occupations(model.config)
-    return model.chain.nu @ occ
+def free_diagonal(model: ModelSpec, spin_freqs: Sequence[float]) -> np.ndarray:
+    """Diagonal of sum_p nu_p n_p + sum_j (w_j / 2) sigma_z^j, one w_j per spin factor in order."""
+    diag = model.chain.nu @ mode_occupations(model.config)
+    signs = spin_signs(model.config)
+    for j, w in enumerate(spin_freqs):
+        diag = diag + 0.5 * w * signs[j]
+    return diag
 
 
 def rotating_frame_hamiltonian(model: ModelSpec) -> OffsetHamiltonian:
@@ -114,17 +103,13 @@ def rotating_frame_hamiltonian(model: ModelSpec) -> OffsetHamiltonian:
     """
     config = model.config
     eta = model.eta_matrix()
-    diag = _number_diagonal(model).astype(complex)
-    signs = spin_signs(config)
-    for j, drive in enumerate(model.drives):
-        diag = diag + 0.5 * drive.detuning * signs[j]
-    h = np.diag(diag)
+    h = np.diag(free_diagonal(model, [d.detuning for d in model.drives]).astype(complex))
     for j, drive in enumerate(model.drives, start=1):
         if drive.Omega_R == 0.0:
             continue
         d2 = displacement_product(config, 1j * eta[j - 1])
-        sp = embed_factors(config, spin_ops={j: _SP})
-        sm = embed_factors(config, spin_ops={j: _SM})
+        sp = embed_factors(config, spin_ops={j: _SPIN_2X2["plus"]})
+        sm = embed_factors(config, spin_ops={j: _SPIN_2X2["minus"]})
         h = h + drive.Omega_R * (sm @ d2.conj().T + sp @ d2)
     return OffsetHamiltonian(OperatorMatrix(config, h, hermitian=True), 0.0)
 
@@ -143,13 +128,13 @@ def standard_rwa_generator(
     d = model.drives[drive - 1]
     eta = model.eta_matrix()[drive - 1]
     if resonance == "carrier":
-        gen = d.Omega_R * embed_factors(config, spin_ops={drive: _SX})
+        gen = d.Omega_R * embed_factors(config, spin_ops={drive: _SPIN_2X2["x"]})
     elif resonance in ("blue", "red"):
         if mode is None or not 1 <= mode <= config.n_modes:
             raise ValueError(f"resonance {resonance!r} needs a mode index in 1..{config.n_modes}")
         a = embed_factors(config, {mode: _mode_destroy(config.n_max)})
-        sp = embed_factors(config, spin_ops={drive: _SP})
-        sm = embed_factors(config, spin_ops={drive: _SM})
+        sp = embed_factors(config, spin_ops={drive: _SPIN_2X2["plus"]})
+        sm = embed_factors(config, spin_ops={drive: _SPIN_2X2["minus"]})
         coupling = 1j * eta[mode - 1] * d.Omega_R
         if resonance == "blue":
             gen = coupling * (a.conj().T @ sp - a @ sm)
@@ -160,8 +145,8 @@ def standard_rwa_generator(
     return OffsetHamiltonian(OperatorMatrix(config, gen, hermitian=True), 0.0)
 
 
-class LinearizedParts(NamedTuple):
-    """Single-drive Hamiltonian right after the spin-flip linearization.
+class IntermediateParts(NamedTuple):
+    """Single-drive Hamiltonian after the linearization or the mixing rotation.
 
     Built from its own closed expressions, independently of the transformation
     builders, for verification purposes only.
@@ -183,7 +168,7 @@ def dropped_linearization_constant(eta_row: np.ndarray, nu: np.ndarray) -> float
     return float(0.25 * np.sum(np.asarray(eta_row) ** 2 * nu))
 
 
-def linearized_hamiltonian(model: ModelSpec) -> LinearizedParts:
+def linearized_hamiltonian(model: ModelSpec) -> IntermediateParts:
     """sum nu n + Omega sigma_z - (delta/2) sigma_x, plus the residual mode-spin coupling.
 
     The flip part is i sum_p (eta_p nu_p / 2)(a_p - a_p^dag) sigma_x.
@@ -192,10 +177,10 @@ def linearized_hamiltonian(model: ModelSpec) -> LinearizedParts:
     config = model.config
     eta = model.eta_matrix()[0]
     nu = model.chain.nu
-    sx = embed_factors(config, spin_ops={1: _SX})
+    sx = embed_factors(config, spin_ops={1: _SPIN_2X2["x"]})
     h0 = (
-        np.diag(_number_diagonal(model).astype(complex))
-        + drive.Omega_R * embed_factors(config, spin_ops={1: np.diag([1.0, -1.0]).astype(complex)})
+        np.diag(free_diagonal(model, ()).astype(complex))
+        + drive.Omega_R * embed_factors(config, spin_ops={1: _SPIN_2X2["z"]})
         - 0.5 * drive.detuning * sx
     )
     flip = np.zeros_like(h0)
@@ -203,22 +188,14 @@ def linearized_hamiltonian(model: ModelSpec) -> LinearizedParts:
     for p in range(1, config.n_modes + 1):
         a = embed_factors(config, {p: a1})
         flip = flip + 0.5 * eta[p - 1] * nu[p - 1] * (1j * (a - a.conj().T)) @ sx
-    return LinearizedParts(
+    return IntermediateParts(
         OperatorMatrix(config, h0, hermitian=True),
         OperatorMatrix(config, flip, hermitian=True),
         dropped_linearization_constant(eta, nu),
     )
 
 
-class MixedParts(NamedTuple):
-    """Single-drive Hamiltonian after the mixing rotation, for verification."""
-
-    h0: OperatorMatrix
-    flip: OperatorMatrix
-    offset: float
-
-
-def mixed_hamiltonian(model: ModelSpec) -> MixedParts:
+def mixed_hamiltonian(model: ModelSpec) -> IntermediateParts:
     """Frame in which the large component is (delta_eff/2) sigma_z plus a mode shift.
 
     h0 = sum nu n + [ delta_eff/2 - (Delta/(2 sqrt(4+Delta^2))) sum eta nu
@@ -229,10 +206,10 @@ def mixed_hamiltonian(model: ModelSpec) -> MixedParts:
     config = model.config
     par = model.balanced()[0]
     nu = model.chain.nu
-    sz = embed_factors(config, spin_ops={1: np.diag([1.0, -1.0]).astype(complex)})
-    sx = embed_factors(config, spin_ops={1: _SX})
+    sz = embed_factors(config, spin_ops={1: _SPIN_2X2["z"]})
+    sx = embed_factors(config, spin_ops={1: _SPIN_2X2["x"]})
     a1 = _mode_destroy(config.n_max)
-    h0 = np.diag(_number_diagonal(model).astype(complex)) + 0.5 * par.delta_eff * sz
+    h0 = np.diag(free_diagonal(model, ()).astype(complex)) + 0.5 * par.delta_eff * sz
     flip = np.zeros_like(h0)
     root = 1.0 / np.sqrt(4.0 + par.Delta**2)
     for p in range(1, config.n_modes + 1):
@@ -240,7 +217,7 @@ def mixed_hamiltonian(model: ModelSpec) -> MixedParts:
         x = 1j * (a - a.conj().T)
         h0 = h0 - (par.Delta * root / 2.0) * par.eta[p - 1] * nu[p - 1] * (x @ sz)
         flip = flip + root * par.eta[p - 1] * nu[p - 1] * (x @ sx)
-    return MixedParts(
+    return IntermediateParts(
         OperatorMatrix(config, h0, hermitian=True),
         OperatorMatrix(config, flip, hermitian=True),
         dropped_linearization_constant(par.eta, nu),
@@ -250,6 +227,15 @@ def mixed_hamiltonian(model: ModelSpec) -> MixedParts:
 def restored_displacement_constant(par: BalancedParams, nu: np.ndarray) -> float:
     """Constant sum_p |alpha_p|^2 nu_p restored by the conditional displacement."""
     return float(np.sum(np.abs(par.alpha) ** 2 * nu))
+
+
+def balanced_offset(model: ModelSpec) -> float:
+    """Scalar offset of the balanced frame: dropped linearization minus restored displacement constants."""
+    nu = model.chain.nu
+    offset = 0.0
+    for par in model.balanced():
+        offset += dropped_linearization_constant(par.eta, nu) - restored_displacement_constant(par, nu)
+    return offset
 
 
 def balanced_hamiltonian(model: ModelSpec) -> tuple[OffsetHamiltonian, OperatorMatrix]:
@@ -274,20 +260,15 @@ def balanced_hamiltonian(model: ModelSpec) -> tuple[OffsetHamiltonian, OperatorM
     config = model.config
     nu = model.chain.nu
     params = model.balanced()
-    diag = _number_diagonal(model).astype(complex)
-    signs = spin_signs(config)
-    offset = 0.0
-    for j, par in enumerate(params):
-        diag = diag + 0.5 * par.delta_eff * signs[j]
-        offset += dropped_linearization_constant(par.eta, nu) - restored_displacement_constant(par, nu)
+    diag = free_diagonal(model, [par.delta_eff for par in params]).astype(complex)
     h0 = OperatorMatrix(config, np.diag(diag), hermitian=True)
 
     flip = np.zeros((config.dim, config.dim), dtype=complex)
     a1 = _mode_destroy(config.n_max)
     for j, par in enumerate(params, start=1):
         d2 = displacement_product(config, 1j * par.eta_eff)
-        sp = embed_factors(config, spin_ops={j: _SP})
-        sm = embed_factors(config, spin_ops={j: _SM})
+        sp = embed_factors(config, spin_ops={j: _SPIN_2X2["plus"]})
+        sm = embed_factors(config, spin_ops={j: _SPIN_2X2["minus"]})
         w_sum = sm @ d2.conj().T + sp @ d2
         w_dif = sm @ d2.conj().T - sp @ d2
         for p in range(1, config.n_modes + 1):
@@ -296,7 +277,7 @@ def balanced_hamiltonian(model: ModelSpec) -> tuple[OffsetHamiltonian, OperatorM
             flip = flip + par.eta_eff_by_Delta[p - 1] * nu[p - 1] * (x @ w_sum)
         flip = flip - float(np.sum(par.eta_eff_by_Delta * par.eta_eff * nu)) * w_dif
     flip = (flip + flip.conj().T) / 2.0
-    return OffsetHamiltonian(h0, offset), OperatorMatrix(config, flip, hermitian=True)
+    return OffsetHamiltonian(h0, balanced_offset(model)), OperatorMatrix(config, flip, hermitian=True)
 
 
 def _time_displaced_product(
@@ -325,8 +306,8 @@ def jc_interaction(model: ModelSpec, t: float) -> OperatorMatrix:
     out = np.zeros((config.dim, config.dim), dtype=complex)
     for j, par in enumerate(model.balanced(), start=1):
         dt = _time_displaced_product(config, par.eta_eff, nu, t)
-        sp = embed_factors(config, spin_ops={j: _SP})
-        sm = embed_factors(config, spin_ops={j: _SM})
+        sp = embed_factors(config, spin_ops={j: _SPIN_2X2["plus"]})
+        sm = embed_factors(config, spin_ops={j: _SPIN_2X2["minus"]})
         for p in range(1, config.n_modes + 1):
             a = embed_factors(config, {p: a1})
             coup = par.eta_eff_by_Delta[p - 1] * nu[p - 1]

@@ -16,96 +16,13 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .fock import (
-    HilbertConfig,
-    OperatorMatrix,
-    _expm_hermitian,
-    _mode_destroy,
-    embed_factors,
-    guarded_infidelity,
-    mode_occupations,
-    spin_signs,
-)
-from .hamiltonians import ModelSpec, balanced_hamiltonian, rotating_frame_hamiltonian
+from .fock import _SPIN_2X2, HilbertConfig, OperatorMatrix, _mode_destroy, embed_factors
+from .hamiltonians import ModelSpec, balanced_hamiltonian, balanced_offset, free_diagonal, rotating_frame_hamiltonian
 from .transforms import balanced_transform, rotating_frame_diagonal
 
-_E_EE = np.array([[1, 0], [0, 0]], dtype=complex)
-_E_EG = np.array([[0, 1], [0, 0]], dtype=complex)
-_E_GE = np.array([[0, 0], [1, 0]], dtype=complex)
-_E_GG = np.array([[0, 0], [0, 1]], dtype=complex)
-
-METHODS = ("exact", "pipeline_exact", "pipeline_rwa", "standard_rwa")
-
-# evolve_states additionally accepts the bare interaction-picture closed form,
-# useful for inspecting the undressed sideband exchange
-EVOLVE_METHODS = METHODS + ("rwa_jc",)
-
-
-@dataclass(frozen=True, eq=False)
-class PropagatorRequest:
-    """One evolution request; resonant_pair is (drive index, mode) for RWA methods."""
-
-    model: ModelSpec
-    t0: float
-    t: float
-    method: str
-    resonant_pair: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}")
-        if self.t < self.t0:
-            raise ValueError("t must be >= t0")
-        if self.method in ("pipeline_rwa", "standard_rwa") and self.resonant_pair is None:
-            raise ValueError(f"method {self.method!r} needs a resonant (drive, mode) pair")
-
-
-def propagate(request: PropagatorRequest) -> OperatorMatrix:
-    """Dispatch a PropagatorRequest to the matching builder."""
-    m, t, t0 = request.model, request.t, request.t0
-    if request.method == "exact":
-        return exact_propagator(m, t, t0)
-    if request.method == "pipeline_exact":
-        return pipeline_propagator(m, t, t0, mode="exact")
-    if request.method == "pipeline_rwa":
-        return pipeline_propagator(m, t, t0, mode="rwa", resonant_pairs=[request.resonant_pair])
-    return standard_rwa_propagator(m, *request.resonant_pair, t, t0)
-
-
-def _free_rotating_diagonal(model: ModelSpec) -> np.ndarray:
-    """Diagonal of sum nu n + sum (delta_j/2) sigma_z^j (rotating frame, no coupling)."""
-    occ = mode_occupations(model.config)
-    diag = (model.chain.nu @ occ).astype(float)
-    signs = spin_signs(model.config)
-    for j, drive in enumerate(model.drives):
-        diag = diag + 0.5 * drive.detuning * signs[j]
-    return diag
-
-
-def _free_lab_diagonal(model: ModelSpec) -> np.ndarray:
-    """Diagonal of sum nu n + sum (omega_ge/2) sigma_z^j (lab frame, no coupling)."""
-    occ = mode_occupations(model.config)
-    diag = (model.chain.nu @ occ).astype(float)
-    signs = spin_signs(model.config)
-    for j in range(model.config.n_spins):
-        diag = diag + 0.5 * model.omega_ge * signs[j]
-    return diag
-
-
-def exact_propagator(model: ModelSpec, t: float, t0: float = 0.0) -> OperatorMatrix:
-    """Oracle propagator R_t^dag exp(-i (t - t0) H) R_t0 in the lab frame.
-
-    H is the time-independent rotating-frame Hamiltonian; the frame factors
-    make the result solve the time-dependent problem with U(t0, t0) = 1.
-    Exactly unitary on the truncated space.
-    """
-    config = model.config
-    ht = rotating_frame_hamiltonian(model)
-    core = _expm_hermitian(ht.matrix.entries, t - t0)
-    r_t = rotating_frame_diagonal(config, model.drives, t)
-    r_t0 = rotating_frame_diagonal(config, model.drives, t0)
-    u = (np.conj(r_t)[:, None] * core) * r_t0[None, :]
-    return OperatorMatrix(config, u, unitary=True)
+# rwa_jc is the bare interaction-picture closed form, useful for inspecting
+# the undressed sideband exchange
+METHODS = ("exact", "pipeline_exact", "pipeline_rwa", "standard_rwa", "rwa_jc")
 
 
 def _normalize_pairs(model: ModelSpec, resonant_pairs) -> list[tuple[int, int]]:
@@ -150,16 +67,15 @@ def _jc_closed_unitary(config: HilbertConfig, drive: int, mode: int, g: float, t
     with np.errstate(invalid="ignore", divide="ignore"):
         f_ge = np.where(n > 0, np.sin(lower) / np.sqrt(np.maximum(n, 1.0)), g * tau)
     a = _mode_destroy(n_max)
-    blocks = {
+    blocks = {  # keyed by the spin factor |e><e|, |e><g|, |g><e|, |g><g|
         "ee": np.diag(cos_e.astype(complex)),
-        "eg": np.diag(f_eg.astype(complex)) @ a,
-        "ge": -(np.diag(f_ge.astype(complex)) @ a.conj().T),
+        "plus": np.diag(f_eg.astype(complex)) @ a,
+        "minus": -(np.diag(f_ge.astype(complex)) @ a.conj().T),
         "gg": np.diag(cos_g.astype(complex)),
     }
-    spin = {"ee": _E_EE, "eg": _E_EG, "ge": _E_GE, "gg": _E_GG}
     u = np.zeros((config.dim, config.dim), dtype=complex)
     for key, blk in blocks.items():
-        u = u + embed_factors(config, {mode: blk}, {drive: spin[key]})
+        u = u + embed_factors(config, {mode: blk}, {drive: _SPIN_2X2[key]})
     return u
 
 
@@ -167,6 +83,122 @@ def jc_coupling(model: ModelSpec, drive: int, mode: int) -> float:
     """Balanced sideband coupling (eta_eff / Delta) nu for one (drive, mode) pair."""
     par = model.balanced()[drive - 1]
     return float(par.eta_eff_by_Delta[mode - 1] * model.chain.nu[mode - 1])
+
+
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """U(t, t0) = conj(R_t) [T^dag] e^{-i offset tau} [e^{-i d t}] core(tau) [e^{i d t0}] [T] R_t0.
+
+    tau = t - t0; R is the rotating frame (left out when frame is False), T the
+    balanced transform and d a free diagonal.  The core is exp(-i H tau) from
+    eigen = (w, v) of H, the offset entering the eigenphases, or the product of
+    closed-form sideband exchanges (drive, mode, g).  matrix and apply each fix
+    one association order, so their outputs are reproducible bit for bit.
+    """
+
+    model: ModelSpec
+    eigen: tuple[np.ndarray, np.ndarray] | None = None
+    exchanges: tuple[tuple[int, int, float], ...] = ()
+    transform: np.ndarray | None = None
+    diag: np.ndarray | None = None
+    offset: float = 0.0
+    frame: bool = True
+
+    def _exchange(self, x: np.ndarray, tau: float) -> np.ndarray:
+        for j, k, g in self.exchanges:
+            x = _jc_closed_unitary(self.model.config, j, k, g, tau) @ x
+        return x
+
+    def matrix(self, t: float, t0: float = 0.0) -> OperatorMatrix:
+        config, tr, d = self.model.config, self.transform, self.diag
+        tau = t - t0
+        if self.eigen is not None:
+            w, v = self.eigen
+            back, front = v, v.conj().T
+            if tr is not None:
+                back, front = tr.conj().T @ v, front @ tr
+            u = (back * np.exp(-1j * (w + self.offset) * tau)) @ front
+        else:
+            u = self._exchange(np.eye(config.dim, dtype=complex), tau)
+            if tr is not None:  # d sits between the transform and the core
+                u = (np.exp(-1j * d * t)[:, None] * u) * np.exp(1j * d * t0)[None, :]
+                u = np.exp(-1j * self.offset * tau) * (tr.conj().T @ u @ tr)
+        if self.frame:
+            left = np.conj(rotating_frame_diagonal(config, self.model.drives, t))
+            right = rotating_frame_diagonal(config, self.model.drives, t0)
+            if tr is None and d is not None:  # no transform between: fold d into the frame
+                left, right = left * np.exp(-1j * d * t), np.exp(1j * d * t0) * right
+            u = (left[:, None] * u) * right[None, :]
+        return OperatorMatrix(config, u, unitary=True)
+
+    def apply(
+        self, psi0: np.ndarray, times: Iterable[float], t0: float = 0.0
+    ) -> Iterator[tuple[float, np.ndarray]]:
+        """Yield (t, U(t, t0) psi0) along a time grid without forming U."""
+        config, drives, tr, d = self.model.config, self.model.drives, self.transform, self.diag
+        x = psi0
+        if self.frame:
+            x = rotating_frame_diagonal(config, drives, t0) * x
+        if tr is not None:
+            x = tr @ x
+            tr_dag = tr.conj().T
+        if d is not None:
+            x = np.exp(1j * d * t0) * x
+        if self.eigen is not None:
+            w, v = self.eigen
+            x = v.conj().T @ x
+            back = v if tr is None else tr_dag @ v
+        for t in times:
+            tau = t - t0
+            if self.eigen is not None:
+                y = back @ (np.exp(-1j * (w + self.offset) * tau) * x)
+            else:
+                y = self._exchange(x, tau)
+                if d is not None:
+                    y = np.exp(-1j * d * t) * y
+                if tr is not None:
+                    y = np.exp(-1j * self.offset * tau) * (tr_dag @ y)
+            if self.frame:
+                y = np.conj(rotating_frame_diagonal(config, drives, t)) * y
+            yield t, y
+
+
+def _plan(model: ModelSpec, method: str, resonant_pairs=None) -> _Plan:
+    """The propagator plan of one method; resonant_pairs feed the closed-form methods."""
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}")
+    if method == "exact":
+        return _Plan(model, eigen=np.linalg.eigh(rotating_frame_hamiltonian(model).matrix.entries))
+    if method == "pipeline_exact":
+        h0, flip = balanced_hamiltonian(model)
+        transform = balanced_transform(model.config, model.balanced()).entries
+        eigen = np.linalg.eigh(h0.matrix.entries + flip.entries)
+        return _Plan(model, eigen=eigen, transform=transform, offset=h0.offset)
+    pairs = _normalize_pairs(model, resonant_pairs)
+    if method == "standard_rwa":
+        if len(pairs) != 1:
+            raise ValueError("standard RWA takes a single resonant pair")
+        (j, k), = pairs
+        g = float(model.eta_matrix()[j - 1, k - 1] * model.drives[j - 1].Omega_R)
+        return _Plan(model, exchanges=((j, k, g),), diag=free_diagonal(model, [d.detuning for d in model.drives]))
+    exchanges = tuple((j, k, jc_coupling(model, j, k)) for j, k in pairs)
+    if method == "rwa_jc":
+        return _Plan(model, exchanges=exchanges, frame=False)
+    # pipeline_rwa needs only the diagonal part of the balanced Hamiltonian
+    params = model.balanced()
+    transform = balanced_transform(model.config, params).entries
+    d0 = free_diagonal(model, [par.delta_eff for par in params])
+    return _Plan(model, exchanges=exchanges, transform=transform, diag=d0, offset=balanced_offset(model))
+
+
+def exact_propagator(model: ModelSpec, t: float, t0: float = 0.0) -> OperatorMatrix:
+    """Oracle propagator R_t^dag exp(-i (t - t0) H) R_t0 in the lab frame.
+
+    H is the time-independent rotating-frame Hamiltonian; the frame factors
+    make the result solve the time-dependent problem with U(t0, t0) = 1.
+    Exactly unitary on the truncated space.
+    """
+    return _plan(model, "exact").matrix(t, t0)
 
 
 def rwa_jc_propagator(model: ModelSpec, drive: int, mode: int, t: float, t0: float = 0.0) -> OperatorMatrix:
@@ -182,12 +214,7 @@ def rwa_jc_propagator_multi(
     Pairs must touch distinct drives and distinct modes, so the factors
     commute and the product order is immaterial.
     """
-    pairs = _normalize_pairs(model, resonant_pairs)
-    u = np.eye(model.config.dim, dtype=complex)
-    for j, k in pairs:
-        g = jc_coupling(model, j, k)
-        u = _jc_closed_unitary(model.config, j, k, g, t - t0) @ u
-    return OperatorMatrix(model.config, u, unitary=True)
+    return _plan(model, "rwa_jc", resonant_pairs).matrix(t, t0)
 
 
 def standard_rwa_propagator(
@@ -199,19 +226,7 @@ def standard_rwa_propagator(
     its own interaction-picture frame exp(-i H_free t) and the rotating-frame
     factors, so it is directly comparable to the exact oracle.
     """
-    config = model.config
-    if not 1 <= drive <= config.n_spins:
-        raise ValueError(f"drive index {drive} out of range 1..{config.n_spins}")
-    if not 1 <= mode <= config.n_modes:
-        raise ValueError(f"mode index {mode} out of range 1..{config.n_modes}")
-    g = float(model.eta_matrix()[drive - 1, mode - 1] * model.drives[drive - 1].Omega_R)
-    core = _jc_closed_unitary(config, drive, mode, g, t - t0)
-    dfree = _free_rotating_diagonal(model)
-    r_t = rotating_frame_diagonal(config, model.drives, t)
-    r_t0 = rotating_frame_diagonal(config, model.drives, t0)
-    left = np.conj(r_t) * np.exp(-1j * dfree * t)
-    right = np.exp(1j * dfree * t0) * r_t0
-    return OperatorMatrix(config, (left[:, None] * core) * right[None, :], unitary=True)
+    return _plan(model, "standard_rwa", [(drive, mode)]).matrix(t, t0)
 
 
 def pipeline_propagator(
@@ -228,26 +243,9 @@ def pipeline_propagator(
     phase and truncation error.  mode="rwa" substitutes the closed-form
     exchange propagator for the interaction-picture evolution.
     """
-    config = model.config
-    h0, flip = balanced_hamiltonian(model)
-    transform = balanced_transform(config, model.balanced())
-    r_t = rotating_frame_diagonal(config, model.drives, t)
-    r_t0 = rotating_frame_diagonal(config, model.drives, t0)
-    tau = t - t0
-    if mode == "exact":
-        core = _expm_hermitian(h0.matrix.entries + flip.entries + h0.offset * np.eye(config.dim), tau)
-        inner = transform.entries.conj().T @ core @ transform.entries
-    elif mode == "rwa":
-        u_jc = rwa_jc_propagator_multi(model, resonant_pairs, t, t0)
-        d0 = np.real(np.diag(h0.matrix.entries))
-        sandwich = (np.exp(-1j * d0 * t)[:, None] * u_jc.entries) * np.exp(1j * d0 * t0)[None, :]
-        inner = np.exp(-1j * h0.offset * tau) * (
-            transform.entries.conj().T @ sandwich @ transform.entries
-        )
-    else:
+    if mode not in ("exact", "rwa"):
         raise ValueError("mode must be 'exact' or 'rwa'")
-    u = (np.conj(r_t)[:, None] * inner) * r_t0[None, :]
-    return OperatorMatrix(config, u, unitary=True)
+    return _plan(model, f"pipeline_{mode}", resonant_pairs).matrix(t, t0)
 
 
 def turn_on_propagator(model: ModelSpec, t: float, t0: float) -> OperatorMatrix:
@@ -259,14 +257,9 @@ def turn_on_propagator(model: ModelSpec, t: float, t0: float) -> OperatorMatrix:
     """
     if not t0 < 0.0 < t:
         raise ValueError("turn-on propagator needs t0 < 0 < t; use exact_propagator otherwise")
-    free = np.exp(1j * _free_lab_diagonal(model) * t0)
+    free = np.exp(1j * free_diagonal(model, [model.omega_ge] * model.config.n_spins) * t0)
     u = exact_propagator(model, t, 0.0)
     return OperatorMatrix(model.config, u.entries * free[None, :], unitary=True)
-
-
-def propagator_infidelity(u: OperatorMatrix, v: OperatorMatrix) -> float:
-    """Phase-insensitive guarded infidelity 1 - |tr(P U^dag V P)| / tr(P)."""
-    return guarded_infidelity(u, v)
 
 
 def evolve_states(
@@ -277,74 +270,12 @@ def evolve_states(
     t0: float = 0.0,
     resonant_pairs: Sequence[tuple[int, int]] | None = None,
 ) -> Iterator[tuple[float, np.ndarray]]:
-    """Yield (t, state) along a time grid, reusing one eigendecomposition.
+    """Yield (t, state) along a time grid, reusing one eigendecomposition or closed form.
 
     Equivalent to applying the corresponding propagator at every grid time,
     but with O(dim^2) work per time point.
     """
-    config = model.config
-    if method not in EVOLVE_METHODS:
-        raise ValueError(f"method must be one of {EVOLVE_METHODS}")
     psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (config.dim,):
+    if psi0.shape != (model.config.dim,):
         raise ValueError("initial state has wrong dimension")
-    r_t0 = rotating_frame_diagonal(config, model.drives, t0)
-
-    if method == "rwa_jc":
-        pairs = _normalize_pairs(model, resonant_pairs)
-        couplings = [(j, k, jc_coupling(model, j, k)) for j, k in pairs]
-        for t in times:
-            vec = psi0
-            for j, k, g in couplings:
-                vec = _jc_closed_unitary(config, j, k, g, t - t0) @ vec
-            yield t, vec
-        return
-
-    if method == "exact":
-        ht = rotating_frame_hamiltonian(model)
-        w, v = np.linalg.eigh(ht.matrix.entries)
-        y0 = v.conj().T @ (r_t0 * psi0)
-        for t in times:
-            r_t = rotating_frame_diagonal(config, model.drives, t)
-            yield t, np.conj(r_t) * (v @ (np.exp(-1j * w * (t - t0)) * y0))
-        return
-
-    h0, flip = balanced_hamiltonian(model)
-    transform = balanced_transform(config, model.balanced())
-    if method == "pipeline_exact":
-        w, v = np.linalg.eigh(h0.matrix.entries + flip.entries)
-        y0 = v.conj().T @ (transform.entries @ (r_t0 * psi0))
-        back = transform.entries.conj().T @ v
-        for t in times:
-            r_t = rotating_frame_diagonal(config, model.drives, t)
-            phases = np.exp(-1j * (w + h0.offset) * (t - t0))
-            yield t, np.conj(r_t) * (back @ (phases * y0))
-        return
-
-    if method == "pipeline_rwa":
-        pairs = _normalize_pairs(model, resonant_pairs)
-        d0 = np.real(np.diag(h0.matrix.entries))
-        z0 = np.exp(1j * d0 * t0) * (transform.entries @ (r_t0 * psi0))
-        couplings = [(j, k, jc_coupling(model, j, k)) for j, k in pairs]
-        for t in times:
-            vec = z0
-            for j, k, g in couplings:
-                vec = _jc_closed_unitary(config, j, k, g, t - t0) @ vec
-            vec = np.exp(-1j * d0 * t) * vec
-            vec = np.exp(-1j * h0.offset * (t - t0)) * (transform.entries.conj().T @ vec)
-            r_t = rotating_frame_diagonal(config, model.drives, t)
-            yield t, np.conj(r_t) * vec
-        return
-
-    # standard_rwa
-    pairs = _normalize_pairs(model, resonant_pairs)
-    if len(pairs) != 1:
-        raise ValueError("standard RWA evolution takes a single resonant pair")
-    j, k = pairs[0]
-    g = float(model.eta_matrix()[j - 1, k - 1] * model.drives[j - 1].Omega_R)
-    dfree = _free_rotating_diagonal(model)
-    z0 = np.exp(1j * dfree * t0) * (r_t0 * psi0)
-    for t in times:
-        vec = _jc_closed_unitary(config, j, k, g, t - t0) @ z0
-        r_t = rotating_frame_diagonal(config, model.drives, t)
-        yield t, np.conj(r_t) * (np.exp(-1j * dfree * t) * vec)
+    yield from _plan(model, method, resonant_pairs).apply(psi0, times, t0)

@@ -21,16 +21,12 @@ import numpy as np
 
 from .chain import LaserDrive
 from .fock import (
+    _SPIN_2X2,
     HilbertConfig,
     OperatorMatrix,
     displacement_product,
     embed_factors,
 )
-
-_E_EE = np.array([[1, 0], [0, 0]], dtype=complex)
-_E_EG = np.array([[0, 1], [0, 0]], dtype=complex)
-_E_GE = np.array([[0, 0], [1, 0]], dtype=complex)
-_E_GG = np.array([[0, 0], [0, 1]], dtype=complex)
 
 
 class NoDriveError(ValueError):
@@ -114,21 +110,14 @@ def balanced_params(drive: LaserDrive, eta_row: Sequence[float]) -> BalancedPara
     )
 
 
-def rotating_frame(config: HilbertConfig, drives: Sequence[LaserDrive], t: float) -> OperatorMatrix:
-    """Frame rotation prod_j exp(i (omega_L^j t + phase^j) sigma_z^j / 2).
-
-    Diagonal in the standard basis; drives are matched to spin factors in
-    list order.
-    """
-    if len(drives) != config.n_spins:
-        raise ValueError("need one drive per spin factor")
-    return OperatorMatrix(config, np.diag(rotating_frame_diagonal(config, drives, t)), unitary=True)
-
-
 def rotating_frame_diagonal(
     config: HilbertConfig, drives: Sequence[LaserDrive], t: float
 ) -> np.ndarray:
-    """Diagonal of the frame rotation, as a phase vector."""
+    """Diagonal of the frame rotation prod_j exp(i (omega_L^j t + phase^j) sigma_z^j / 2).
+
+    Returned as a phase vector over the standard basis; drives are matched to
+    spin factors in list order.
+    """
     diag = np.ones(1, dtype=complex)
     for drive in drives:
         beta = drive.omega_L * t + drive.phase
@@ -144,8 +133,8 @@ def linearizing_transform(config: HilbertConfig, eta_row: Sequence[float], ion: 
     """
     d = displacement_product(config, 0.5j * np.asarray(eta_row, dtype=float))
     t1 = (
-        d.conj().T @ embed_factors(config, spin_ops={ion: _E_EE - _E_GE})
-        + d @ embed_factors(config, spin_ops={ion: _E_EG + _E_GG})
+        d.conj().T @ embed_factors(config, spin_ops={ion: _SPIN_2X2["ee"] - _SPIN_2X2["minus"]})
+        + d @ embed_factors(config, spin_ops={ion: _SPIN_2X2["plus"] + _SPIN_2X2["gg"]})
     ) / np.sqrt(2.0)
     return OperatorMatrix(config, t1, unitary=True)
 
@@ -164,8 +153,8 @@ def conditional_displacement(
 ) -> OperatorMatrix:
     """Block-diagonal spin-conditioned displacement diag(D({alpha}), D({alpha})^dag)."""
     d = displacement_product(config, np.asarray(alpha_row, dtype=complex))
-    t3 = d @ embed_factors(config, spin_ops={ion: _E_EE}) + d.conj().T @ embed_factors(
-        config, spin_ops={ion: _E_GG}
+    t3 = d @ embed_factors(config, spin_ops={ion: _SPIN_2X2["ee"]}) + d.conj().T @ embed_factors(
+        config, spin_ops={ion: _SPIN_2X2["gg"]}
     )
     return OperatorMatrix(config, t3, unitary=True)
 
@@ -203,10 +192,10 @@ def balanced_transform_closed(
         d_minus = displacement_product(config, 1j * par.eps_minus * par.eta)
         d_plus = displacement_product(config, 1j * par.eps_plus * par.eta)
         factor = (
-            par.kappa_plus * d_minus @ embed_factors(config, spin_ops={ion: _E_EE})
-            + par.kappa_minus * d_plus @ embed_factors(config, spin_ops={ion: _E_EG})
-            - par.kappa_minus * d_plus.conj().T @ embed_factors(config, spin_ops={ion: _E_GE})
-            + par.kappa_plus * d_minus.conj().T @ embed_factors(config, spin_ops={ion: _E_GG})
+            par.kappa_plus * d_minus @ embed_factors(config, spin_ops={ion: _SPIN_2X2["ee"]})
+            + par.kappa_minus * d_plus @ embed_factors(config, spin_ops={ion: _SPIN_2X2["plus"]})
+            - par.kappa_minus * d_plus.conj().T @ embed_factors(config, spin_ops={ion: _SPIN_2X2["minus"]})
+            + par.kappa_plus * d_minus.conj().T @ embed_factors(config, spin_ops={ion: _SPIN_2X2["gg"]})
         )
         out = factor @ out
     return OperatorMatrix(config, out, unitary=True)

@@ -16,6 +16,7 @@ from ionjc.fock import (
     OperatorMatrix,
     basis_state,
     expm_unitary,
+    guarded_infidelity,
     guarded_norm,
     spin_op,
 )
@@ -29,7 +30,6 @@ from ionjc.propagators import (
     exact_propagator,
     jc_coupling,
     pipeline_propagator,
-    propagator_infidelity,
     rwa_jc_propagator,
     rwa_jc_propagator_multi,
 )
@@ -57,7 +57,7 @@ def test_criterion_1_cascade_closure():
         delta = rng.uniform(-2.0, 2.0)
         t = rng.uniform(0.0, 20.0)
         model = make_single_model(Omega_R=omega_r, delta=delta, k_L=0.1, n_max=40, guard=10)
-        infid = propagator_infidelity(
+        infid = guarded_infidelity(
             pipeline_propagator(model, t, mode="exact"), exact_propagator(model, t)
         )
         worst = max(worst, infid)
@@ -234,7 +234,7 @@ def test_criterion_8_multi_drive_smoke():
     model = make_two_ion_model()  # N = 2, n_max = 12, guard = 4, both resonances reachable
     worst = 0.0
     for t in (0.8, 2.5, 5.0):
-        infid = propagator_infidelity(
+        infid = guarded_infidelity(
             pipeline_propagator(model, t, mode="exact"), exact_propagator(model, t)
         )
         worst = max(worst, infid)

@@ -42,8 +42,6 @@ def test_model_spec_validation():
         ModelSpec(chain=ChainModel.build(3), drives=tuple(good), config=cfg)
     with pytest.raises(ValueError):  # omega_ge mismatch
         ModelSpec(chain=chain, drives=tuple(good), config=cfg, omega_ge=1.0)
-    with pytest.raises(NotImplementedError):
-        ModelSpec(chain=chain, drives=tuple(good), config=cfg, include_W=True)
 
 
 def test_rotating_frame_hamiltonian_free_case():

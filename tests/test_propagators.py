@@ -9,18 +9,16 @@ from ionjc.fock import (
     embed_factors,
     expm_unitary,
     guarded_distance,
+    guarded_infidelity,
     guarded_norm,
     spin_op,
     spin_signs,
 )
 from ionjc.propagators import (
-    PropagatorRequest,
     evolve_states,
     exact_propagator,
     jc_coupling,
     pipeline_propagator,
-    propagate,
-    propagator_infidelity,
     rwa_jc_propagator,
     rwa_jc_propagator_multi,
     standard_rwa_propagator,
@@ -61,7 +59,7 @@ def test_pipeline_exact_matches_oracle(single_model):
     for t in (0.9, 7.3, 18.0):
         u_exact = exact_propagator(single_model, t)
         u_pipe = pipeline_propagator(single_model, t, mode="exact")
-        assert propagator_infidelity(u_pipe, u_exact) <= 1e-8
+        assert guarded_infidelity(u_pipe, u_exact) <= 1e-8
         # offsets are tracked, so the match holds including global phase
         assert guarded_distance(u_pipe, u_exact) <= 1e-8
 
@@ -186,7 +184,7 @@ def test_pipeline_rwa_two_resonances_tracks_oracle():
     for t in (5.0, 20.0):
         u_ref = exact_propagator(model, t)
         u_rwa = pipeline_propagator(model, t, mode="rwa", resonant_pairs=pairs)
-        assert propagator_infidelity(u_rwa, u_ref) <= 5e-3
+        assert guarded_infidelity(u_rwa, u_ref) <= 5e-3
 
 
 def test_standard_rwa_propagator_zero_coupling_is_free():
@@ -266,12 +264,12 @@ def test_turn_on_zero_drive_is_free_evolution():
 
 def test_infidelity_examples(single_model):
     u = exact_propagator(single_model, 2.0)
-    assert propagator_infidelity(u, u) == pytest.approx(0.0, abs=1e-14)
+    assert guarded_infidelity(u, u) == pytest.approx(0.0, abs=1e-14)
     v = OperatorMatrix(single_model.config, np.exp(1.3j) * u.entries, unitary=True)
-    assert propagator_infidelity(u, v) == pytest.approx(0.0, abs=1e-14)
+    assert guarded_infidelity(u, v) == pytest.approx(0.0, abs=1e-14)
     eye = OperatorMatrix(single_model.config, np.eye(single_model.config.dim), unitary=True)
     flip = OperatorMatrix(single_model.config, spin_op(single_model.config, 1, "x").entries, unitary=True)
-    assert propagator_infidelity(eye, flip) == pytest.approx(1.0)
+    assert guarded_infidelity(eye, flip) == pytest.approx(1.0)
 
 
 def test_all_propagators_exactly_unitary(single_model):
@@ -289,20 +287,12 @@ def test_all_propagators_exactly_unitary(single_model):
         assert np.abs(u.entries.conj().T @ u.entries - eye).max() <= 1e-12
 
 
-def test_propagate_request_dispatch(single_model):
-    t = 1.9
-    req = PropagatorRequest(model=single_model, t0=0.0, t=t, method="exact")
-    assert np.array_equal(propagate(req).entries, exact_propagator(single_model, t).entries)
-    req2 = PropagatorRequest(model=single_model, t0=0.0, t=t, method="pipeline_rwa", resonant_pair=(1, 1))
-    got = propagate(req2)
-    ref = pipeline_propagator(single_model, t, mode="rwa", resonant_pairs=[(1, 1)])
-    assert np.abs(got.entries - ref.entries).max() <= 1e-12
+def test_unknown_method_rejected(single_model):
+    psi0 = basis_state(single_model.config, [0], ["g"])
     with pytest.raises(ValueError):
-        PropagatorRequest(model=single_model, t0=0.0, t=t, method="pipeline_rwa")
+        list(evolve_states(single_model, psi0, [0.0, 1.0], method="magnus"))
     with pytest.raises(ValueError):
-        PropagatorRequest(model=single_model, t0=1.0, t=0.0, method="exact")
-    with pytest.raises(ValueError):
-        PropagatorRequest(model=single_model, t0=0.0, t=1.0, method="magnus")
+        pipeline_propagator(single_model, 1.0, mode="magnus")
 
 
 @pytest.mark.parametrize("method,pairs", [
@@ -310,10 +300,16 @@ def test_propagate_request_dispatch(single_model):
     ("pipeline_exact", None),
     ("pipeline_rwa", [(1, 1)]),
     ("standard_rwa", [(1, 1)]),
+    ("rwa_jc", [(1, 1)]),
+    ("pipeline_rwa", [(1, 1), (2, 2)]),
 ])
 def test_evolve_states_matches_propagators(method, pairs):
-    model = make_single_model(n_max=16, guard=4, phase=0.3)
-    psi0 = basis_state(model.config, [1], ["g"])
+    if pairs is not None and len(pairs) > 1:
+        model = make_two_ion_model(n_max=8, guard=2, phases=(0.3, -0.5))
+    else:
+        model = make_single_model(n_max=16, guard=4, phase=0.3)
+    config = model.config
+    psi0 = basis_state(config, [1] * config.n_modes, ["g"] * config.n_spins)
     times = [0.0, 0.8, 2.9]
     states = dict(evolve_states(model, psi0, times, method=method, resonant_pairs=pairs))
     for t in times:
@@ -323,6 +319,8 @@ def test_evolve_states_matches_propagators(method, pairs):
             u = pipeline_propagator(model, t, mode="exact")
         elif method == "pipeline_rwa":
             u = pipeline_propagator(model, t, mode="rwa", resonant_pairs=pairs)
+        elif method == "rwa_jc":
+            u = rwa_jc_propagator_multi(model, pairs, t)
         else:
             u = standard_rwa_propagator(model, 1, 1, t)
         assert np.abs(states[t] - u.entries @ psi0).max() <= 1e-11

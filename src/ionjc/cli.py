@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands mirror the experiments (modes, resonance, sweep-rabi, evolve);
-each takes a JSON config plus output overrides.  Exit codes: 0 success,
-2 configuration error, 3 numerical-validation failure.
+each takes a JSON config plus output overrides.  Exit codes: 0 success, 2
+configuration error (including an undriven ion), 3 numerical-validation
+failure, 1 any other failure (numpy errors, MemoryError), on one stderr line.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import sys
 
 from .config import ConfigError, parse_config
 from .experiments import run_experiment, write_table
+from .fock import NumericalValidationError
+from .transforms import NoDriveError
 
 THREADS_ENV = "IONJC_THREADS"
 
@@ -72,12 +75,15 @@ def main(argv=None) -> int:
         else:
             with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
                 write_table(table, fh, fmt)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, NoDriveError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except NumericalValidationError as exc:
         print(f"numerical validation failed: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # the process boundary: one line, not a traceback
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 1
     return 0
 
 

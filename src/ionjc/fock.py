@@ -252,12 +252,21 @@ def displacement(config: HilbertConfig, mode: int, alpha: complex) -> OperatorMa
     return OperatorMatrix(config, embed_factors(config, {mode: d1}), unitary=True)
 
 
-def displacement_product(config: HilbertConfig, alphas: Sequence[complex]) -> np.ndarray:
-    """prod_p D_p(alphas[p]) as a raw full-space matrix (one alpha per mode)."""
+def displacement_factors(config: HilbertConfig, alphas: Sequence[complex]) -> dict[int, np.ndarray]:
+    """Single-mode factors {p: D_p(alphas[p - 1])} of prod_p D_p, keyed like embed_factors."""
     if len(alphas) != config.n_modes:
         raise ValueError("need one displacement amplitude per mode")
-    mats = {p + 1: _displacement_1mode(config.n_max, complex(al)) for p, al in enumerate(alphas)}
-    return embed_factors(config, mats)
+    return {p + 1: _displacement_1mode(config.n_max, complex(al)) for p, al in enumerate(alphas)}
+
+
+def dagger_factors(factors: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """Factor-wise adjoint: the Kronecker product of the results is the adjoint of the product."""
+    return {p: m.conj().T for p, m in factors.items()}
+
+
+def displacement_product(config: HilbertConfig, alphas: Sequence[complex]) -> np.ndarray:
+    """prod_p D_p(alphas[p]) as a raw full-space matrix (one alpha per mode)."""
+    return embed_factors(config, displacement_factors(config, alphas))
 
 
 def expm_unitary(h: OperatorMatrix, t: float) -> OperatorMatrix:

@@ -21,9 +21,9 @@ from .fock import (
     _SPIN_2X2,
     HilbertConfig,
     OperatorMatrix,
-    _expm_hermitian,
     _mode_destroy,
-    displacement_product,
+    dagger_factors,
+    displacement_factors,
     embed_factors,
     mode_occupations,
     spin_signs,
@@ -107,10 +107,9 @@ def rotating_frame_hamiltonian(model: ModelSpec) -> OffsetHamiltonian:
     for j, drive in enumerate(model.drives, start=1):
         if drive.Omega_R == 0.0:
             continue
-        d2 = displacement_product(config, 1j * eta[j - 1])
-        sp = embed_factors(config, spin_ops={j: _SPIN_2X2["plus"]})
-        sm = embed_factors(config, spin_ops={j: _SPIN_2X2["minus"]})
-        h = h + drive.Omega_R * (sm @ d2.conj().T + sp @ d2)
+        # sigma_+^j D_j^2 as one Kronecker product; its adjoint is the sigma_- term
+        w = embed_factors(config, displacement_factors(config, 1j * eta[j - 1]), {j: _SPIN_2X2["plus"]})
+        h = h + drive.Omega_R * (w.conj().T + w)
     return OffsetHamiltonian(OperatorMatrix(config, h, hermitian=True), 0.0)
 
 
@@ -132,14 +131,12 @@ def standard_rwa_generator(
     elif resonance in ("blue", "red"):
         if mode is None or not 1 <= mode <= config.n_modes:
             raise ValueError(f"resonance {resonance!r} needs a mode index in 1..{config.n_modes}")
-        a = embed_factors(config, {mode: _mode_destroy(config.n_max)})
-        sp = embed_factors(config, spin_ops={drive: _SPIN_2X2["plus"]})
-        sm = embed_factors(config, spin_ops={drive: _SPIN_2X2["minus"]})
-        coupling = 1j * eta[mode - 1] * d.Omega_R
-        if resonance == "blue":
-            gen = coupling * (a.conj().T @ sp - a @ sm)
-        else:
-            gen = coupling * (a @ sp - a.conj().T @ sm)
+        a = _mode_destroy(config.n_max)
+        up, down = (a.conj().T, a) if resonance == "blue" else (a, a.conj().T)
+        gen = (1j * eta[mode - 1] * d.Omega_R) * (
+            embed_factors(config, {mode: up}, {drive: _SPIN_2X2["plus"]})
+            - embed_factors(config, {mode: down}, {drive: _SPIN_2X2["minus"]})
+        )
     else:
         raise ValueError(f"unknown resonance kind {resonance!r}")
     return OffsetHamiltonian(OperatorMatrix(config, gen, hermitian=True), 0.0)
@@ -177,17 +174,16 @@ def linearized_hamiltonian(model: ModelSpec) -> IntermediateParts:
     config = model.config
     eta = model.eta_matrix()[0]
     nu = model.chain.nu
-    sx = embed_factors(config, spin_ops={1: _SPIN_2X2["x"]})
+    sz, sx = {1: _SPIN_2X2["z"]}, {1: _SPIN_2X2["x"]}
     h0 = (
         np.diag(free_diagonal(model, ()).astype(complex))
-        + drive.Omega_R * embed_factors(config, spin_ops={1: _SPIN_2X2["z"]})
-        - 0.5 * drive.detuning * sx
+        + drive.Omega_R * embed_factors(config, spin_ops=sz)
+        - 0.5 * drive.detuning * embed_factors(config, spin_ops=sx)
     )
     flip = np.zeros_like(h0)
     a1 = _mode_destroy(config.n_max)
     for p in range(1, config.n_modes + 1):
-        a = embed_factors(config, {p: a1})
-        flip = flip + 0.5 * eta[p - 1] * nu[p - 1] * (1j * (a - a.conj().T)) @ sx
+        flip = flip + 0.5 * eta[p - 1] * nu[p - 1] * embed_factors(config, {p: 1j * (a1 - a1.conj().T)}, sx)
     return IntermediateParts(
         OperatorMatrix(config, h0, hermitian=True),
         OperatorMatrix(config, flip, hermitian=True),
@@ -206,17 +202,15 @@ def mixed_hamiltonian(model: ModelSpec) -> IntermediateParts:
     config = model.config
     par = model.balanced()[0]
     nu = model.chain.nu
-    sz = embed_factors(config, spin_ops={1: _SPIN_2X2["z"]})
-    sx = embed_factors(config, spin_ops={1: _SPIN_2X2["x"]})
     a1 = _mode_destroy(config.n_max)
-    h0 = np.diag(free_diagonal(model, ()).astype(complex)) + 0.5 * par.delta_eff * sz
+    x = 1j * (a1 - a1.conj().T)
+    sz, sx = {1: _SPIN_2X2["z"]}, {1: _SPIN_2X2["x"]}
+    h0 = np.diag(free_diagonal(model, ()).astype(complex)) + 0.5 * par.delta_eff * embed_factors(config, spin_ops=sz)
     flip = np.zeros_like(h0)
     root = 1.0 / np.sqrt(4.0 + par.Delta**2)
     for p in range(1, config.n_modes + 1):
-        a = embed_factors(config, {p: a1})
-        x = 1j * (a - a.conj().T)
-        h0 = h0 - (par.Delta * root / 2.0) * par.eta[p - 1] * nu[p - 1] * (x @ sz)
-        flip = flip + root * par.eta[p - 1] * nu[p - 1] * (x @ sx)
+        h0 = h0 - (par.Delta * root / 2.0) * par.eta[p - 1] * nu[p - 1] * embed_factors(config, {p: x}, sz)
+        flip = flip + root * par.eta[p - 1] * nu[p - 1] * embed_factors(config, {p: x}, sx)
     return IntermediateParts(
         OperatorMatrix(config, h0, hermitian=True),
         OperatorMatrix(config, flip, hermitian=True),
@@ -265,31 +259,19 @@ def balanced_hamiltonian(model: ModelSpec) -> tuple[OffsetHamiltonian, OperatorM
 
     flip = np.zeros((config.dim, config.dim), dtype=complex)
     a1 = _mode_destroy(config.n_max)
+    x = 1j * (a1 - a1.conj().T)
     for j, par in enumerate(params, start=1):
-        d2 = displacement_product(config, 1j * par.eta_eff)
-        sp = embed_factors(config, spin_ops={j: _SPIN_2X2["plus"]})
-        sm = embed_factors(config, spin_ops={j: _SPIN_2X2["minus"]})
-        w_sum = sm @ d2.conj().T + sp @ d2
-        w_dif = sm @ d2.conj().T - sp @ d2
-        for p in range(1, config.n_modes + 1):
-            a = embed_factors(config, {p: a1})
-            x = 1j * (a - a.conj().T)
-            flip = flip + par.eta_eff_by_Delta[p - 1] * nu[p - 1] * (x @ w_sum)
-        flip = flip - float(np.sum(par.eta_eff_by_Delta * par.eta_eff * nu)) * w_dif
+        sp, sm = {j: _SPIN_2X2["plus"]}, {j: _SPIN_2X2["minus"]}
+        d2 = displacement_factors(config, 1j * par.eta_eff)
+        d2_dag = dagger_factors(d2)
+        for p in range(1, config.n_modes + 1):  # x_p (sigma_-^j Dj^dag2 + sigma_+^j Dj^2), factor by factor
+            coup = par.eta_eff_by_Delta[p - 1] * nu[p - 1]
+            flip = flip + coup * embed_factors(config, {**d2_dag, p: x @ d2_dag[p]}, sm)
+            flip = flip + coup * embed_factors(config, {**d2, p: x @ d2[p]}, sp)
+        w = embed_factors(config, d2, sp)  # sigma_+^j Dj^2
+        flip = flip - float(np.sum(par.eta_eff_by_Delta * par.eta_eff * nu)) * (w.conj().T - w)
     flip = (flip + flip.conj().T) / 2.0
     return OffsetHamiltonian(h0, balanced_offset(model)), OperatorMatrix(config, flip, hermitian=True)
-
-
-def _time_displaced_product(
-    config: HilbertConfig, eta_eff_row: np.ndarray, nu: np.ndarray, t: float
-) -> np.ndarray:
-    """prod_p exp(i etaeff_p (e^{-i nu_p t} a_p + e^{i nu_p t} a_p^dag))."""
-    a1 = _mode_destroy(config.n_max)
-    mats = {}
-    for p in range(1, config.n_modes + 1):
-        gen = eta_eff_row[p - 1] * (np.exp(-1j * nu[p - 1] * t) * a1 + np.exp(1j * nu[p - 1] * t) * a1.conj().T)
-        mats[p] = _expm_hermitian(gen, -1.0)  # exp(+i gen)
-    return embed_factors(config, mats)
 
 
 def jc_interaction(model: ModelSpec, t: float) -> OperatorMatrix:
@@ -305,26 +287,22 @@ def jc_interaction(model: ModelSpec, t: float) -> OperatorMatrix:
     a1 = _mode_destroy(config.n_max)
     out = np.zeros((config.dim, config.dim), dtype=complex)
     for j, par in enumerate(model.balanced(), start=1):
-        dt = _time_displaced_product(config, par.eta_eff, nu, t)
-        sp = embed_factors(config, spin_ops={j: _SPIN_2X2["plus"]})
-        sm = embed_factors(config, spin_ops={j: _SPIN_2X2["minus"]})
+        sp, sm = {j: _SPIN_2X2["plus"]}, {j: _SPIN_2X2["minus"]}
+        # prod_p exp(i etaeff_p (e^{-i nu_p t} a_p + e^{i nu_p t} a_p^dag)), one factor per mode
+        dt = displacement_factors(config, 1j * par.eta_eff * np.exp(1j * nu * t))
+        dt_dag = dagger_factors(dt)
         for p in range(1, config.n_modes + 1):
-            a = embed_factors(config, {p: a1})
             coup = par.eta_eff_by_Delta[p - 1] * nu[p - 1]
-            w_minus = nu[p - 1] - par.delta_eff
-            w_plus = nu[p - 1] + par.delta_eff
-            out = out + 1j * coup * (
-                np.exp(-1j * w_minus * t) * (a @ dt @ sp)
-                - np.exp(1j * w_minus * t) * (a.conj().T @ dt.conj().T @ sm)
-            )
-            out = out + 1j * coup * (
-                np.exp(-1j * w_plus * t) * (a @ dt.conj().T @ sm)
-                - np.exp(1j * w_plus * t) * (a.conj().T @ dt @ sp)
-            )
+            ph_minus = np.exp(-1j * (nu[p - 1] - par.delta_eff) * t)
+            ph_plus = np.exp(-1j * (nu[p - 1] + par.delta_eff) * t)
+            up = (ph_minus * a1 - np.conj(ph_plus) * a1.conj().T) @ dt[p]  # sigma_+ terms
+            down = (ph_plus * a1 - np.conj(ph_minus) * a1.conj().T) @ dt_dag[p]  # sigma_- terms
+            out = out + 1j * coup * embed_factors(config, {**dt, p: up}, sp)
+            out = out + 1j * coup * embed_factors(config, {**dt_dag, p: down}, sm)
         kappa = float(np.sum(par.eta_eff_by_Delta * par.eta_eff * nu))
         out = out - kappa * (
-            np.exp(-1j * par.delta_eff * t) * (dt.conj().T @ sm)
-            - np.exp(1j * par.delta_eff * t) * (dt @ sp)
+            np.exp(-1j * par.delta_eff * t) * embed_factors(config, dt_dag, sm)
+            - np.exp(1j * par.delta_eff * t) * embed_factors(config, dt, sp)
         )
     out = (out + out.conj().T) / 2.0
     return OperatorMatrix(config, out, hermitian=True)

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .fock import _SPIN_2X2, HilbertConfig, OperatorMatrix, _mode_destroy, embed_factors
+from .fock import OperatorMatrix
 from .hamiltonians import ModelSpec, balanced_hamiltonian, balanced_offset, free_diagonal, rotating_frame_hamiltonian
 from .transforms import balanced_transform, rotating_frame_diagonal
 
@@ -46,39 +46,6 @@ def _normalize_pairs(model: ModelSpec, resonant_pairs) -> list[tuple[int, int]]:
     return pairs
 
 
-def _jc_closed_unitary(config: HilbertConfig, drive: int, mode: int, g: float, tau: float) -> np.ndarray:
-    """Closed-form sideband-exchange propagator exp(g tau (a sigma_+ - a^dag sigma_-)).
-
-    Functions of the number operator fill the four spin blocks:
-    cos(g tau sqrt(n+1)) on |e>, sin(g tau sqrt(n+1))/sqrt(n+1) a off-diagonal,
-    and the matching lower blocks.  The top Fock level of the |e> branch has
-    no exchange partner under hard truncation and is left invariant, which
-    keeps the matrix exactly unitary and equal to the exponential of the
-    truncated generator.
-    """
-    n_max = config.n_max
-    n = np.arange(n_max, dtype=float)
-    upper = g * tau * np.sqrt(n + 1.0)
-    cos_e = np.cos(upper)
-    cos_e[-1] = 1.0  # orphan top level: truncated a^dag annihilates it
-    f_eg = np.sin(upper) / np.sqrt(n + 1.0)
-    lower = g * tau * np.sqrt(n)
-    cos_g = np.cos(lower)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        f_ge = np.where(n > 0, np.sin(lower) / np.sqrt(np.maximum(n, 1.0)), g * tau)
-    a = _mode_destroy(n_max)
-    blocks = {  # keyed by the spin factor |e><e|, |e><g|, |g><e|, |g><g|
-        "ee": np.diag(cos_e.astype(complex)),
-        "plus": np.diag(f_eg.astype(complex)) @ a,
-        "minus": -(np.diag(f_ge.astype(complex)) @ a.conj().T),
-        "gg": np.diag(cos_g.astype(complex)),
-    }
-    u = np.zeros((config.dim, config.dim), dtype=complex)
-    for key, blk in blocks.items():
-        u = u + embed_factors(config, {mode: blk}, {drive: _SPIN_2X2[key]})
-    return u
-
-
 def jc_coupling(model: ModelSpec, drive: int, mode: int) -> float:
     """Balanced sideband coupling (eta_eff / Delta) nu for one (drive, mode) pair."""
     par = model.balanced()[drive - 1]
@@ -91,9 +58,11 @@ class _Plan:
 
     tau = t - t0; R is the rotating frame (left out when frame is False), T the
     balanced transform and d a free diagonal.  The core is exp(-i H tau) from
-    eigen = (w, v) of H, the offset entering the eigenphases, or the product of
-    closed-form sideband exchanges (drive, mode, g).  matrix and apply each fix
-    one association order, so their outputs are reproducible bit for bit.
+    eigen = (w, v) of H, the offset entering the eigenphases, or the banded
+    product of closed-form sideband exchanges (drive, mode, g).  matrix and
+    apply each fix one association order, so their outputs are reproducible bit
+    for bit.  apply costs O(dim) per time point, plus one O(dim^2) mat-vec with
+    the eigenbasis or the transform where the plan has one.
     """
 
     model: ModelSpec
@@ -105,9 +74,28 @@ class _Plan:
     frame: bool = True
 
     def _exchange(self, x: np.ndarray, tau: float) -> np.ndarray:
+        """Apply prod exp(g tau (a_mode sigma_+^drive - a_mode^dag sigma_-^drive)) to the columns of x.
+
+        Each factor exchanges |n, e> with |n+1, g> on its (mode, drive) axes:
+        e[n] <- cos(g tau sqrt(n+1)) e[n] + s[n] g[n+1], g[n] <- cos(g tau sqrt(n))
+        g[n] - s[n-1] e[n-1], s[n] = sin(g tau sqrt(n+1)); the top |e> level has
+        no partner under hard truncation and stays invariant.  O(dim) per column.
+        """
+        config = self.model.config
+        y = x.reshape((config.n_max,) * config.n_modes + (2,) * config.n_spins + x.shape[1:])
+        root = np.sqrt(np.arange(1, config.n_max, dtype=float))  # sqrt(n + 1), n < n_max - 1
         for j, k, g in self.exchanges:
-            x = _jc_closed_unitary(self.model.config, j, k, g, tau) @ x
-        return x
+            upper = g * tau * root
+            cos_e, cos_g = np.append(np.cos(upper), 1.0), np.insert(np.cos(upper), 0, 1.0)
+            s = np.sin(upper) / root * root  # (sin / sqrt(n+1)) times a's sqrt(n+1), rounded like f(n) a
+            out = np.empty_like(y)  # views v (input) and w (output) end in the (mode, spin) axes
+            v, w = (np.moveaxis(a, (k - 1, config.n_modes + j - 1), (-2, -1)) for a in (y, out))
+            w[..., 0] = cos_e * v[..., 0]
+            w[..., :-1, 0] += s * v[..., 1:, 1]
+            w[..., 1] = cos_g * v[..., 1]
+            w[..., 1:, 1] -= s * v[..., :-1, 0]
+            y = out
+        return y.reshape(x.shape)
 
     def matrix(self, t: float, t0: float = 0.0) -> OperatorMatrix:
         config, tr, d = self.model.config, self.transform, self.diag
@@ -118,11 +106,11 @@ class _Plan:
             if tr is not None:
                 back, front = tr.conj().T @ v, front @ tr
             u = (back * np.exp(-1j * (w + self.offset) * tau)) @ front
-        else:
+        elif tr is None:
             u = self._exchange(np.eye(config.dim, dtype=complex), tau)
-            if tr is not None:  # d sits between the transform and the core
-                u = (np.exp(-1j * d * t)[:, None] * u) * np.exp(1j * d * t0)[None, :]
-                u = np.exp(-1j * self.offset * tau) * (tr.conj().T @ u @ tr)
+        else:  # d sits between the transform and the core
+            u = np.exp(-1j * d * t)[:, None] * self._exchange(np.exp(1j * d * t0)[:, None] * tr, tau)
+            u = np.exp(-1j * self.offset * tau) * (tr.conj().T @ u)
         if self.frame:
             left = np.conj(rotating_frame_diagonal(config, self.model.drives, t))
             right = rotating_frame_diagonal(config, self.model.drives, t0)
@@ -272,8 +260,9 @@ def evolve_states(
 ) -> Iterator[tuple[float, np.ndarray]]:
     """Yield (t, state) along a time grid, reusing one eigendecomposition or closed form.
 
-    Equivalent to applying the corresponding propagator at every grid time,
-    but with O(dim^2) work per time point.
+    Equivalent to applying the corresponding propagator at every grid time
+    without forming it: O(dim) work per point for the closed-form core, plus one
+    O(dim^2) mat-vec where the transform or an eigenbasis is applied.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (model.config.dim,):

@@ -14,7 +14,9 @@ feel the cutoff.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +26,8 @@ from .fock import (
     _SPIN_2X2,
     HilbertConfig,
     OperatorMatrix,
-    displacement_product,
+    dagger_factors,
+    displacement_factors,
     embed_factors,
 )
 
@@ -131,10 +134,10 @@ def linearizing_transform(config: HilbertConfig, eta_row: Sequence[float], ion: 
     Block form over (e, g): (1/sqrt(2)) [[D^dag, D], [-D^dag, D]] with
     D = prod_p D_p(i eta_p / 2).
     """
-    d = displacement_product(config, 0.5j * np.asarray(eta_row, dtype=float))
+    d = displacement_factors(config, 0.5j * np.asarray(eta_row, dtype=float))
     t1 = (
-        d.conj().T @ embed_factors(config, spin_ops={ion: _SPIN_2X2["ee"] - _SPIN_2X2["minus"]})
-        + d @ embed_factors(config, spin_ops={ion: _SPIN_2X2["plus"] + _SPIN_2X2["gg"]})
+        embed_factors(config, dagger_factors(d), {ion: _SPIN_2X2["ee"] - _SPIN_2X2["minus"]})
+        + embed_factors(config, d, {ion: _SPIN_2X2["plus"] + _SPIN_2X2["gg"]})
     ) / np.sqrt(2.0)
     return OperatorMatrix(config, t1, unitary=True)
 
@@ -152,10 +155,9 @@ def conditional_displacement(
     config: HilbertConfig, alpha_row: Sequence[complex], ion: int
 ) -> OperatorMatrix:
     """Block-diagonal spin-conditioned displacement diag(D({alpha}), D({alpha})^dag)."""
-    d = displacement_product(config, np.asarray(alpha_row, dtype=complex))
-    t3 = d @ embed_factors(config, spin_ops={ion: _SPIN_2X2["ee"]}) + d.conj().T @ embed_factors(
-        config, spin_ops={ion: _SPIN_2X2["gg"]}
-    )
+    d = displacement_factors(config, np.asarray(alpha_row, dtype=complex))
+    t3 = embed_factors(config, d, {ion: _SPIN_2X2["ee"]})
+    t3 = t3 + embed_factors(config, dagger_factors(d), {ion: _SPIN_2X2["gg"]})
     return OperatorMatrix(config, t3, unitary=True)
 
 
@@ -163,18 +165,28 @@ def balanced_transform(config: HilbertConfig, params: Sequence[BalancedParams]) 
     """Product form of the balanced transform, one factor per driven ion.
 
     Each factor is the composition conditional_displacement * mixing_rotation
-    * linearizing_transform for that ion; factors of different ions commute,
-    so the product order is immaterial.
+    * linearizing_transform for that ion, over its (e, g) spin the 2 x 2 block
+    matrix diag(Da, Da^dag) R(theta) [[1, 1], [-1, 1]] diag(D^dag, D) / sqrt(2)
+    with D = prod_p D_p(i eta_p / 2), Da = prod_p D_p(alpha_p).  Factors of
+    different ions commute, so each spin block of the product is a scalar times
+    one Kronecker product of per-mode factor products, written into place.
     """
     if len(params) != config.n_spins:
         raise ValueError("need balanced parameters for every spin factor")
-    out = np.eye(config.dim, dtype=complex)
-    for ion, par in enumerate(params, start=1):
-        t1 = linearizing_transform(config, par.eta, ion)
-        t2 = mixing_rotation(config, par.theta, ion)
-        t3 = conditional_displacement(config, par.alpha, ion)
-        out = t3.entries @ t2.entries @ t1.entries @ out
-    return OperatorMatrix(config, out, unitary=True)
+    ions = []  # per ion: 2 x 2 scalars, row factors (Da, Da^dag), column factors (D^dag, D)
+    for par in params:
+        c, s = np.cos(par.theta / 2.0), np.sin(par.theta / 2.0)
+        coef = np.array([[c + s, c - s], [s - c, s + c]]) / np.sqrt(2.0)
+        d, da = displacement_factors(config, 0.5j * par.eta), displacement_factors(config, par.alpha)
+        ions.append((coef, (da, dagger_factors(da)), (dagger_factors(d), d)))
+    size, spins = config.n_max**config.n_modes, list(itertools.product((0, 1), repeat=config.n_spins))
+    out = np.empty((size, len(spins), size, len(spins)), dtype=complex)
+    for (row, rs), (col, cs) in itertools.product(enumerate(spins), repeat=2):
+        scale = np.prod([w[r, q] for (w, _, _), r, q in zip(ions, rs, cs)])
+        modes = [reduce(np.matmul, [lf[r][p] @ rf[q][p] for (_, lf, rf), r, q in zip(ions, rs, cs)])
+                 for p in range(1, config.n_modes + 1)]
+        out[:, row, :, col] = scale * reduce(np.kron, modes)
+    return OperatorMatrix(config, out.reshape(config.dim, config.dim), unitary=True)
 
 
 def balanced_transform_closed(
@@ -189,13 +201,13 @@ def balanced_transform_closed(
         raise ValueError("need balanced parameters for every spin factor")
     out = np.eye(config.dim, dtype=complex)
     for ion, par in enumerate(params, start=1):
-        d_minus = displacement_product(config, 1j * par.eps_minus * par.eta)
-        d_plus = displacement_product(config, 1j * par.eps_plus * par.eta)
+        d_minus = displacement_factors(config, 1j * par.eps_minus * par.eta)
+        d_plus = displacement_factors(config, 1j * par.eps_plus * par.eta)
         factor = (
-            par.kappa_plus * d_minus @ embed_factors(config, spin_ops={ion: _SPIN_2X2["ee"]})
-            + par.kappa_minus * d_plus @ embed_factors(config, spin_ops={ion: _SPIN_2X2["plus"]})
-            - par.kappa_minus * d_plus.conj().T @ embed_factors(config, spin_ops={ion: _SPIN_2X2["minus"]})
-            + par.kappa_plus * d_minus.conj().T @ embed_factors(config, spin_ops={ion: _SPIN_2X2["gg"]})
+            par.kappa_plus * embed_factors(config, d_minus, {ion: _SPIN_2X2["ee"]})
+            + par.kappa_minus * embed_factors(config, d_plus, {ion: _SPIN_2X2["plus"]})
+            - par.kappa_minus * embed_factors(config, dagger_factors(d_plus), {ion: _SPIN_2X2["minus"]})
+            + par.kappa_plus * embed_factors(config, dagger_factors(d_minus), {ion: _SPIN_2X2["gg"]})
         )
         out = factor @ out
     return OperatorMatrix(config, out, unitary=True)

@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,9 @@ from ionjc.config import (
 )
 from ionjc.experiments import Table, run_evolve, run_modes, run_resonance, run_sweep_rabi, write_table
 from ionjc.fock import NumericalValidationError
+from ionjc.transforms import NoDriveError
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def minimal_modes_config(**over):
@@ -109,6 +114,34 @@ def test_parse_errors_are_anchored(tmp_path):
             "drives": [{"ion": 1, "Omega_R": 0.1, "delta": 1.0, "k_L": 0.1}],
             "sweep": {"points": 1},
         })
+
+
+def test_parse_rejects_dense_matrix_over_budget():
+    # 3 ions, n_max 12, 3 drives: dim 13824, 3.06 GB per dense complex matrix
+    drives = [{"ion": j, "Omega_R": 0.2, "delta": 0.5, "k_L": 0.1} for j in (1, 2, 3)]
+    raw = {"experiment": "modes", "chain": {"N": 3}, "hilbert": {"n_max": 12}, "drives": drives}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"dim 13824 needs 3057647616 bytes"):
+            parse_config(raw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**24  # rejected before anything of matrix size is allocated
+    single = {"experiment": "modes", "chain": {"N": 1}, "drives": drives[:1]}
+    assert parse_config({**single, "hilbert": {"n_max": 4096}}).model.config.dim == 8192  # exactly the budget
+    with pytest.raises(ConfigError, match="dim 8194"):
+        parse_config({**single, "hilbert": {"n_max": 4097}})
+
+
+def test_parse_accepts_shipped_and_benchmark_sizes():
+    paths = sorted(CONFIG_DIR.glob("*.json"))
+    assert len(paths) == 5
+    for path in paths:
+        parse_config(path)
+    for n_max in (12, 20):  # two ions and two drives: dim 576 and 1600
+        cfg = parse_config(minimal_modes_config(hilbert={"n_max": n_max, "guard": 4}))
+        assert cfg.model.config.dim == 4 * n_max**2
 
 
 def test_si_units_conversion():
@@ -307,6 +340,26 @@ def test_cli_exit_code_numerical_failure(tmp_path, capsys, monkeypatch):
     path = write_config(tmp_path, minimal_modes_config())
     assert main(["modes", "--config", path]) == 3
     assert "numerical validation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc, code", [
+    (NoDriveError("balanced parameters are undefined at Omega_R = 0"), 2),
+    (np.linalg.LinAlgError("Eigenvalues did not converge"), 1),
+    (RuntimeError("worker died"), 1),
+    (MemoryError(), 1),
+])
+def test_cli_exit_code_by_cause(tmp_path, capsys, monkeypatch, exc, code):
+    # LinAlgError subclasses ValueError: it is not a config error
+    def boom(cfg, threads=1):
+        raise exc
+
+    monkeypatch.setattr("ionjc.cli.run_experiment", boom)
+    path = write_config(tmp_path, minimal_modes_config())
+    assert main(["modes", "--config", path]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert ("config error" in err) == (code == 2)
+    assert code == 2 or type(exc).__name__ in err
 
 
 def test_cli_thread_env_override(tmp_path, monkeypatch):

@@ -110,11 +110,11 @@ def test_rwa_jc_single_quantum_exchange_law(single_model):
         assert pop_e == pytest.approx(np.sin(g * tau) ** 2, abs=1e-10)
 
 
-def _red_sideband_generator(model, g):
+def _red_sideband_generator(model, g, drive=1, mode=1):
     config = model.config
-    a = embed_factors(config, {1: _mode_destroy(config.n_max)})
-    sp = embed_factors(config, spin_ops={1: np.array([[0, 1], [0, 0]], complex)})
-    sm = embed_factors(config, spin_ops={1: np.array([[0, 0], [1, 0]], complex)})
+    a = embed_factors(config, {mode: _mode_destroy(config.n_max)})
+    sp = embed_factors(config, spin_ops={drive: np.array([[0, 1], [0, 0]], complex)})
+    sm = embed_factors(config, spin_ops={drive: np.array([[0, 0], [1, 0]], complex)})
     return OperatorMatrix(config, 1j * g * (a @ sp - a.conj().T @ sm), hermitian=True)
 
 
@@ -125,6 +125,23 @@ def test_rwa_jc_closed_form_equals_generator_exponential(single_model):
         closed = rwa_jc_propagator(single_model, 1, 1, tau)
         ref = expm_unitary(gen, tau)
         assert np.abs(closed.entries - ref.entries).max() <= 1e-10
+
+
+def test_rwa_jc_crossed_pairs_equal_generator_exponential():
+    # drive j on mode k != j: the banded exchange acts on spin and mode axes that are not aligned
+    model = make_two_ion_model(n_max=8, guard=2, phases=(0.3, -0.5))
+    pairs = [(1, 2), (2, 1)]
+    gen = _red_sideband_generator(model, jc_coupling(model, 1, 2), drive=1, mode=2)
+    gen = gen + _red_sideband_generator(model, jc_coupling(model, 2, 1), drive=2, mode=1)
+    rng = np.random.default_rng(7)
+    psi0 = rng.normal(size=model.config.dim) + 1j * rng.normal(size=model.config.dim)
+    psi0 /= np.linalg.norm(psi0)
+    times = [0.0, 3.7, 150.0]
+    states = dict(evolve_states(model, psi0, times, method="rwa_jc", resonant_pairs=pairs))
+    for t in times:
+        ref = expm_unitary(gen, t).entries
+        assert np.abs(rwa_jc_propagator_multi(model, pairs, t).entries - ref).max() <= 1e-10
+        assert np.abs(states[t] - ref @ psi0).max() <= 1e-10
 
 
 def test_rwa_jc_verbatim_functional_calculus_differs_only_at_orphan(single_model):

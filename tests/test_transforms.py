@@ -178,6 +178,23 @@ def test_balanced_transform_product_vs_closed_form():
     assert np.abs(prod.entries - closed.entries).max() <= 1e-10
 
 
+def test_balanced_transform_blocks_equal_dense_factor_product():
+    # two ions, two modes: the block assembly against the dense product of the per-ion builders
+    cfg = HilbertConfig(n_modes=2, n_max=6, n_spins=2, guard=1)
+    eta_rows = np.array([[0.1, 0.05], [0.07, -0.06]])
+    pars = [
+        balanced_params(LaserDrive(ion=j, Omega_R=0.3, omega_L=-0.4 * j, k_L=0.1), eta_rows[j - 1])
+        for j in (1, 2)
+    ]
+    ref = np.eye(cfg.dim)
+    for ion, par in enumerate(pars, start=1):
+        t1 = linearizing_transform(cfg, par.eta, ion).entries
+        t2 = mixing_rotation(cfg, par.theta, ion).entries
+        ref = conditional_displacement(cfg, par.alpha, ion).entries @ t2 @ t1 @ ref
+    assert np.abs(balanced_transform(cfg, pars).entries - ref).max() <= 1e-13
+    assert np.abs(balanced_transform_closed(cfg, pars).entries - ref).max() <= 1e-13
+
+
 def test_balanced_transform_on_resonance_pattern():
     # Delta = 0: entries reduce to (1/sqrt2) D(-+ i eta / 2)
     cfg = HilbertConfig(n_modes=1, n_max=30, guard=6)

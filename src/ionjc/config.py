@@ -26,7 +26,6 @@ AMU_SI = 1.66053906892e-27
 
 EXPERIMENTS = ("modes", "resonance", "sweep-rabi", "evolve")
 MAX_IONS = 10
-DENSE_MATRIX_BYTES = 2**30  # largest single dense complex dim x dim matrix a config may need
 
 
 class ConfigError(ValueError):
@@ -171,14 +170,13 @@ def parse_config(source) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
 
-    dim = n_max**n_ions * 2 ** len(drives)
-    if 16 * dim * dim > DENSE_MATRIX_BYTES:
-        raise ConfigError(f"$.hilbert: dim {dim} needs {16 * dim * dim} bytes per dense complex matrix, "
-                          f"above the {DENSE_MATRIX_BYTES}-byte budget; lower n_max or the ion/drive count")
+    try:  # checks the dense-matrix budget before the chain or any matrix is built
+        hconf = HilbertConfig(n_modes=n_ions, n_max=n_max, n_spins=len(drives), guard=guard)
+    except ValueError as exc:
+        raise ConfigError(f"$.hilbert: {exc}") from exc
 
     try:
         chain = ChainModel.build(n_ions, mu=mu, nu1=nu1)
-        hconf = HilbertConfig(n_modes=n_ions, n_max=n_max, n_spins=len(drives), guard=guard)
         model = ModelSpec(chain=chain, drives=tuple(drives), config=hconf, omega_ge=omega_ge)
     except ValueError as exc:
         raise ConfigError(f"$: {exc}") from exc

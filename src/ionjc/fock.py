@@ -27,6 +27,7 @@ import numpy as np
 
 UNITARY_ATOL = 1e-12
 HERMITIAN_ATOL = 1e-10
+DENSE_MATRIX_BYTES = 2**30  # largest single dense complex dim x dim matrix a configuration may need
 
 
 class DimensionMismatchError(ValueError):
@@ -68,6 +69,9 @@ class HilbertConfig:
             raise ValueError("n_spins must be >= 1")
         if not 0 <= self.guard < self.n_max:
             raise ValueError("guard must satisfy 0 <= guard < n_max")
+        if 16 * self.dim**2 > DENSE_MATRIX_BYTES:
+            raise ValueError(f"dim {self.dim} needs {16 * self.dim**2} bytes per dense complex matrix, "
+                             f"above the {DENSE_MATRIX_BYTES}-byte budget; lower n_max or the ion/drive count")
 
     @property
     def dim(self) -> int:
@@ -324,6 +328,22 @@ def mode_occupations(config: HilbertConfig) -> np.ndarray:
         rem //= config.n_max
     occ.setflags(write=False)
     return occ
+
+
+@lru_cache(maxsize=None)
+def parity_gauge(config: HilbertConfig) -> np.ndarray:
+    """Diagonal of the mode-parity gauge P = prod_p i^{n_p}, i.e. i^(sum_p n_p) per basis state.
+
+    P^dag a_p P = i a_p, so P^dag (a_p + a_p^dag) P = i (a_p - a_p^dag) and
+    P^dag D_p(i eta) P = exp(-eta (a_p - a_p^dag)) is real orthogonal for real
+    eta.  Every displacement of the model has such an imaginary argument, the
+    spin factors are real and the free part is diagonal, so the rotating-frame
+    and balanced Hamiltonians and the balanced transform are real matrices in
+    this gauge.  The entries are exactly 1, i, -1, -i.
+    """
+    gauge = np.array([1, 1j, -1, -1j])[mode_occupations(config).sum(axis=0) % 4]
+    gauge.setflags(write=False)
+    return gauge
 
 
 @lru_cache(maxsize=None)

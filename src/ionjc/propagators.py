@@ -16,9 +16,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .fock import OperatorMatrix
+from .fock import HERMITIAN_ATOL, UNITARY_ATOL, HilbertConfig, NumericalValidationError, OperatorMatrix, parity_gauge
 from .hamiltonians import ModelSpec, balanced_hamiltonian, balanced_offset, free_diagonal, rotating_frame_hamiltonian
-from .transforms import balanced_transform, rotating_frame_diagonal
+from .transforms import balanced_transform, rotating_frame_diagonal, rotating_frame_phases
 
 # rwa_jc is the bare interaction-picture closed form, useful for inspecting
 # the undressed sideband exchange
@@ -52,17 +52,45 @@ def jc_coupling(model: ModelSpec, drive: int, mode: int) -> float:
     return float(par.eta_eff_by_Delta[mode - 1] * model.chain.nu[mode - 1])
 
 
+def _gauge_real(config: HilbertConfig, m: np.ndarray, atol: float) -> np.ndarray:
+    """Re(P^dag m P) for the parity gauge P, rejecting m if the imaginary part exceeds atol."""
+    gauge = parity_gauge(config)
+    g = m * gauge  # exact: every gauge entry is 1, i, -1 or -i
+    g *= gauge.conj()[:, None]
+    err = np.abs(g.imag).max()
+    if err > atol:
+        raise NumericalValidationError(
+            f"matrix is not real in the parity gauge: ||Im(P^dag M P)||_max = {err:.3e} > {atol}"
+        )
+    return np.ascontiguousarray(g.real)
+
+
+def _real_matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x for a real matrix m and a complex vector x, without a complex copy of m."""
+    return m @ x.real + 1j * (m @ x.imag)
+
+
 @dataclass(frozen=True, eq=False)
 class _Plan:
     """U(t, t0) = conj(R_t) [T^dag] e^{-i offset tau} [e^{-i d t}] core(tau) [e^{i d t0}] [T] R_t0.
 
     tau = t - t0; R is the rotating frame (left out when frame is False), T the
-    balanced transform and d a free diagonal.  The core is exp(-i H tau) from
-    eigen = (w, v) of H, the offset entering the eigenphases, or the banded
-    product of closed-form sideband exchanges (drive, mode, g).  matrix and
-    apply each fix one association order, so their outputs are reproducible bit
-    for bit.  apply costs O(dim) per time point, plus one O(dim^2) mat-vec with
-    the eigenbasis or the transform where the plan has one.
+    balanced transform and d a free diagonal.  The core is either exp(-i H tau)
+    from an eigendecomposition or the banded product of closed-form sideband
+    exchanges (drive, mode, g).
+
+    An eigen plan works in the parity gauge P (fock.parity_gauge), in which H
+    and T are real: eigen = (w, back) holds the eigenvalues w of the real
+    symmetric P^dag H P = V' diag(w) V'^T and the real matrix back, V' for H
+    alone or T'^T V' with T' = P^dag T P.  Then
+    U = conj(R_t) P back e^{-i (w + offset) tau} back^T P^dag R_t0: P joins the
+    frame diagonals (eigen plans always carry the frame) and the plan holds no
+    transform.  back is never upcast to complex; products with it are real.
+
+    matrix and apply each fix one association order, so their outputs are
+    reproducible bit for bit.  apply costs O(dim) per time point, plus one
+    O(dim^2) mat-vec with back or the transform where the plan has one; the
+    frame enters per point through its 2^n_spins spin phases.
     """
 
     model: ModelSpec
@@ -97,15 +125,23 @@ class _Plan:
             y = out
         return y.reshape(x.shape)
 
+    def _framed(self, x: np.ndarray, t: float, left: bool) -> np.ndarray:
+        """x times the diagonal conj(R_t) [P] (left) or [P^dag] R_t (right), via the spin phases."""
+        phases = rotating_frame_phases(self.model.drives, t)
+        y = x.reshape(-1, phases.size)
+        y = np.conj(phases) * y if left else phases * y
+        if self.eigen is not None:
+            gauge = parity_gauge(self.model.config).reshape(y.shape)
+            y = gauge * y if left else gauge.conj() * y
+        return y.reshape(x.shape)
+
     def matrix(self, t: float, t0: float = 0.0) -> OperatorMatrix:
         config, tr, d = self.model.config, self.transform, self.diag
         tau = t - t0
         if self.eigen is not None:
-            w, v = self.eigen
-            back, front = v, v.conj().T
-            if tr is not None:
-                back, front = tr.conj().T @ v, front @ tr
-            u = (back * np.exp(-1j * (w + self.offset) * tau)) @ front
+            w, back = self.eigen
+            phase = (w + self.offset) * tau
+            u = (back * np.cos(phase)) @ back.T - 1j * ((back * np.sin(phase)) @ back.T)
         elif tr is None:
             u = self._exchange(np.eye(config.dim, dtype=complex), tau)
         else:  # d sits between the transform and the core
@@ -116,6 +152,9 @@ class _Plan:
             right = rotating_frame_diagonal(config, self.model.drives, t0)
             if tr is None and d is not None:  # no transform between: fold d into the frame
                 left, right = left * np.exp(-1j * d * t), np.exp(1j * d * t0) * right
+            if self.eigen is not None:  # the parity gauge of the eigen core
+                gauge = parity_gauge(config)
+                left, right = left * gauge, gauge.conj() * right
             u = (left[:, None] * u) * right[None, :]
         return OperatorMatrix(config, u, unitary=True)
 
@@ -123,23 +162,20 @@ class _Plan:
         self, psi0: np.ndarray, times: Iterable[float], t0: float = 0.0
     ) -> Iterator[tuple[float, np.ndarray]]:
         """Yield (t, U(t, t0) psi0) along a time grid without forming U."""
-        config, drives, tr, d = self.model.config, self.model.drives, self.transform, self.diag
-        x = psi0
-        if self.frame:
-            x = rotating_frame_diagonal(config, drives, t0) * x
+        tr, d = self.transform, self.diag
+        x = self._framed(psi0, t0, left=False) if self.frame else psi0
         if tr is not None:
             x = tr @ x
             tr_dag = tr.conj().T
         if d is not None:
             x = np.exp(1j * d * t0) * x
         if self.eigen is not None:
-            w, v = self.eigen
-            x = v.conj().T @ x
-            back = v if tr is None else tr_dag @ v
+            w, back = self.eigen
+            x = _real_matvec(back.T, x)
         for t in times:
             tau = t - t0
             if self.eigen is not None:
-                y = back @ (np.exp(-1j * (w + self.offset) * tau) * x)
+                y = _real_matvec(back, np.exp(-1j * (w + self.offset) * tau) * x)
             else:
                 y = self._exchange(x, tau)
                 if d is not None:
@@ -147,7 +183,7 @@ class _Plan:
                 if tr is not None:
                     y = np.exp(-1j * self.offset * tau) * (tr_dag @ y)
             if self.frame:
-                y = np.conj(rotating_frame_diagonal(config, drives, t)) * y
+                y = self._framed(y, t, left=True)
             yield t, y
 
 
@@ -155,13 +191,15 @@ def _plan(model: ModelSpec, method: str, resonant_pairs=None) -> _Plan:
     """The propagator plan of one method; resonant_pairs feed the closed-form methods."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
+    config = model.config
     if method == "exact":
-        return _Plan(model, eigen=np.linalg.eigh(rotating_frame_hamiltonian(model).matrix.entries))
+        h = _gauge_real(config, rotating_frame_hamiltonian(model).matrix.entries, HERMITIAN_ATOL)
+        return _Plan(model, eigen=np.linalg.eigh(h))
     if method == "pipeline_exact":
         h0, flip = balanced_hamiltonian(model)
-        transform = balanced_transform(model.config, model.balanced()).entries
-        eigen = np.linalg.eigh(h0.matrix.entries + flip.entries)
-        return _Plan(model, eigen=eigen, transform=transform, offset=h0.offset)
+        transform = _gauge_real(config, balanced_transform(config, model.balanced()).entries, UNITARY_ATOL)
+        w, v = np.linalg.eigh(_gauge_real(config, h0.matrix.entries + flip.entries, HERMITIAN_ATOL))
+        return _Plan(model, eigen=(w, transform.T @ v), offset=h0.offset)
     pairs = _normalize_pairs(model, resonant_pairs)
     if method == "standard_rwa":
         if len(pairs) != 1:

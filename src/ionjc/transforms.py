@@ -113,6 +113,15 @@ def balanced_params(drive: LaserDrive, eta_row: Sequence[float]) -> BalancedPara
     )
 
 
+def rotating_frame_phases(drives: Sequence[LaserDrive], t: float) -> np.ndarray:
+    """Spin part of rotating_frame_diagonal: its 2^n_spins phases, which repeat for every mode state."""
+    diag = np.ones(1, dtype=complex)
+    for drive in drives:
+        beta = drive.omega_L * t + drive.phase
+        diag = np.kron(diag, np.array([np.exp(1j * beta / 2), np.exp(-1j * beta / 2)]))
+    return diag
+
+
 def rotating_frame_diagonal(
     config: HilbertConfig, drives: Sequence[LaserDrive], t: float
 ) -> np.ndarray:
@@ -121,11 +130,7 @@ def rotating_frame_diagonal(
     Returned as a phase vector over the standard basis; drives are matched to
     spin factors in list order.
     """
-    diag = np.ones(1, dtype=complex)
-    for drive in drives:
-        beta = drive.omega_L * t + drive.phase
-        diag = np.kron(diag, np.array([np.exp(1j * beta / 2), np.exp(-1j * beta / 2)]))
-    return np.kron(np.ones(config.n_max**config.n_modes), diag)
+    return np.kron(np.ones(config.n_max**config.n_modes), rotating_frame_phases(drives, t))
 
 
 def linearizing_transform(config: HilbertConfig, eta_row: Sequence[float], ion: int) -> OperatorMatrix:

@@ -17,7 +17,7 @@ def make_single_model(Omega_R=0.3, delta=0.7, k_L=0.1, n_max=40, guard=10,
 
 
 def make_two_ion_model(Om1=0.2, Om2=0.3, delta1=None, delta2=None, k_L=0.04,
-                       n_max=12, guard=4, phases=(0.0, 0.0)):
+                       n_max=12, guard=4, phases=(0.0, 0.0), phi_beams=(0.0, 0.0)):
     """Two ions, two drives; defaults sit on the corrected resonances of modes 1 and 2."""
     chain = ChainModel.build(2)
     config = HilbertConfig(n_modes=2, n_max=n_max, n_spins=2, guard=guard)
@@ -26,8 +26,8 @@ def make_two_ion_model(Om1=0.2, Om2=0.3, delta1=None, delta2=None, k_L=0.04,
     if delta2 is None:
         delta2 = float(np.sqrt(chain.nu[1] ** 2 - 4 * Om2**2))
     drives = (
-        LaserDrive(ion=1, Omega_R=Om1, omega_L=-delta1, k_L=k_L, phase=phases[0]),
-        LaserDrive(ion=2, Omega_R=Om2, omega_L=-delta2, k_L=k_L, phase=phases[1]),
+        LaserDrive(ion=1, Omega_R=Om1, omega_L=-delta1, k_L=k_L, phi_beam=phi_beams[0], phase=phases[0]),
+        LaserDrive(ion=2, Omega_R=Om2, omega_L=-delta2, k_L=k_L, phi_beam=phi_beams[1], phase=phases[1]),
     )
     return ModelSpec(chain=chain, drives=drives, config=config, omega_ge=0.0)
 

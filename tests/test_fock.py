@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from ionjc.fock import (
     guarded_infidelity,
     ladder,
     mode_occupations,
+    parity_gauge,
     population_above_guard,
     spin_op,
     spin_signs,
@@ -31,6 +34,29 @@ def test_config_validation():
         HilbertConfig(n_modes=1, n_max=4, guard=4)
     cfg = HilbertConfig(n_modes=2, n_max=5, n_spins=2, guard=1)
     assert cfg.dim == 5**2 * 2**2
+
+
+def test_config_rejects_dense_matrix_over_budget():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"dim 13824 needs 3057647616 bytes"):
+            HilbertConfig(n_modes=3, n_max=12, n_spins=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # nothing of matrix size is allocated
+
+
+def test_parity_gauge_turns_quadratures_real():
+    cfg = HilbertConfig(n_modes=2, n_max=5, n_spins=2)
+    gauge = parity_gauge(cfg)
+    assert not gauge.flags.writeable
+    assert set(gauge.tolist()) == {1, 1j, -1, -1j}
+    for mode in (1, 2):
+        a = ladder(cfg, mode, "annihilate").entries
+        # P^dag (a + a^dag) P = i (a - a^dag), exactly
+        conj = gauge.conj()[:, None] * (a + a.conj().T) * gauge[None, :]
+        assert np.array_equal(conj, 1j * (a - a.conj().T))
 
 
 def test_annihilate_lowers_single_quantum():

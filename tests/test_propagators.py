@@ -3,18 +3,26 @@ import pytest
 
 from conftest import make_single_model, make_two_ion_model
 from ionjc.fock import (
+    HERMITIAN_ATOL,
+    HilbertConfig,
+    NumericalValidationError,
     OperatorMatrix,
     _mode_destroy,
     basis_state,
+    coherent_state,
     embed_factors,
     expm_unitary,
     guarded_distance,
     guarded_infidelity,
     guarded_norm,
+    ladder,
+    parity_gauge,
     spin_op,
     spin_signs,
 )
+from ionjc.hamiltonians import balanced_hamiltonian, rotating_frame_hamiltonian
 from ionjc.propagators import (
+    _gauge_real,
     evolve_states,
     exact_propagator,
     jc_coupling,
@@ -24,7 +32,17 @@ from ionjc.propagators import (
     standard_rwa_propagator,
     turn_on_propagator,
 )
-from ionjc.transforms import NoDriveError
+from ionjc.transforms import NoDriveError, balanced_transform, rotating_frame_diagonal
+
+
+def _gauge_models():
+    """1- and 2-ion models with optical phases, both detuning signs and angled beams."""
+    return [
+        make_single_model(Omega_R=0.6, delta=0.8, k_L=0.2, phase=0.7, phi_beam=0.5, n_max=14, guard=4),
+        make_single_model(Omega_R=0.4, delta=-1.3, k_L=0.2, phase=-2.1, phi_beam=1.1, n_max=14, guard=4),
+        make_two_ion_model(delta1=0.9, delta2=-1.4, k_L=0.15, n_max=6, guard=2,
+                           phases=(0.4, -1.2), phi_beams=(0.3, 0.8)),
+    ]
 
 
 def test_exact_propagator_identity_at_equal_times():
@@ -342,3 +360,42 @@ def test_evolve_states_matches_propagators(method, pairs):
             u = standard_rwa_propagator(model, 1, 1, t)
         assert np.abs(states[t] - u.entries @ psi0).max() <= 1e-11
         assert np.linalg.norm(states[t]) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_model_operators_real_in_parity_gauge(index):
+    model = _gauge_models()[index]
+    gauge = parity_gauge(model.config)
+    h0, flip = balanced_hamiltonian(model)
+    for m in (
+        rotating_frame_hamiltonian(model).matrix.entries,
+        h0.matrix.entries + flip.entries,
+        balanced_transform(model.config, model.balanced()).entries,
+    ):
+        assert np.abs((gauge.conj()[:, None] * m * gauge[None, :]).imag).max() <= 1e-14
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_exact_propagator_matches_complex_exponential_at_t0(index):
+    # expm_unitary diagonalises the complex hermitian H, independently of the gauged plan
+    model = _gauge_models()[index]
+    config = model.config
+    t0, t = 1.7, 9.4
+    core = expm_unitary(rotating_frame_hamiltonian(model).matrix, t - t0).entries
+    left = np.conj(rotating_frame_diagonal(config, model.drives, t))
+    ref = (left[:, None] * core) * rotating_frame_diagonal(config, model.drives, t0)[None, :]
+    assert np.abs(exact_propagator(model, t, t0).entries - ref).max() <= 1e-10
+    psi0 = coherent_state(config, [0.6 - 0.3j] * config.n_modes, ["e"] + ["g"] * (config.n_spins - 1))
+    (_, exact_state), = evolve_states(model, psi0, [t], method="exact", t0=t0)
+    assert np.abs(exact_state - ref @ psi0).max() <= 1e-10
+    (_, pipeline_state), = evolve_states(model, psi0, [t], method="pipeline_exact", t0=t0)
+    u = pipeline_propagator(model, t, t0, mode="exact").entries
+    assert np.abs(pipeline_state - u @ psi0).max() <= 1e-11
+
+
+def test_gauge_rejects_matrix_not_real_in_gauge():
+    config = HilbertConfig(n_modes=2, n_max=4, n_spins=1)
+    number = ladder(config, 2, "number").entries
+    assert np.array_equal(_gauge_real(config, number, HERMITIAN_ATOL), number.real)
+    with pytest.raises(NumericalValidationError, match="parity gauge"):
+        _gauge_real(config, 1j * number, HERMITIAN_ATOL)

@@ -135,10 +135,6 @@ def parse_config(source) -> ExperimentConfig:
     hilbert = _typed(raw.get("hilbert", {}), dict, "$.hilbert")
     n_max = _typed(hilbert.get("n_max", 40 if n_ions == 1 else 12), int, "$.hilbert.n_max")
     guard = _typed(hilbert.get("guard", 10 if n_ions == 1 else 4), int, "$.hilbert.guard")
-    if n_max < 2:
-        raise ConfigError("$.hilbert.n_max: must be >= 2")
-    if not 0 <= guard < n_max:
-        raise ConfigError("$.hilbert.guard: must satisfy 0 <= guard < n_max")
 
     omega_ge = _typed(raw.get("omega_ge", 0.0), float, "$.omega_ge") / freq_scale
 
@@ -170,7 +166,7 @@ def parse_config(source) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
 
-    try:  # checks the dense-matrix budget before the chain or any matrix is built
+    try:  # checks n_max, guard and the dense-matrix budget before the chain or any matrix is built
         hconf = HilbertConfig(n_modes=n_ions, n_max=n_max, n_spins=len(drives), guard=guard)
     except ValueError as exc:
         raise ConfigError(f"$.hilbert: {exc}") from exc

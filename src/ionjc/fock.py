@@ -81,12 +81,7 @@ class HilbertConfig:
 @lru_cache(maxsize=None)
 def guard_mask(config: HilbertConfig) -> np.ndarray:
     """Boolean mask of basis states whose every mode index is < n_max - guard."""
-    idx = np.arange(config.dim)
-    rem = idx // (2**config.n_spins)
-    keep = np.ones(config.dim, dtype=bool)
-    for _ in range(config.n_modes):
-        keep &= (rem % config.n_max) < config.n_max - config.guard
-        rem //= config.n_max
+    keep = (mode_occupations(config) < config.n_max - config.guard).all(axis=0)
     keep.setflags(write=False)
     return keep
 

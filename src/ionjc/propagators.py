@@ -18,7 +18,7 @@ import numpy as np
 
 from .fock import HERMITIAN_ATOL, UNITARY_ATOL, HilbertConfig, NumericalValidationError, OperatorMatrix, parity_gauge
 from .hamiltonians import ModelSpec, balanced_hamiltonian, balanced_offset, free_diagonal, rotating_frame_hamiltonian
-from .transforms import balanced_transform, rotating_frame_diagonal, rotating_frame_phases
+from .transforms import balanced_transform, rotating_frame_phases
 
 # rwa_jc is the bare interaction-picture closed form, useful for inspecting
 # the undressed sideband exchange
@@ -28,8 +28,6 @@ METHODS = ("exact", "pipeline_exact", "pipeline_rwa", "standard_rwa", "rwa_jc")
 def _normalize_pairs(model: ModelSpec, resonant_pairs) -> list[tuple[int, int]]:
     if resonant_pairs is None:
         raise ValueError("RWA propagation needs at least one resonant (drive, mode) pair")
-    if isinstance(resonant_pairs, tuple) and len(resonant_pairs) == 2 and isinstance(resonant_pairs[0], int):
-        resonant_pairs = [resonant_pairs]
     pairs = [(int(j), int(k)) for j, k in resonant_pairs]
     drives = [j for j, _ in pairs]
     modes = [k for _, k in pairs]
@@ -66,47 +64,46 @@ def _gauge_real(config: HilbertConfig, m: np.ndarray, atol: float) -> np.ndarray
 
 
 def _real_matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ x for a real matrix m and a complex vector x, without a complex copy of m."""
+    """m @ x for a real matrix m and a complex vector or block x, without a complex copy of m."""
     return m @ x.real + 1j * (m @ x.imag)
 
 
 @dataclass(frozen=True, eq=False)
 class _Plan:
-    """U(t, t0) = conj(R_t) [T^dag] e^{-i offset tau} [e^{-i d t}] core(tau) [e^{i d t0}] [T] R_t0.
+    """U(t, t0) = conj(R_t) P [B] core(tau) [B^T] P^dag R_t0 in the parity gauge.
 
-    tau = t - t0; R is the rotating frame (left out when frame is False), T the
-    balanced transform and d a free diagonal.  The core is either exp(-i H tau)
-    from an eigendecomposition or the banded product of closed-form sideband
-    exchanges (drive, mode, g).
-
-    An eigen plan works in the parity gauge P (fock.parity_gauge), in which H
-    and T are real: eigen = (w, back) holds the eigenvalues w of the real
-    symmetric P^dag H P = V' diag(w) V'^T and the real matrix back, V' for H
-    alone or T'^T V' with T' = P^dag T P.  Then
-    U = conj(R_t) P back e^{-i (w + offset) tau} back^T P^dag R_t0: P joins the
-    frame diagonals (eigen plans always carry the frame) and the plan holds no
-    transform.  back is never upcast to complex; products with it are real.
+    tau = t - t0; R is the rotating frame (left out when frame is False) and P
+    the parity gauge (fock.parity_gauge), in which the model's Hamiltonians and
+    the balanced transform T are real.  back is the real B: V' for exact,
+    T'^T V' for pipeline_exact and T'^T for pipeline_rwa, with T' = P^dag T P
+    and V' diag(w) V'^T the eigendecomposition of the real symmetric P^dag H P.
+    The core is e^{-i (w + offset) tau} where the plan has eigenvalues w, and
+    otherwise e^{-i offset tau} e^{-i d t} X(tau) e^{i d t0}: d a free diagonal
+    and X the banded product of gauged sideband exchanges (drive, mode, g).
+    back is never upcast to complex; products with it are real.
 
     matrix and apply each fix one association order, so their outputs are
-    reproducible bit for bit.  apply costs O(dim) per time point, plus one
-    O(dim^2) mat-vec with back or the transform where the plan has one; the
-    frame enters per point through its 2^n_spins spin phases.
+    reproducible bit for bit.  apply costs O(dim) per time point, plus two
+    real O(dim^2) mat-vecs where the plan has back; the frame and the gauge
+    enter per point through the 2^n_spins spin phases and a diagonal.
     """
 
     model: ModelSpec
-    eigen: tuple[np.ndarray, np.ndarray] | None = None
+    back: np.ndarray | None = None
+    w: np.ndarray | None = None
     exchanges: tuple[tuple[int, int, float], ...] = ()
-    transform: np.ndarray | None = None
     diag: np.ndarray | None = None
     offset: float = 0.0
     frame: bool = True
 
     def _exchange(self, x: np.ndarray, tau: float) -> np.ndarray:
-        """Apply prod exp(g tau (a_mode sigma_+^drive - a_mode^dag sigma_-^drive)) to the columns of x.
+        """Apply prod exp(i g tau (a_mode sigma_+^drive + a_mode^dag sigma_-^drive)) to the columns of x.
 
+        That is the exchange exp(g tau (a sigma_+ - a^dag sigma_-)) in the parity
+        gauge: P^dag (a sigma_+ - a^dag sigma_-) P = i (a sigma_+ + a^dag sigma_-).
         Each factor exchanges |n, e> with |n+1, g> on its (mode, drive) axes:
-        e[n] <- cos(g tau sqrt(n+1)) e[n] + s[n] g[n+1], g[n] <- cos(g tau sqrt(n))
-        g[n] - s[n-1] e[n-1], s[n] = sin(g tau sqrt(n+1)); the top |e> level has
+        e[n] <- cos(g tau sqrt(n+1)) e[n] + i s[n] g[n+1], g[n] <- cos(g tau sqrt(n))
+        g[n] + i s[n-1] e[n-1], s[n] = sin(g tau sqrt(n+1)); the top |e> level has
         no partner under hard truncation and stays invariant.  O(dim) per column.
         """
         config = self.model.config
@@ -115,76 +112,66 @@ class _Plan:
         for j, k, g in self.exchanges:
             upper = g * tau * root
             cos_e, cos_g = np.append(np.cos(upper), 1.0), np.insert(np.cos(upper), 0, 1.0)
-            s = np.sin(upper) / root * root  # (sin / sqrt(n+1)) times a's sqrt(n+1), rounded like f(n) a
+            s = 1j * (np.sin(upper) / root * root)  # (sin / sqrt(n+1)) times a's sqrt(n+1), rounded like f(n) a
             out = np.empty_like(y)  # views v (input) and w (output) end in the (mode, spin) axes
             v, w = (np.moveaxis(a, (k - 1, config.n_modes + j - 1), (-2, -1)) for a in (y, out))
             w[..., 0] = cos_e * v[..., 0]
             w[..., :-1, 0] += s * v[..., 1:, 1]
             w[..., 1] = cos_g * v[..., 1]
-            w[..., 1:, 1] -= s * v[..., :-1, 0]
+            w[..., 1:, 1] += s * v[..., :-1, 0]
             y = out
         return y.reshape(x.shape)
 
     def _framed(self, x: np.ndarray, t: float, left: bool) -> np.ndarray:
-        """x times the diagonal conj(R_t) [P] (left) or [P^dag] R_t (right), via the spin phases."""
-        phases = rotating_frame_phases(self.model.drives, t)
-        y = x.reshape(-1, phases.size)
-        y = np.conj(phases) * y if left else phases * y
-        if self.eigen is not None:
-            gauge = parity_gauge(self.model.config).reshape(y.shape)
-            y = gauge * y if left else gauge.conj() * y
+        """x times the diagonal conj(R_t) P (left) or P^dag R_t (right); x is a vector or a block of columns."""
+        config = self.model.config
+        shape = (-1, 2**config.n_spins) + (1,) * (x.ndim - 1)
+        y = x.reshape(shape[:2] + x.shape[1:])
+        if self.frame:
+            phases = rotating_frame_phases(self.model.drives, t).reshape(shape[1:])
+            y = np.conj(phases) * y if left else phases * y
+        gauge = parity_gauge(config).reshape(shape)
+        y = gauge * y if left else gauge.conj() * y
         return y.reshape(x.shape)
 
+    def _core(self, x: np.ndarray, t: float, t0: float) -> np.ndarray:
+        """core(t - t0) times x, a vector or a block of columns."""
+        rows = (slice(None),) + (None,) * (x.ndim - 1)
+        if self.w is not None:
+            return np.exp(-1j * (self.w + self.offset) * (t - t0))[rows] * x
+        if self.diag is not None:
+            x = np.exp(1j * self.diag * t0)[rows] * x
+        y = self._exchange(x, t - t0)
+        if self.diag is not None:
+            y = np.exp(-1j * self.diag * t)[rows] * y
+        return np.exp(-1j * self.offset * (t - t0)) * y
+
     def matrix(self, t: float, t0: float = 0.0) -> OperatorMatrix:
-        config, tr, d = self.model.config, self.transform, self.diag
-        tau = t - t0
-        if self.eigen is not None:
-            w, back = self.eigen
-            phase = (w + self.offset) * tau
+        config, back = self.model.config, self.back
+        if self.w is not None:  # two real GEMMs
+            phase = (self.w + self.offset) * (t - t0)
             u = (back * np.cos(phase)) @ back.T - 1j * ((back * np.sin(phase)) @ back.T)
-        elif tr is None:
-            u = self._exchange(np.eye(config.dim, dtype=complex), tau)
-        else:  # d sits between the transform and the core
-            u = np.exp(-1j * d * t)[:, None] * self._exchange(np.exp(1j * d * t0)[:, None] * tr, tau)
-            u = np.exp(-1j * self.offset * tau) * (tr.conj().T @ u)
-        if self.frame:
-            left = np.conj(rotating_frame_diagonal(config, self.model.drives, t))
-            right = rotating_frame_diagonal(config, self.model.drives, t0)
-            if tr is None and d is not None:  # no transform between: fold d into the frame
-                left, right = left * np.exp(-1j * d * t), np.exp(1j * d * t0) * right
-            if self.eigen is not None:  # the parity gauge of the eigen core
-                gauge = parity_gauge(config)
-                left, right = left * gauge, gauge.conj() * right
-            u = (left[:, None] * u) * right[None, :]
+        elif back is None:
+            u = self._core(np.eye(config.dim, dtype=complex), t, t0)
+        else:
+            u = _real_matvec(back, self._core(back.T, t, t0))
+        ones = np.ones(config.dim, dtype=complex)
+        left, right = self._framed(ones, t, left=True), self._framed(ones, t0, left=False)
+        u = (left[:, None] * u) * right[None, :]  # rebound, so the unframed u is freed before the check
         return OperatorMatrix(config, u, unitary=True)
 
     def apply(
         self, psi0: np.ndarray, times: Iterable[float], t0: float = 0.0
     ) -> Iterator[tuple[float, np.ndarray]]:
         """Yield (t, U(t, t0) psi0) along a time grid without forming U."""
-        tr, d = self.transform, self.diag
-        x = self._framed(psi0, t0, left=False) if self.frame else psi0
-        if tr is not None:
-            x = tr @ x
-            tr_dag = tr.conj().T
-        if d is not None:
-            x = np.exp(1j * d * t0) * x
-        if self.eigen is not None:
-            w, back = self.eigen
-            x = _real_matvec(back.T, x)
+        x = self._framed(psi0, t0, left=False)
+        if self.back is not None:
+            x = _real_matvec(self.back.T, x)
         for t in times:
-            tau = t - t0
-            if self.eigen is not None:
-                y = _real_matvec(back, np.exp(-1j * (w + self.offset) * tau) * x)
-            else:
-                y = self._exchange(x, tau)
-                if d is not None:
-                    y = np.exp(-1j * d * t) * y
-                if tr is not None:
-                    y = np.exp(-1j * self.offset * tau) * (tr_dag @ y)
-            if self.frame:
-                y = self._framed(y, t, left=True)
-            yield t, y
+            y = self._core(x, t, t0)
+            if self.back is not None:
+                y = _real_matvec(self.back, y)
+            yield t, self._framed(y, t, left=True)
 
 
 def _plan(model: ModelSpec, method: str, resonant_pairs=None) -> _Plan:
@@ -193,13 +180,13 @@ def _plan(model: ModelSpec, method: str, resonant_pairs=None) -> _Plan:
         raise ValueError(f"method must be one of {METHODS}")
     config = model.config
     if method == "exact":
-        h = _gauge_real(config, rotating_frame_hamiltonian(model).matrix.entries, HERMITIAN_ATOL)
-        return _Plan(model, eigen=np.linalg.eigh(h))
+        w, v = np.linalg.eigh(_gauge_real(config, rotating_frame_hamiltonian(model).matrix.entries, HERMITIAN_ATOL))
+        return _Plan(model, back=v, w=w)
     if method == "pipeline_exact":
         h0, flip = balanced_hamiltonian(model)
         transform = _gauge_real(config, balanced_transform(config, model.balanced()).entries, UNITARY_ATOL)
         w, v = np.linalg.eigh(_gauge_real(config, h0.matrix.entries + flip.entries, HERMITIAN_ATOL))
-        return _Plan(model, eigen=(w, transform.T @ v), offset=h0.offset)
+        return _Plan(model, back=transform.T @ v, w=w, offset=h0.offset)
     pairs = _normalize_pairs(model, resonant_pairs)
     if method == "standard_rwa":
         if len(pairs) != 1:
@@ -212,9 +199,9 @@ def _plan(model: ModelSpec, method: str, resonant_pairs=None) -> _Plan:
         return _Plan(model, exchanges=exchanges, frame=False)
     # pipeline_rwa needs only the diagonal part of the balanced Hamiltonian
     params = model.balanced()
-    transform = balanced_transform(model.config, params).entries
+    transform = _gauge_real(config, balanced_transform(config, params).entries, UNITARY_ATOL)
     d0 = free_diagonal(model, [par.delta_eff for par in params])
-    return _Plan(model, exchanges=exchanges, transform=transform, diag=d0, offset=balanced_offset(model))
+    return _Plan(model, back=transform.T, exchanges=exchanges, diag=d0, offset=balanced_offset(model))
 
 
 def exact_propagator(model: ModelSpec, t: float, t0: float = 0.0) -> OperatorMatrix:

@@ -134,6 +134,16 @@ def test_parse_rejects_dense_matrix_over_budget():
         parse_config({**single, "hilbert": {"n_max": 4097}})
 
 
+@pytest.mark.parametrize("hilbert", [{"n_max": 1}, {"n_max": 5, "guard": 5}, {"n_max": 5, "guard": -1}])
+def test_parse_rejects_bad_hilbert_space(tmp_path, capsys, hilbert):
+    # HilbertConfig makes the n_max and guard checks; parse_config anchors them
+    with pytest.raises(ConfigError, match=r"\$\.hilbert"):
+        parse_config(minimal_modes_config(hilbert=hilbert))
+    path = write_config(tmp_path, minimal_modes_config(hilbert=hilbert))
+    assert main(["modes", "--config", path]) == 2
+    assert "config error: $.hilbert" in capsys.readouterr().err
+
+
 def test_parse_accepts_shipped_and_benchmark_sizes():
     paths = sorted(CONFIG_DIR.glob("*.json"))
     assert len(paths) == 5

@@ -65,11 +65,27 @@ def test_exact_propagator_free_case_is_diagonal():
     assert got == pytest.approx(np.exp(-1j * 2.0 * t), abs=1e-12)
 
 
-def test_exact_propagator_group_property():
+def _method_propagator(model, method, pairs, t, t0=0.0):
+    """U(t, t0) of one evolve method through its public matrix builder."""
+    if method == "exact":
+        return exact_propagator(model, t, t0)
+    if method == "pipeline_exact":
+        return pipeline_propagator(model, t, t0, mode="exact")
+    if method == "pipeline_rwa":
+        return pipeline_propagator(model, t, t0, mode="rwa", resonant_pairs=pairs)
+    if method == "rwa_jc":
+        return rwa_jc_propagator_multi(model, pairs, t, t0)
+    return standard_rwa_propagator(model, *pairs[0], t, t0)
+
+
+@pytest.mark.parametrize("method", ["exact", "pipeline_exact", "pipeline_rwa", "standard_rwa", "rwa_jc"])
+def test_exact_propagator_group_property(method):
+    # U(t2, t1) U(t1, t0) = U(t2, t0) checks the t0 bookkeeping of every method's core and frame
     model = make_single_model(n_max=16, guard=4, phase=0.4)
-    u21 = exact_propagator(model, 9.0, 4.0)
-    u10 = exact_propagator(model, 4.0, 1.5)
-    u20 = exact_propagator(model, 9.0, 1.5)
+    pairs = [(1, 1)]
+    u21 = _method_propagator(model, method, pairs, 9.0, 4.0)
+    u10 = _method_propagator(model, method, pairs, 4.0, 1.5)
+    u20 = _method_propagator(model, method, pairs, 9.0, 1.5)
     assert np.abs((u21 @ u10).entries - u20.entries).max() <= 1e-10
 
 
@@ -345,21 +361,13 @@ def test_evolve_states_matches_propagators(method, pairs):
         model = make_single_model(n_max=16, guard=4, phase=0.3)
     config = model.config
     psi0 = basis_state(config, [1] * config.n_modes, ["g"] * config.n_spins)
-    times = [0.0, 0.8, 2.9]
-    states = dict(evolve_states(model, psi0, times, method=method, resonant_pairs=pairs))
-    for t in times:
-        if method == "exact":
-            u = exact_propagator(model, t)
-        elif method == "pipeline_exact":
-            u = pipeline_propagator(model, t, mode="exact")
-        elif method == "pipeline_rwa":
-            u = pipeline_propagator(model, t, mode="rwa", resonant_pairs=pairs)
-        elif method == "rwa_jc":
-            u = rwa_jc_propagator_multi(model, pairs, t)
-        else:
-            u = standard_rwa_propagator(model, 1, 1, t)
-        assert np.abs(states[t] - u.entries @ psi0).max() <= 1e-11
-        assert np.linalg.norm(states[t]) == pytest.approx(1.0, abs=1e-10)
+    for t0 in (0.0, 1.3):
+        times = [t0, t0 + 0.8, t0 + 2.9]
+        states = dict(evolve_states(model, psi0, times, method=method, t0=t0, resonant_pairs=pairs))
+        for t in times:
+            u = _method_propagator(model, method, pairs, t, t0)
+            assert np.abs(states[t] - u.entries @ psi0).max() <= 1e-11
+            assert np.linalg.norm(states[t]) == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("index", range(3))

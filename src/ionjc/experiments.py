@@ -157,11 +157,8 @@ def run_sweep_rabi(cfg: ExperimentConfig, threads: int = 1) -> Table:
     if cfg.sweep is None:
         raise ConfigError("sweep-rabi experiment needs a sweep section")
     grid = [float(v) for v in cfg.sweep.grid]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda om: _sweep_point(cfg, om), grid))
-    else:
-        rows = [_sweep_point(cfg, om) for om in grid]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        rows = list(pool.map(lambda om: _sweep_point(cfg, om), grid))
     columns = [
         "Omega_R", "delta", "delta_eff", "eta_eff", "t_pulse",
         "infidelity_balanced_rwa", "infidelity_standard_rwa", "omega_minus", "reachable",

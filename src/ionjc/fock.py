@@ -1,13 +1,15 @@
 """Truncated multi-mode Fock x multi-spin operator algebra.
 
-Everything downstream works with dense complex matrices on the space
+Operators are dense matrices on the space
 
     (C^n_max)^(x n_modes)  (x)  (C^2)^(x n_spins)
 
 in Kronecker order: mode 1 is the slowest index, then mode 2, ..., then the
 spin factors (fastest).  Each spin factor orders the excited state |e> before
 the ground state |g>, so sigma_z = diag(+1, -1) and 2x2 operator-block
-notation over (e, g) maps directly onto Kronecker products.
+notation over (e, g) maps directly onto Kronecker products.  The public
+builders return complex matrices in this basis; the propagators assemble real
+ones in the mode-parity gauge (``parity_gauge``) from real factors.
 
 Truncation is hard: a_dag annihilates the top Fock level.  Displacements and
 propagators are built by exponentiating the *truncated* generator, so they are
@@ -86,6 +88,23 @@ def guard_mask(config: HilbertConfig) -> np.ndarray:
     return keep
 
 
+def check_matrix(m: np.ndarray, hermitian: bool = False, unitary: bool = False) -> np.ndarray:
+    """Verify a real or complex square matrix against the tolerance of each tag it carries; return it."""
+    if unitary:
+        err = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
+        if err > UNITARY_ATOL:
+            raise NumericalValidationError(
+                f"matrix tagged unitary violates ||U^dag U - I||_max <= {UNITARY_ATOL} (got {err:.3e})"
+            )
+    if hermitian:
+        err = np.abs(m - m.conj().T).max()
+        if err > HERMITIAN_ATOL:
+            raise NumericalValidationError(
+                f"matrix tagged hermitian violates ||H - H^dag||_max <= {HERMITIAN_ATOL} (got {err:.3e})"
+            )
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Dense complex square matrix with attached Hilbert-space metadata.
@@ -107,18 +126,7 @@ class OperatorMatrix:
                 f"matrix shape {m.shape} does not match config dimension {self.config.dim}"
             )
         object.__setattr__(self, "entries", m)
-        if self.unitary:
-            err = np.abs(m.conj().T @ m - np.eye(self.config.dim)).max()
-            if err > UNITARY_ATOL:
-                raise NumericalValidationError(
-                    f"matrix tagged unitary violates ||U^dag U - I||_max <= {UNITARY_ATOL} (got {err:.3e})"
-                )
-        if self.hermitian:
-            err = np.abs(m - m.conj().T).max()
-            if err > HERMITIAN_ATOL:
-                raise NumericalValidationError(
-                    f"matrix tagged hermitian violates ||H - H^dag||_max <= {HERMITIAN_ATOL} (got {err:.3e})"
-                )
+        check_matrix(m, hermitian=self.hermitian, unitary=self.unitary)
 
     def dagger(self) -> "OperatorMatrix":
         return OperatorMatrix(
@@ -157,16 +165,16 @@ class OperatorMatrix:
 
 
 def _mode_destroy(n_max: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, n_max, dtype=float)), 1).astype(complex)
+    return np.diag(np.sqrt(np.arange(1, n_max, dtype=float)), 1)
 
 
 _SPIN_2X2 = {
-    "plus": np.array([[0, 1], [0, 0]], dtype=complex),   # |e><g|
-    "minus": np.array([[0, 0], [1, 0]], dtype=complex),  # |g><e|
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "ee": np.array([[1, 0], [0, 0]], dtype=complex),     # |e><e|
-    "gg": np.array([[0, 0], [0, 1]], dtype=complex),     # |g><g|
+    "plus": np.array([[0.0, 1.0], [0.0, 0.0]]),   # |e><g|
+    "minus": np.array([[0.0, 0.0], [1.0, 0.0]]),  # |g><e|
+    "z": np.array([[1.0, 0.0], [0.0, -1.0]]),
+    "x": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "ee": np.array([[1.0, 0.0], [0.0, 0.0]]),     # |e><e|
+    "gg": np.array([[0.0, 0.0], [0.0, 1.0]]),     # |g><g|
 }
 
 
@@ -187,10 +195,10 @@ def embed_factors(
     for j in spin_ops:
         if not 1 <= j <= config.n_spins:
             raise ValueError(f"ion index {j} out of range 1..{config.n_spins}")
-    eye_m = np.eye(config.n_max, dtype=complex)
-    eye_s = np.eye(2, dtype=complex)
-    factors = [np.asarray(mode_ops.get(p, eye_m), dtype=complex) for p in range(1, config.n_modes + 1)]
-    factors += [np.asarray(spin_ops.get(j, eye_s), dtype=complex) for j in range(1, config.n_spins + 1)]
+    eye_m = np.eye(config.n_max)
+    eye_s = np.eye(2)
+    factors = [np.asarray(mode_ops.get(p, eye_m)) for p in range(1, config.n_modes + 1)]
+    factors += [np.asarray(spin_ops.get(j, eye_s)) for j in range(1, config.n_spins + 1)]
     return reduce(np.kron, factors)
 
 
@@ -232,10 +240,16 @@ def _expm_hermitian(entries: np.ndarray, t: float) -> np.ndarray:
 
 
 def _displacement_1mode(n_max: int, alpha: complex) -> np.ndarray:
-    """exp(alpha a_dag - alpha* a) on a single truncated mode, exactly unitary."""
+    """exp(alpha a_dag - alpha* a) on a single truncated mode, exactly unitary; real orthogonal for real alpha."""
     a = _mode_destroy(n_max)
     gen = alpha * a.conj().T - np.conj(alpha) * a
-    return _expm_hermitian(1j * gen, 1.0)
+    d = _expm_hermitian(1j * gen, 1.0)
+    if alpha.imag != 0.0:
+        return d
+    err = np.abs(d.imag).max()  # rounding residue only: the exact value is real
+    if err > UNITARY_ATOL:
+        raise NumericalValidationError(f"real-argument displacement has ||Im D||_max = {err:.3e} > {UNITARY_ATOL}")
+    return d.real
 
 
 def displacement(config: HilbertConfig, mode: int, alpha: complex) -> OperatorMatrix:
@@ -276,9 +290,7 @@ def expm_unitary(h: OperatorMatrix, t: float) -> OperatorMatrix:
     """
     if not h.hermitian:
         raise NumericalValidationError("expm_unitary requires a hermitian-tagged operator")
-    err = np.abs(h.entries - h.entries.conj().T).max()
-    if err > HERMITIAN_ATOL:
-        raise NumericalValidationError(f"hermiticity check failed: ||H - H^dag||_max = {err:.3e}")
+    check_matrix(h.entries, hermitian=True)
     return OperatorMatrix(h.config, _expm_hermitian(h.entries, t), unitary=True)
 
 
@@ -339,6 +351,12 @@ def parity_gauge(config: HilbertConfig) -> np.ndarray:
     gauge = np.array([1, 1j, -1, -1j])[mode_occupations(config).sum(axis=0) % 4]
     gauge.setflags(write=False)
     return gauge
+
+
+def ungauge(config: HilbertConfig, m: np.ndarray) -> np.ndarray:
+    """P m P^dag for the parity gauge P: a matrix assembled in the gauge, in the standard basis."""
+    gauge = parity_gauge(config)
+    return gauge[:, None] * m * gauge.conj()  # exact: every gauge entry is 1, i, -1 or -i
 
 
 @lru_cache(maxsize=None)

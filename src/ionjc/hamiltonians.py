@@ -27,6 +27,7 @@ from .fock import (
     embed_factors,
     mode_occupations,
     spin_signs,
+    ungauge,
 )
 from .transforms import BalancedParams, balanced_params
 
@@ -92,6 +93,20 @@ def free_diagonal(model: ModelSpec, spin_freqs: Sequence[float]) -> np.ndarray:
     return diag
 
 
+def gauged_rotating_frame_hamiltonian(model: ModelSpec) -> np.ndarray:
+    """P^dag H P of rotating_frame_hamiltonian in the parity gauge P, real: D_p(i eta_jp) becomes D_p(eta_jp)."""
+    config = model.config
+    eta = model.eta_matrix()
+    h = np.diag(free_diagonal(model, [d.detuning for d in model.drives]))
+    for j, drive in enumerate(model.drives, start=1):
+        if drive.Omega_R == 0.0:
+            continue
+        # sigma_+^j P^dag D_j^2 P as one Kronecker product; its transpose is the sigma_- term
+        w = embed_factors(config, displacement_factors(config, eta[j - 1]), {j: _SPIN_2X2["plus"]})
+        h += drive.Omega_R * (w.T + w)
+    return h
+
+
 def rotating_frame_hamiltonian(model: ModelSpec) -> OffsetHamiltonian:
     """Time-independent Hamiltonian in the frame rotating at the laser frequencies.
 
@@ -101,16 +116,8 @@ def rotating_frame_hamiltonian(model: ModelSpec) -> OffsetHamiltonian:
     with D_j^2 = prod_p D_p(i eta_jp).  Hermitian exactly, including at the
     Fock cutoff.
     """
-    config = model.config
-    eta = model.eta_matrix()
-    h = np.diag(free_diagonal(model, [d.detuning for d in model.drives]).astype(complex))
-    for j, drive in enumerate(model.drives, start=1):
-        if drive.Omega_R == 0.0:
-            continue
-        # sigma_+^j D_j^2 as one Kronecker product; its adjoint is the sigma_- term
-        w = embed_factors(config, displacement_factors(config, 1j * eta[j - 1]), {j: _SPIN_2X2["plus"]})
-        h = h + drive.Omega_R * (w.conj().T + w)
-    return OffsetHamiltonian(OperatorMatrix(config, h, hermitian=True), 0.0)
+    h = ungauge(model.config, gauged_rotating_frame_hamiltonian(model))
+    return OffsetHamiltonian(OperatorMatrix(model.config, h, hermitian=True), 0.0)
 
 
 def standard_rwa_generator(
@@ -232,6 +239,26 @@ def balanced_offset(model: ModelSpec) -> float:
     return offset
 
 
+def gauged_balanced_flip(model: ModelSpec) -> np.ndarray:
+    """P^dag F P of balanced_hamiltonian's flip part F in the parity gauge P, real: i (a - a^dag) -> -(a + a^dag)."""
+    config = model.config
+    nu = model.chain.nu
+    flip = np.zeros((config.dim, config.dim))
+    a1 = _mode_destroy(config.n_max)
+    x = -(a1 + a1.T)
+    for j, par in enumerate(model.balanced(), start=1):
+        sp, sm = {j: _SPIN_2X2["plus"]}, {j: _SPIN_2X2["minus"]}
+        d2 = displacement_factors(config, par.eta_eff)
+        d2_dag = dagger_factors(d2)
+        for p in range(1, config.n_modes + 1):  # x_p (sigma_-^j Dj^dag2 + sigma_+^j Dj^2), factor by factor
+            coup = par.eta_eff_by_Delta[p - 1] * nu[p - 1]
+            flip += coup * embed_factors(config, {**d2_dag, p: x @ d2_dag[p]}, sm)
+            flip += coup * embed_factors(config, {**d2, p: x @ d2[p]}, sp)
+        w = embed_factors(config, d2, sp)  # sigma_+^j Dj^2
+        flip -= float(np.sum(par.eta_eff_by_Delta * par.eta_eff * nu)) * (w.T - w)
+    return (flip + flip.T) / 2.0
+
+
 def balanced_hamiltonian(model: ModelSpec) -> tuple[OffsetHamiltonian, OperatorMatrix]:
     """Balanced-frame Hamiltonian: exactly diagonal part plus bounded flip part.
 
@@ -252,26 +279,10 @@ def balanced_hamiltonian(model: ModelSpec) -> tuple[OffsetHamiltonian, OperatorM
     rotating-frame Hamiltonian up to truncation error only.
     """
     config = model.config
-    nu = model.chain.nu
-    params = model.balanced()
-    diag = free_diagonal(model, [par.delta_eff for par in params]).astype(complex)
+    diag = free_diagonal(model, [par.delta_eff for par in model.balanced()])
     h0 = OperatorMatrix(config, np.diag(diag), hermitian=True)
-
-    flip = np.zeros((config.dim, config.dim), dtype=complex)
-    a1 = _mode_destroy(config.n_max)
-    x = 1j * (a1 - a1.conj().T)
-    for j, par in enumerate(params, start=1):
-        sp, sm = {j: _SPIN_2X2["plus"]}, {j: _SPIN_2X2["minus"]}
-        d2 = displacement_factors(config, 1j * par.eta_eff)
-        d2_dag = dagger_factors(d2)
-        for p in range(1, config.n_modes + 1):  # x_p (sigma_-^j Dj^dag2 + sigma_+^j Dj^2), factor by factor
-            coup = par.eta_eff_by_Delta[p - 1] * nu[p - 1]
-            flip = flip + coup * embed_factors(config, {**d2_dag, p: x @ d2_dag[p]}, sm)
-            flip = flip + coup * embed_factors(config, {**d2, p: x @ d2[p]}, sp)
-        w = embed_factors(config, d2, sp)  # sigma_+^j Dj^2
-        flip = flip - float(np.sum(par.eta_eff_by_Delta * par.eta_eff * nu)) * (w.conj().T - w)
-    flip = (flip + flip.conj().T) / 2.0
-    return OffsetHamiltonian(h0, balanced_offset(model)), OperatorMatrix(config, flip, hermitian=True)
+    flip = OperatorMatrix(config, ungauge(config, gauged_balanced_flip(model)), hermitian=True)
+    return OffsetHamiltonian(h0, balanced_offset(model)), flip
 
 
 def jc_interaction(model: ModelSpec, t: float) -> OperatorMatrix:

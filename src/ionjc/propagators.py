@@ -16,9 +16,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .fock import HERMITIAN_ATOL, UNITARY_ATOL, HilbertConfig, NumericalValidationError, OperatorMatrix, parity_gauge
-from .hamiltonians import ModelSpec, balanced_hamiltonian, balanced_offset, free_diagonal, rotating_frame_hamiltonian
-from .transforms import balanced_transform, rotating_frame_phases
+from .fock import OperatorMatrix, check_matrix, parity_gauge
+from .hamiltonians import (ModelSpec, balanced_offset, free_diagonal, gauged_balanced_flip,
+                           gauged_rotating_frame_hamiltonian)
+from .transforms import gauged_balanced_transform, rotating_frame_phases
 
 # rwa_jc is the bare interaction-picture closed form, useful for inspecting
 # the undressed sideband exchange
@@ -50,19 +51,6 @@ def jc_coupling(model: ModelSpec, drive: int, mode: int) -> float:
     return float(par.eta_eff_by_Delta[mode - 1] * model.chain.nu[mode - 1])
 
 
-def _gauge_real(config: HilbertConfig, m: np.ndarray, atol: float) -> np.ndarray:
-    """Re(P^dag m P) for the parity gauge P, rejecting m if the imaginary part exceeds atol."""
-    gauge = parity_gauge(config)
-    g = m * gauge  # exact: every gauge entry is 1, i, -1 or -i
-    g *= gauge.conj()[:, None]
-    err = np.abs(g.imag).max()
-    if err > atol:
-        raise NumericalValidationError(
-            f"matrix is not real in the parity gauge: ||Im(P^dag M P)||_max = {err:.3e} > {atol}"
-        )
-    return np.ascontiguousarray(g.real)
-
-
 def _real_matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """m @ x for a real matrix m and a complex vector or block x, without a complex copy of m."""
     return m @ x.real + 1j * (m @ x.imag)
@@ -74,13 +62,12 @@ class _Plan:
 
     tau = t - t0; R is the rotating frame (left out when frame is False) and P
     the parity gauge (fock.parity_gauge), in which the model's Hamiltonians and
-    the balanced transform T are real.  back is the real B: V' for exact,
-    T'^T V' for pipeline_exact and T'^T for pipeline_rwa, with T' = P^dag T P
-    and V' diag(w) V'^T the eigendecomposition of the real symmetric P^dag H P.
-    The core is e^{-i (w + offset) tau} where the plan has eigenvalues w, and
-    otherwise e^{-i offset tau} e^{-i d t} X(tau) e^{i d t0}: d a free diagonal
-    and X the banded product of gauged sideband exchanges (drive, mode, g).
-    back is never upcast to complex; products with it are real.
+    the balanced transform T are assembled real.  back is the real B: V' for
+    exact, T'^T V' for pipeline_exact and T'^T for pipeline_rwa, with T' =
+    P^dag T P and V' diag(w) V'^T the eigendecomposition of P^dag H P.  The
+    core is e^{-i d t} X(tau) e^{i d t0}: d is w or a free diagonal plus the
+    frame's scalar offset (d = 0 for rwa_jc), and X the banded product of gauged
+    sideband exchanges (drive, mode, g), if any.  back is never upcast to complex.
 
     matrix and apply each fix one association order, so their outputs are
     reproducible bit for bit.  apply costs O(dim) per time point, plus two
@@ -89,11 +76,9 @@ class _Plan:
     """
 
     model: ModelSpec
+    diag: np.ndarray
     back: np.ndarray | None = None
-    w: np.ndarray | None = None
     exchanges: tuple[tuple[int, int, float], ...] = ()
-    diag: np.ndarray | None = None
-    offset: float = 0.0
     frame: bool = True
 
     def _exchange(self, x: np.ndarray, tau: float) -> np.ndarray:
@@ -137,21 +122,12 @@ class _Plan:
     def _core(self, x: np.ndarray, t: float, t0: float) -> np.ndarray:
         """core(t - t0) times x, a vector or a block of columns."""
         rows = (slice(None),) + (None,) * (x.ndim - 1)
-        if self.w is not None:
-            return np.exp(-1j * (self.w + self.offset) * (t - t0))[rows] * x
-        if self.diag is not None:
-            x = np.exp(1j * self.diag * t0)[rows] * x
-        y = self._exchange(x, t - t0)
-        if self.diag is not None:
-            y = np.exp(-1j * self.diag * t)[rows] * y
-        return np.exp(-1j * self.offset * (t - t0)) * y
+        y = self._exchange(np.exp(1j * self.diag * t0)[rows] * x, t - t0)
+        return np.exp(-1j * self.diag * t)[rows] * y
 
     def matrix(self, t: float, t0: float = 0.0) -> OperatorMatrix:
         config, back = self.model.config, self.back
-        if self.w is not None:  # two real GEMMs
-            phase = (self.w + self.offset) * (t - t0)
-            u = (back * np.cos(phase)) @ back.T - 1j * ((back * np.sin(phase)) @ back.T)
-        elif back is None:
+        if back is None:
             u = self._core(np.eye(config.dim, dtype=complex), t, t0)
         else:
             u = _real_matvec(back, self._core(back.T, t, t0))
@@ -180,28 +156,30 @@ def _plan(model: ModelSpec, method: str, resonant_pairs=None) -> _Plan:
         raise ValueError(f"method must be one of {METHODS}")
     config = model.config
     if method == "exact":
-        w, v = np.linalg.eigh(_gauge_real(config, rotating_frame_hamiltonian(model).matrix.entries, HERMITIAN_ATOL))
-        return _Plan(model, back=v, w=w)
+        w, v = np.linalg.eigh(check_matrix(gauged_rotating_frame_hamiltonian(model), hermitian=True))
+        return _Plan(model, diag=w, back=v)
     if method == "pipeline_exact":
-        h0, flip = balanced_hamiltonian(model)
-        transform = _gauge_real(config, balanced_transform(config, model.balanced()).entries, UNITARY_ATOL)
-        w, v = np.linalg.eigh(_gauge_real(config, h0.matrix.entries + flip.entries, HERMITIAN_ATOL))
-        return _Plan(model, back=transform.T @ v, w=w, offset=h0.offset)
+        params = model.balanced()
+        transform = check_matrix(gauged_balanced_transform(config, params), unitary=True)
+        h = gauged_balanced_flip(model)
+        h[np.diag_indices(config.dim)] += free_diagonal(model, [par.delta_eff for par in params])
+        w, v = np.linalg.eigh(check_matrix(h, hermitian=True))
+        return _Plan(model, diag=w + balanced_offset(model), back=transform.T @ v)
     pairs = _normalize_pairs(model, resonant_pairs)
     if method == "standard_rwa":
         if len(pairs) != 1:
             raise ValueError("standard RWA takes a single resonant pair")
         (j, k), = pairs
         g = float(model.eta_matrix()[j - 1, k - 1] * model.drives[j - 1].Omega_R)
-        return _Plan(model, exchanges=((j, k, g),), diag=free_diagonal(model, [d.detuning for d in model.drives]))
+        return _Plan(model, diag=free_diagonal(model, [d.detuning for d in model.drives]), exchanges=((j, k, g),))
     exchanges = tuple((j, k, jc_coupling(model, j, k)) for j, k in pairs)
     if method == "rwa_jc":
-        return _Plan(model, exchanges=exchanges, frame=False)
+        return _Plan(model, diag=np.zeros(config.dim), exchanges=exchanges, frame=False)
     # pipeline_rwa needs only the diagonal part of the balanced Hamiltonian
     params = model.balanced()
-    transform = _gauge_real(config, balanced_transform(config, params).entries, UNITARY_ATOL)
-    d0 = free_diagonal(model, [par.delta_eff for par in params])
-    return _Plan(model, back=transform.T, exchanges=exchanges, diag=d0, offset=balanced_offset(model))
+    transform = check_matrix(gauged_balanced_transform(config, params), unitary=True)
+    d0 = free_diagonal(model, [par.delta_eff for par in params]) + balanced_offset(model)
+    return _Plan(model, diag=d0, back=transform.T, exchanges=exchanges)
 
 
 def exact_propagator(model: ModelSpec, t: float, t0: float = 0.0) -> OperatorMatrix:

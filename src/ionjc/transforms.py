@@ -29,6 +29,7 @@ from .fock import (
     dagger_factors,
     displacement_factors,
     embed_factors,
+    ungauge,
 )
 
 
@@ -166,6 +167,26 @@ def conditional_displacement(
     return OperatorMatrix(config, t3, unitary=True)
 
 
+def gauged_balanced_transform(config: HilbertConfig, params: Sequence[BalancedParams]) -> np.ndarray:
+    """P^dag T P of balanced_transform in the parity gauge P, real: D_p(i y) becomes D_p(y) for D and Da."""
+    if len(params) != config.n_spins:
+        raise ValueError("need balanced parameters for every spin factor")
+    ions = []  # per ion: 2 x 2 scalars, row factors (Da, Da^dag), column factors (D^dag, D)
+    for par in params:
+        c, s = np.cos(par.theta / 2.0), np.sin(par.theta / 2.0)
+        coef = np.array([[c + s, c - s], [s - c, s + c]]) / np.sqrt(2.0)
+        d, da = displacement_factors(config, 0.5 * par.eta), displacement_factors(config, par.alpha.imag)
+        ions.append((coef, (da, dagger_factors(da)), (dagger_factors(d), d)))
+    size, spins = config.n_max**config.n_modes, list(itertools.product((0, 1), repeat=config.n_spins))
+    out = np.empty((size, len(spins), size, len(spins)))
+    for (row, rs), (col, cs) in itertools.product(enumerate(spins), repeat=2):
+        scale = np.prod([w[r, q] for (w, _, _), r, q in zip(ions, rs, cs)])
+        modes = [reduce(np.matmul, [lf[r][p] @ rf[q][p] for (_, lf, rf), r, q in zip(ions, rs, cs)])
+                 for p in range(1, config.n_modes + 1)]
+        out[:, row, :, col] = scale * reduce(np.kron, modes)
+    return out.reshape(config.dim, config.dim)
+
+
 def balanced_transform(config: HilbertConfig, params: Sequence[BalancedParams]) -> OperatorMatrix:
     """Product form of the balanced transform, one factor per driven ion.
 
@@ -176,22 +197,7 @@ def balanced_transform(config: HilbertConfig, params: Sequence[BalancedParams]) 
     different ions commute, so each spin block of the product is a scalar times
     one Kronecker product of per-mode factor products, written into place.
     """
-    if len(params) != config.n_spins:
-        raise ValueError("need balanced parameters for every spin factor")
-    ions = []  # per ion: 2 x 2 scalars, row factors (Da, Da^dag), column factors (D^dag, D)
-    for par in params:
-        c, s = np.cos(par.theta / 2.0), np.sin(par.theta / 2.0)
-        coef = np.array([[c + s, c - s], [s - c, s + c]]) / np.sqrt(2.0)
-        d, da = displacement_factors(config, 0.5j * par.eta), displacement_factors(config, par.alpha)
-        ions.append((coef, (da, dagger_factors(da)), (dagger_factors(d), d)))
-    size, spins = config.n_max**config.n_modes, list(itertools.product((0, 1), repeat=config.n_spins))
-    out = np.empty((size, len(spins), size, len(spins)), dtype=complex)
-    for (row, rs), (col, cs) in itertools.product(enumerate(spins), repeat=2):
-        scale = np.prod([w[r, q] for (w, _, _), r, q in zip(ions, rs, cs)])
-        modes = [reduce(np.matmul, [lf[r][p] @ rf[q][p] for (_, lf, rf), r, q in zip(ions, rs, cs)])
-                 for p in range(1, config.n_modes + 1)]
-        out[:, row, :, col] = scale * reduce(np.kron, modes)
-    return OperatorMatrix(config, out.reshape(config.dim, config.dim), unitary=True)
+    return OperatorMatrix(config, ungauge(config, gauged_balanced_transform(config, params)), unitary=True)
 
 
 def balanced_transform_closed(

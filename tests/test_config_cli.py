@@ -15,6 +15,7 @@ from ionjc.config import (
 )
 from ionjc.experiments import Table, run_evolve, run_modes, run_resonance, run_sweep_rabi, write_table
 from ionjc.fock import NumericalValidationError
+from ionjc.propagators import exact_propagator
 from ionjc.transforms import NoDriveError
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -349,6 +350,20 @@ def test_cli_exit_code_numerical_failure(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("ionjc.cli.run_experiment", boom)
     path = write_config(tmp_path, minimal_modes_config())
     assert main(["modes", "--config", path]) == 3
+    assert "numerical validation" in capsys.readouterr().err
+
+
+def test_asymmetric_gauged_hamiltonian_rejected(tmp_path, capsys, monkeypatch):
+    # the exact plan checks the real gauged H before its eigh; a failure there exits 3
+    def lopsided(model):
+        return np.triu(np.ones((model.config.dim, model.config.dim)))
+
+    monkeypatch.setattr("ionjc.propagators.gauged_rotating_frame_hamiltonian", lopsided)
+    cfg = parse_config(evolve_config(method="exact"))
+    with pytest.raises(NumericalValidationError, match="hermitian"):
+        exact_propagator(cfg.model, 1.0)
+    path = write_config(tmp_path, evolve_config(method="exact"))
+    assert main(["evolve", "--config", path]) == 3
     assert "numerical validation" in capsys.readouterr().err
 
 

@@ -3,14 +3,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ionjc import fock
 from ionjc.fock import (
     DimensionMismatchError,
     HilbertConfig,
     NumericalValidationError,
     OperatorMatrix,
     basis_state,
+    check_matrix,
     coherent_state,
     displacement,
+    displacement_factors,
     embed_factors,
     expm_unitary,
     guard_mask,
@@ -57,6 +60,20 @@ def test_parity_gauge_turns_quadratures_real():
         # P^dag (a + a^dag) P = i (a - a^dag), exactly
         conj = gauge.conj()[:, None] * (a + a.conj().T) * gauge[None, :]
         assert np.array_equal(conj, 1j * (a - a.conj().T))
+        # P^dag D(i x) P = D(x), which the propagators build as a real factor
+        conj = gauge.conj()[:, None] * displacement(cfg, mode, 0.37j).entries * gauge[None, :]
+        assert np.abs(conj - displacement(cfg, mode, 0.37).entries).max() <= 1e-15
+    assert all(f.dtype == np.float64 for f in displacement_factors(cfg, [0.37, -1.2]).values())
+
+
+def test_real_displacement_rejects_imaginary_residue(monkeypatch):
+    # a real-argument displacement is exactly real; an imaginary part above UNITARY_ATOL is a numerical fault
+    cfg = HilbertConfig(n_modes=1, n_max=6)
+    exact = fock._expm_hermitian
+    monkeypatch.setattr(fock, "_expm_hermitian", lambda m, t: exact(m, t) + 1e-9j)
+    with pytest.raises(NumericalValidationError, match="Im D"):
+        displacement_factors(cfg, [0.1])
+    assert displacement_factors(cfg, [0.1j])[1].dtype == np.complex128  # complex arguments are not checked
 
 
 def test_annihilate_lowers_single_quantum():
@@ -202,6 +219,14 @@ def test_unitary_tag_enforced():
     cfg = HilbertConfig(n_modes=1, n_max=3)
     with pytest.raises(NumericalValidationError):
         OperatorMatrix(cfg, 2.0 * np.eye(cfg.dim), unitary=True)
+    # the same checks on real input, as the propagators run them on gauged matrices
+    rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
+    assert check_matrix(rotation, unitary=True) is rotation
+    with pytest.raises(NumericalValidationError, match="unitary"):
+        check_matrix(rotation + 1e-9, unitary=True)
+    with pytest.raises(NumericalValidationError, match="hermitian"):
+        check_matrix(rotation, hermitian=True)
+    assert check_matrix(rotation + rotation.T, hermitian=True).dtype == np.float64
 
 
 def test_guarded_distance_basics():

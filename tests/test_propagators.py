@@ -3,9 +3,6 @@ import pytest
 
 from conftest import make_single_model, make_two_ion_model
 from ionjc.fock import (
-    HERMITIAN_ATOL,
-    HilbertConfig,
-    NumericalValidationError,
     OperatorMatrix,
     _mode_destroy,
     basis_state,
@@ -15,14 +12,12 @@ from ionjc.fock import (
     guarded_distance,
     guarded_infidelity,
     guarded_norm,
-    ladder,
     parity_gauge,
     spin_op,
     spin_signs,
 )
 from ionjc.hamiltonians import balanced_hamiltonian, rotating_frame_hamiltonian
 from ionjc.propagators import (
-    _gauge_real,
     evolve_states,
     exact_propagator,
     jc_coupling,
@@ -399,11 +394,3 @@ def test_exact_propagator_matches_complex_exponential_at_t0(index):
     (_, pipeline_state), = evolve_states(model, psi0, [t], method="pipeline_exact", t0=t0)
     u = pipeline_propagator(model, t, t0, mode="exact").entries
     assert np.abs(pipeline_state - u @ psi0).max() <= 1e-11
-
-
-def test_gauge_rejects_matrix_not_real_in_gauge():
-    config = HilbertConfig(n_modes=2, n_max=4, n_spins=1)
-    number = ladder(config, 2, "number").entries
-    assert np.array_equal(_gauge_real(config, number, HERMITIAN_ATOL), number.real)
-    with pytest.raises(NumericalValidationError, match="parity gauge"):
-        _gauge_real(config, 1j * number, HERMITIAN_ATOL)

@@ -193,8 +193,8 @@ def run_evolve(cfg: ExperimentConfig) -> Table:
     model = cfg.model
     config = model.config
     psi0 = initial_state(cfg)
-    occ = mode_occupations(config)
-    excited = spin_signs(config) > 0
+    occ = mode_occupations(config).astype(float)
+    excited = (spin_signs(config) > 0).astype(float)
     columns = (
         ["t"]
         + [f"pop_e_ion{d.ion}" for d in model.drives]
@@ -206,9 +206,7 @@ def run_evolve(cfg: ExperimentConfig) -> Table:
     for t, psi in evolve_states(model, psi0, cfg.evolve.times, method=cfg.evolve.method,
                                 resonant_pairs=pairs):
         weights = np.abs(psi) ** 2
-        row = [float(t)]
-        row += [float(weights[excited[j]].sum()) for j in range(config.n_spins)]
-        row += [float(occ[p] @ weights) for p in range(config.n_modes)]
+        row = [float(t)] + (excited @ weights).tolist() + (occ @ weights).tolist()
         row.append(float(abs(np.vdot(psi0, psi)) ** 2))
         rows.append(tuple(row))
     return Table(columns, rows, comments=[f"method: {cfg.evolve.method}"])

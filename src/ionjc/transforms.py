@@ -114,12 +114,19 @@ def balanced_params(drive: LaserDrive, eta_row: Sequence[float]) -> BalancedPara
     )
 
 
-def rotating_frame_phases(drives: Sequence[LaserDrive], t: float) -> np.ndarray:
-    """Spin part of rotating_frame_diagonal: its 2^n_spins phases, which repeat for every mode state."""
-    diag = np.ones(1, dtype=complex)
+def rotating_frame_phases(drives: Sequence[LaserDrive], t: float | np.ndarray) -> np.ndarray:
+    """Spin part of rotating_frame_diagonal: its 2^n_spins phases, which repeat for every mode state.
+
+    t is a time or an array of times; the result has shape (2^n_spins,) + t.shape,
+    and each of its columns equals the call at that one time bit for bit.
+    """
+    t = np.asarray(t, dtype=float)
+    diag = np.ones((1,) + t.shape, dtype=complex)
     for drive in drives:
         beta = drive.omega_L * t + drive.phase
-        diag = np.kron(diag, np.array([np.exp(1j * beta / 2), np.exp(-1j * beta / 2)]))
+        pair = np.stack([np.exp(1j * beta / 2), np.exp(-1j * beta / 2)])
+        # np.kron order: the last drive varies fastest
+        diag = (diag[:, None] * pair[None, :]).reshape((-1,) + t.shape)
     return diag
 
 

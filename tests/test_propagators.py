@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_single_model, make_two_ion_model
+from ionjc import propagators
 from ionjc.fock import (
     OperatorMatrix,
     _mode_destroy,
@@ -349,20 +350,26 @@ def test_unknown_method_rejected(single_model):
     ("rwa_jc", [(1, 1)]),
     ("pipeline_rwa", [(1, 1), (2, 2)]),
 ])
-def test_evolve_states_matches_propagators(method, pairs):
+def test_evolve_states_matches_propagators(method, pairs, monkeypatch):
     if pairs is not None and len(pairs) > 1:
         model = make_two_ion_model(n_max=8, guard=2, phases=(0.3, -0.5))
     else:
         model = make_single_model(n_max=16, guard=4, phase=0.3)
     config = model.config
     psi0 = basis_state(config, [1] * config.n_modes, ["g"] * config.n_spins)
+    # blocks of 3 times: the 7-point grids span two full blocks and a partial one
+    monkeypatch.setattr(propagators, "_BLOCK_BYTES", 3 * 16 * config.dim)
     for t0 in (0.0, 1.3):
-        times = [t0, t0 + 0.8, t0 + 2.9]
-        states = dict(evolve_states(model, psi0, times, method=method, t0=t0, resonant_pairs=pairs))
-        for t in times:
+        times = [t0 + tau for tau in (0.0, 0.8, 2.9, -1.1, 4.4, 0.3, 7.6)]
+        states = list(evolve_states(model, psi0, times, method=method, t0=t0, resonant_pairs=pairs))
+        assert [t for t, _ in states] == times
+        for t, psi in states:
             u = _method_propagator(model, method, pairs, t, t0)
-            assert np.abs(states[t] - u.entries @ psi0).max() <= 1e-11
-            assert np.linalg.norm(states[t]) == pytest.approx(1.0, abs=1e-10)
+            assert np.abs(psi - u.entries @ psi0).max() <= 1e-11
+            assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-10)
+        again = evolve_states(model, psi0, (t for t in times), method=method, t0=t0, resonant_pairs=pairs)
+        assert all((psi == other).all() for (_, psi), (_, other) in zip(states, again, strict=True))
+    assert list(evolve_states(model, psi0, [], method=method, resonant_pairs=pairs)) == []
 
 
 @pytest.mark.parametrize("index", range(3))

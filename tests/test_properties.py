@@ -10,8 +10,10 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import make_single_model  # noqa: E402
+from ionjc import propagators  # noqa: E402
 from ionjc.config import ConfigError, parse_config, serialize_config  # noqa: E402
-from ionjc.propagators import METHODS  # noqa: E402
+from ionjc.fock import coherent_state  # noqa: E402
+from ionjc.propagators import METHODS, evolve_states  # noqa: E402
 from test_propagators import _method_propagator  # noqa: E402
 
 MODELS = st.builds(
@@ -36,6 +38,22 @@ def test_group_law_on_random_models(method, model, t0, t1, t2):
     u10 = _method_propagator(model, method, pairs, t1, t0)
     u20 = _method_propagator(model, method, pairs, t2, t0)
     assert np.abs((u21 @ u10).entries - u20.entries).max() <= 1e-10
+
+
+@pytest.mark.parametrize("method", METHODS)
+@settings(max_examples=20, deadline=None)
+@given(model=MODELS, t0=TIMES, times=st.lists(TIMES, max_size=25), columns=st.integers(1, 8))
+def test_evolve_states_on_random_grids(method, model, t0, times, columns):
+    # any block size and grid length: each yielded state is U(t, t0) psi0 at its own time
+    pairs = [(1, 1)]
+    psi0 = coherent_state(model.config, [0.4 - 0.3j], ["e"])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(propagators, "_BLOCK_BYTES", columns * 16 * model.config.dim)
+        states = list(evolve_states(model, psi0, times, method=method, t0=t0, resonant_pairs=pairs))
+    assert [t for t, _ in states] == times
+    for t, psi in states:
+        u = _method_propagator(model, method, pairs, t, t0)
+        assert np.abs(psi - u.entries @ psi0).max() <= 1e-10
 
 
 @st.composite

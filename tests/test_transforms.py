@@ -20,6 +20,7 @@ from ionjc.transforms import (
     linearizing_transform,
     mixing_rotation,
     rotating_frame_diagonal,
+    rotating_frame_phases,
 )
 
 
@@ -111,6 +112,12 @@ def test_rotating_frame_composes_additively():
     right = rotating_frame_diagonal(cfg, drives, t + s)
     # with nonzero initial phases the product double-counts them, so use phase = 0
     assert np.abs(left - right).max() <= 1e-12
+    # a vector of times gives the single-time phases as its columns, bit for bit
+    phased = [LaserDrive(ion=j, Omega_R=0.2, omega_L=0.9 * j, k_L=0.1, phase=1.7 - 1.3 * j) for j in (1, 2)]
+    times = [t, s, t + s, -4.2, 0.0]
+    block = rotating_frame_phases(phased, np.array(times))
+    assert block.shape == (4, len(times))
+    assert (block == np.stack([rotating_frame_phases(phased, u) for u in times], axis=1)).all()
 
 
 def test_linearizing_transform_zero_eta_block():

@@ -54,12 +54,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_table(table: Table, stream: IO[str], fmt: str = "csv", timestamp: bool = True) -> None:
+def write_table(table: Table, stream: IO[str], fmt: str = "csv") -> None:
     """Write a table as CSV or JSON; the timestamp lands in a '#' comment."""
     now = _dt.datetime.now(_dt.timezone.utc).isoformat()
     if fmt == "csv":
-        if timestamp:
-            stream.write(f"# generated: {now}\n")
+        stream.write(f"# generated: {now}\n")
         for comment in table.comments:
             stream.write(f"# {comment}\n")
         stream.write(",".join(table.columns) + "\n")
@@ -72,8 +71,7 @@ def write_table(table: Table, stream: IO[str], fmt: str = "csv", timestamp: bool
             "rows": [[None if v is None else (v.item() if isinstance(v, np.generic) else v) for v in row]
                      for row in table.rows],
         }
-        if timestamp:
-            doc["generated"] = now
+        doc["generated"] = now
         json.dump(doc, stream, indent=2, sort_keys=True)
         stream.write("\n")
     else:
@@ -174,10 +172,11 @@ def initial_state(cfg: ExperimentConfig) -> np.ndarray:
     """Initial state of the evolve experiment, rejected if it leaks past the guard."""
     ev = cfg.evolve
     config = cfg.model.config
-    if ev.fock is not None:
-        psi = basis_state(config, ev.fock, ev.spins)
-    else:
-        psi = coherent_state(config, ev.coherent, ev.spins)
+    try:
+        psi = (basis_state(config, ev.fock, ev.spins) if ev.fock is not None
+               else coherent_state(config, ev.coherent, ev.spins))
+    except ValueError as exc:
+        raise ConfigError(f"$.evolve.initial_state: {exc}") from exc
     leak = population_above_guard(config, psi)
     if leak > 1e-6:
         raise ConfigError(

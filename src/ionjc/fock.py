@@ -4,12 +4,12 @@ Operators are dense matrices on the space
 
     (C^n_max)^(x n_modes)  (x)  (C^2)^(x n_spins)
 
-in Kronecker order: mode 1 is the slowest index, then mode 2, ..., then the
-spin factors (fastest).  Each spin factor orders the excited state |e> before
-the ground state |g>, so sigma_z = diag(+1, -1) and 2x2 operator-block
-notation over (e, g) maps directly onto Kronecker products.  The public
-builders return complex matrices in this basis; the propagators assemble real
-ones in the mode-parity gauge (``parity_gauge``) from real factors.
+in Kronecker order, the C-order layout of ``HilbertConfig.shape``: mode 1 is
+the slowest index, then mode 2, ..., then the spin factors (fastest).  Each
+spin factor orders |e> before |g>, so sigma_z = diag(+1, -1) and 2x2
+operator-block notation over (e, g) maps directly onto Kronecker products.
+The public builders return complex matrices in this basis; the propagators
+build real ones in the mode-parity gauge (``parity_gauge``) from real factors.
 
 Truncation is hard: a_dag annihilates the top Fock level.  Displacements and
 propagators are built by exponentiating the *truncated* generator, so they are
@@ -76,8 +76,13 @@ class HilbertConfig:
                              f"above the {DENSE_MATRIX_BYTES}-byte budget; lower n_max or the ion/drive count")
 
     @property
+    def shape(self) -> tuple[int, ...]:
+        """Axes of a state reshaped in C order: one per mode, then one per spin with |e> = 0, |g> = 1."""
+        return (self.n_max,) * self.n_modes + (2,) * self.n_spins
+
+    @property
     def dim(self) -> int:
-        return self.n_max**self.n_modes * 2**self.n_spins
+        return math.prod(self.shape)
 
 
 @lru_cache(maxsize=None)
@@ -208,8 +213,6 @@ def ladder(config: HilbertConfig, mode: int, kind: str) -> OperatorMatrix:
     a|n> = sqrt(n)|n-1>, a_dag|n> = sqrt(n+1)|n+1> for n+1 < n_max, and
     a_dag|n_max - 1> = 0 (hard truncation).
     """
-    if not 1 <= mode <= config.n_modes:
-        raise ValueError(f"mode index {mode} out of range 1..{config.n_modes}")
     a = _mode_destroy(config.n_max)
     if kind == "annihilate":
         op, herm = a, False
@@ -224,8 +227,6 @@ def ladder(config: HilbertConfig, mode: int, kind: str) -> OperatorMatrix:
 
 def spin_op(config: HilbertConfig, ion: int, kind: str) -> OperatorMatrix:
     """Pauli operator or |e>/|g> projector on the ion-th spin factor (|e> before |g>)."""
-    if not 1 <= ion <= config.n_spins:
-        raise ValueError(f"ion index {ion} out of range 1..{config.n_spins}")
     try:
         s = _SPIN_2X2[kind]
     except KeyError:
@@ -259,8 +260,6 @@ def displacement(config: HilbertConfig, mode: int, alpha: complex) -> OperatorMa
     truncated space; the shift property D a D^dag = a - alpha holds only on
     the guarded subspace.
     """
-    if not 1 <= mode <= config.n_modes:
-        raise ValueError(f"mode index {mode} out of range 1..{config.n_modes}")
     d1 = _displacement_1mode(config.n_max, complex(alpha))
     return OperatorMatrix(config, embed_factors(config, {mode: d1}), unitary=True)
 
@@ -327,12 +326,8 @@ def guarded_infidelity(u: OperatorMatrix, v: OperatorMatrix) -> float:
 @lru_cache(maxsize=None)
 def mode_occupations(config: HilbertConfig) -> np.ndarray:
     """Fock index of every mode for every basis state; shape (n_modes, dim)."""
-    idx = np.arange(config.dim)
-    rem = idx // (2**config.n_spins)
-    occ = np.empty((config.n_modes, config.dim), dtype=np.int64)
-    for p in range(config.n_modes - 1, -1, -1):
-        occ[p] = rem % config.n_max
-        rem //= config.n_max
+    index = np.unravel_index(np.arange(config.dim), config.shape)
+    occ = np.array(index[:config.n_modes], dtype=np.int64)
     occ.setflags(write=False)
     return occ
 
@@ -362,12 +357,8 @@ def ungauge(config: HilbertConfig, m: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def spin_signs(config: HilbertConfig) -> np.ndarray:
     """sigma_z eigenvalue (+1 for e, -1 for g) per ion and basis state."""
-    idx = np.arange(config.dim)
-    signs = np.empty((config.n_spins, config.dim), dtype=float)
-    rem = idx
-    for j in range(config.n_spins - 1, -1, -1):
-        signs[j] = 1.0 - 2.0 * (rem % 2)
-        rem //= 2
+    index = np.unravel_index(np.arange(config.dim), config.shape)
+    signs = 1.0 - 2.0 * np.array(index[config.n_modes:], dtype=float)
     signs.setflags(write=False)
     return signs
 
@@ -376,18 +367,14 @@ def basis_state(config: HilbertConfig, fock: Sequence[int], spins: Sequence[str]
     """Product basis state |n_1 .. n_k> (x) |s_1 .. s_m>, spins 'e' or 'g'."""
     if len(fock) != config.n_modes or len(spins) != config.n_spins:
         raise ValueError("need one Fock index per mode and one spin label per ion")
-    idx = 0
     for n in fock:
         if not 0 <= n < config.n_max:
             raise ValueError(f"Fock index {n} outside 0..{config.n_max - 1}")
-        idx = idx * config.n_max + int(n)
-    for s in spins:
-        if s not in ("e", "g"):
-            raise ValueError("spin labels must be 'e' or 'g'")
-        idx = idx * 2 + (0 if s == "e" else 1)
-    vec = np.zeros(config.dim, dtype=complex)
-    vec[idx] = 1.0
-    return vec
+    if any(s not in ("e", "g") for s in spins):
+        raise ValueError("spin labels must be 'e' or 'g'")
+    vec = np.zeros(config.shape, dtype=complex)
+    vec[tuple(int(n) for n in fock) + tuple(0 if s == "e" else 1 for s in spins)] = 1.0
+    return vec.ravel()
 
 
 def coherent_state(config: HilbertConfig, alphas: Sequence[complex], spins: Sequence[str]) -> np.ndarray:
@@ -406,7 +393,10 @@ def coherent_state(config: HilbertConfig, alphas: Sequence[complex], spins: Sequ
             raise ValueError("spin labels must be 'e' or 'g'")
         col = np.array([1.0, 0.0] if s == "e" else [0.0, 1.0], dtype=complex)
         vec = np.kron(vec, col)
-    return vec / np.linalg.norm(vec)
+    norm = np.linalg.norm(vec)
+    if not norm > 0.0:  # exp(-|alpha|^2 / 2) underflows to 0 once |alpha| exceeds about 38.6
+        raise ValueError(f"coherent amplitudes {list(alphas)} underflow to a zero state")
+    return vec / norm
 
 
 def population_above_guard(config: HilbertConfig, state: np.ndarray) -> float:

@@ -74,12 +74,12 @@ class _Plan:
     frame's scalar offset (d = 0 for rwa_jc), and X the banded product of gauged
     sideband exchanges (drive, mode, g), if any.  back is never upcast to complex.
 
-    matrix and apply each fix one association order, so their outputs are
-    reproducible bit for bit.  apply evolves the time grid in blocks of
-    k = _BLOCK_BYTES // (16 dim) points, each block one complex (dim, k) array:
-    O(dim) core work per point, plus one real GEMM pair per block where the
-    plan has back; the frame and the gauge enter through the 2^n_spins spin
-    phases of each point and a diagonal.
+    matrix and apply both end in _finish, conj(R_t) P [B] y, and fix one
+    association order, so their outputs are reproducible bit for bit.  apply
+    evolves the time grid in blocks of k = _BLOCK_BYTES // (16 dim) points,
+    each block one complex (dim, k) array: O(dim) core work per point, plus
+    one real GEMM pair per block where the plan has back; the frame and the
+    gauge enter through the 2^n_spins spin phases of each point and a diagonal.
     """
 
     model: ModelSpec
@@ -101,7 +101,7 @@ class _Plan:
         the block x; then cos_e, cos_g and s hold one row per column.
         """
         config = self.model.config
-        y = x.reshape((config.n_max,) * config.n_modes + (2,) * config.n_spins + x.shape[1:])
+        y = x.reshape(config.shape + x.shape[1:])
         root = np.sqrt(np.arange(1, config.n_max, dtype=float))  # sqrt(n + 1), n < n_max - 1
         tau = np.asarray(tau, dtype=float)[..., None]
         for j, k, g in self.exchanges:
@@ -145,15 +145,17 @@ class _Plan:
         phases = np.exp(-1j * np.multiply.outer(self.diag, t))
         return phases.reshape(phases.shape + (1,) * (y.ndim - phases.ndim)) * y
 
+    def _finish(self, y: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+        """conj(R_t) P [B] y for a core output y, a vector or a block of columns; t as in _framed."""
+        if self.back is not None:
+            y = _real_matvec(self.back, y)
+        return self._framed(y, t, left=True)
+
     def matrix(self, t: float, t0: float = 0.0) -> OperatorMatrix:
-        config, back = self.model.config, self.back
-        if back is None:
-            u = self._core(np.eye(config.dim, dtype=complex), t, t0)
-        else:
-            u = _real_matvec(back, self._core(back.T, t, t0))
-        ones = np.ones(config.dim, dtype=complex)
-        left, right = self._framed(ones, t, left=True), self._framed(ones, t0, left=False)
-        u = (left[:, None] * u) * right[None, :]  # rebound, so the unframed u is freed before the check
+        config = self.model.config
+        # no local may hold the start or the unframed product while OperatorMatrix runs its check
+        u = self._finish(self._core(np.eye(config.dim, dtype=complex) if self.back is None else self.back.T, t, t0), t)
+        u *= self._framed(np.ones(config.dim, dtype=complex), t0, left=False)
         return OperatorMatrix(config, u, unitary=True)
 
     def apply(
@@ -166,10 +168,7 @@ class _Plan:
         times, size = iter(times), max(1, _BLOCK_BYTES // (16 * self.model.config.dim))
         while block := list(itertools.islice(times, size)):
             ts = np.array(block, dtype=float)
-            y = self._core(x, ts, t0)
-            if self.back is not None:
-                y = _real_matvec(self.back, y)
-            yield from zip(block, self._framed(y, ts, left=True).T.copy())
+            yield from zip(block, self._finish(self._core(x, ts, t0), ts).T.copy())
 
 
 def _plan(model: ModelSpec, method: str, resonant_pairs=None) -> _Plan:

@@ -283,11 +283,20 @@ def test_evolve_coherent_state_bounded_populations():
         assert -1e-12 <= row[1] <= 1.0 + 1e-12
 
 
-def test_evolve_rejects_leaky_coherent_state():
+def test_evolve_rejects_leaky_coherent_state(tmp_path, capsys):
     cfg_dict = evolve_config(initial_state={"coherent": [3.5], "spins": ["g"]})
     cfg = parse_config(cfg_dict)
     with pytest.raises(ConfigError, match="guard"):
         run_evolve(cfg)
+    # amplitude 40 underflows exp(-|alpha|^2 / 2) to 0: a config error, not NaN rows
+    cfg_dict = evolve_config(initial_state={"coherent": [40.0], "spins": ["g"]})
+    cfg_dict["hilbert"] = {"n_max": 40, "guard": 10}
+    with pytest.raises(ConfigError, match=r"\$\.evolve\.initial_state: "):
+        run_evolve(parse_config(cfg_dict))
+    out = tmp_path / "out.csv"
+    assert main(["evolve", "--config", write_config(tmp_path, cfg_dict), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_write_table_formats(tmp_path):

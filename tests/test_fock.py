@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -114,6 +115,9 @@ def test_ladder_mode_out_of_range():
         ladder(cfg, 3, "annihilate")
     with pytest.raises(ValueError):
         ladder(cfg, 0, "number")
+    for mode in (3, 0):
+        with pytest.raises(ValueError, match="mode index"):
+            displacement(cfg, mode, 0.1)
 
 
 def test_dagger_matches_conjugate_transpose():
@@ -314,6 +318,9 @@ def test_basis_and_coherent_states():
     assert population_above_guard(cfg, coh) < 1e-12
     small = HilbertConfig(n_modes=1, n_max=12, guard=4)
     assert population_above_guard(small, coherent_state(small, [2.5], ["g"])) > 1e-6
+    # exp(-|alpha|^2 / 2) underflows to 0: rejected, not normalised into NaNs
+    with pytest.raises(ValueError, match="underflow"):
+        coherent_state(cfg, [40.0], ["g"])
 
 
 def test_spin_signs_and_occupations():
@@ -323,3 +330,15 @@ def test_spin_signs_and_occupations():
     assert mode_occupations(cfg)[0, idx] == 2
     assert spin_signs(cfg)[0, idx] == 1.0
     assert spin_signs(cfg)[1, idx] == -1.0
+    # every basis state of two modes and two spins sits at its Kronecker-order index
+    cfg = HilbertConfig(n_modes=2, n_max=3, n_spins=2)
+    occ, signs = mode_occupations(cfg), spin_signs(cfg)
+    for n1, n2, s1, s2 in itertools.product(range(3), range(3), "eg", "eg"):
+        idx = ((n1 * 3 + n2) * 2 + "eg".index(s1)) * 2 + "eg".index(s2)
+        psi = basis_state(cfg, [n1, n2], [s1, s2])
+        assert np.flatnonzero(psi).tolist() == [idx] and psi[idx] == 1.0
+        assert occ[:, idx].tolist() == [n1, n2]
+        assert signs[:, idx].tolist() == [1.0 if s == "e" else -1.0 for s in (s1, s2)]
+    sigma_z = np.diag([1.0, -1.0])
+    op = embed_factors(cfg, {2: np.diag([0.0, 1.0, 2.0])}, {1: sigma_z})
+    assert np.array_equal(op, np.diag(occ[1] * signs[0]))

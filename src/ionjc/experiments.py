@@ -20,19 +20,14 @@ from .config import ConfigError, ExperimentConfig
 from .fock import (
     basis_state,
     coherent_state,
+    guard_mask,
     guarded_infidelity,
     mode_occupations,
     population_above_guard,
     spin_signs,
 )
 from .hamiltonians import resonance_offsets
-from .propagators import (
-    evolve_states,
-    exact_propagator,
-    jc_coupling,
-    pipeline_propagator,
-    standard_rwa_propagator,
-)
+from .propagators import _plan, evolve_states, exact_propagator, jc_coupling
 
 
 @dataclass
@@ -121,15 +116,16 @@ def _sweep_point(cfg: ExperimentConfig, omega_r: float) -> tuple:
     g = jc_coupling(balanced_model, drive_idx, mode)
     t_pulse = np.pi / (2.0 * abs(g))
 
-    u_exact = exact_propagator(balanced_model, t_pulse)
-    u_rwa = pipeline_propagator(balanced_model, t_pulse, mode="rwa", resonant_pairs=[(drive_idx, mode)])
-    infid_balanced = guarded_infidelity(u_rwa, u_exact)
+    # each approximation is scored from its guarded columns against the dense oracle; their
+    # unitarity rests on the plan's checked transform and cores that are unitary by construction
+    keep, pair = guard_mask(model.config), [(drive_idx, mode)]
+    rwa = _plan(balanced_model, "pipeline_rwa", pair).columns(keep, t_pulse)
+    infid_balanced = guarded_infidelity(rwa, exact_propagator(balanced_model, t_pulse))
 
     # conventional comparator sits on the uncorrected resonance delta = nu_k
     standard_model = model.with_drive(drive_idx, Omega_R=omega_r, omega_L=omega_ge - nu_k)
-    u_exact_std = exact_propagator(standard_model, t_pulse)
-    u_std = standard_rwa_propagator(standard_model, drive_idx, mode, t_pulse)
-    infid_standard = guarded_infidelity(u_std, u_exact_std)
+    std = _plan(standard_model, "standard_rwa", pair).columns(keep, t_pulse)
+    infid_standard = guarded_infidelity(std, exact_propagator(standard_model, t_pulse))
 
     return (
         omega_r,

@@ -315,11 +315,22 @@ def guarded_distance(a: OperatorMatrix, b: OperatorMatrix) -> float:
     return guarded_norm(a.entries - b.entries, a.config)
 
 
-def guarded_infidelity(u: OperatorMatrix, v: OperatorMatrix) -> float:
-    """1 - |tr(P U^dag V P)| / tr(P), a phase-insensitive unitary mismatch."""
-    u._check_config(v)
-    keep = guard_mask(u.config)
-    overlap = np.sum(np.conj(u.entries[:, keep]) * v.entries[:, keep])
+def guarded_infidelity(u: OperatorMatrix | np.ndarray, v: OperatorMatrix) -> float:
+    """1 - |tr(P U^dag V P)| / tr(P), a phase-insensitive unitary mismatch.
+
+    u may also be given as its guarded columns alone, the (dim, n_keep) block
+    U[:, guard_mask(v.config)]; the trace reads no other column of U.
+    """
+    keep = guard_mask(v.config)
+    if isinstance(u, OperatorMatrix):
+        u._check_config(v)
+        u = u.entries[:, keep]
+    elif u.shape != (v.config.dim, np.count_nonzero(keep)):
+        raise DimensionMismatchError(
+            f"column block shape {u.shape} is not the guarded columns of dim {v.config.dim}"
+        )
+    # summed in column-major order whatever the layout of u, so a block scores bit for bit like its matrix
+    overlap = np.sum(np.multiply(np.conj(u), v.entries[:, keep], order="F"))
     return float(1.0 - abs(overlap) / np.count_nonzero(keep))
 
 

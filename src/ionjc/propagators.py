@@ -12,6 +12,7 @@ including phase.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -74,10 +75,11 @@ class _Plan:
     frame's scalar offset (d = 0 for rwa_jc), and X the banded product of gauged
     sideband exchanges (drive, mode, g), if any.  back is never upcast to complex.
 
-    matrix and apply both end in _finish, conj(R_t) P [B] y, and fix one
-    association order, so their outputs are reproducible bit for bit.  apply
-    evolves the time grid in blocks of k = _BLOCK_BYTES // (16 dim) points,
-    each block one complex (dim, k) array: O(dim) core work per point, plus
+    columns (with matrix its checked all-columns case) and apply both end in
+    _finish, conj(R_t) P [B] y, and fix one association order, so their
+    outputs are reproducible bit for bit.  apply evolves the time grid in
+    blocks of k = _BLOCK_BYTES // (16 dim) points, each block one complex
+    (dim, k) array: O(dim) core work per point, plus
     one real GEMM pair per block where the plan has back; the frame and the
     gauge enter through the 2^n_spins spin phases of each point and a diagonal.
     """
@@ -121,7 +123,7 @@ class _Plan:
     def _framed(self, x: np.ndarray, t: float | np.ndarray, left: bool) -> np.ndarray:
         """x times the diagonal conj(R_t) P (left) or P^dag R_t (right); t is one time or one per column of x."""
         config = self.model.config
-        shape = (-1, 2**config.n_spins) + (1,) * (x.ndim - 1)
+        shape = (-1, math.prod(config.shape[config.n_modes:])) + (1,) * (x.ndim - 1)
         y = x.reshape(shape[:2] + x.shape[1:])
         if self.frame:
             phases = rotating_frame_phases(self.model.drives, t)
@@ -151,12 +153,21 @@ class _Plan:
             y = _real_matvec(self.back, y)
         return self._framed(y, t, left=True)
 
-    def matrix(self, t: float, t0: float = 0.0) -> OperatorMatrix:
+    def columns(self, cols: slice | np.ndarray, t: float, t0: float = 0.0) -> np.ndarray:
+        """U(t, t0)[:, cols], unchecked: the start B^T[:, cols] (or I[:, cols]) through core, finish and frame.
+
+        Every step acts on each column alone, so a column block equals the same
+        columns of matrix; cols = slice(None) selects by view, without a copy.
+        """
         config = self.model.config
-        # no local may hold the start or the unframed product while OperatorMatrix runs its check
-        u = self._finish(self._core(np.eye(config.dim, dtype=complex) if self.back is None else self.back.T, t, t0), t)
-        u *= self._framed(np.ones(config.dim, dtype=complex), t0, left=False)
-        return OperatorMatrix(config, u, unitary=True)
+        # the start is never bound to a local, and columns returns before matrix runs its dense check
+        u = self._finish(self._core(
+            (np.eye(config.dim, dtype=complex) if self.back is None else self.back.T)[:, cols], t, t0), t)
+        u *= self._framed(np.ones(config.dim, dtype=complex), t0, left=False)[cols]
+        return u
+
+    def matrix(self, t: float, t0: float = 0.0) -> OperatorMatrix:
+        return OperatorMatrix(self.model.config, self.columns(slice(None), t, t0), unitary=True)
 
     def apply(
         self, psi0: np.ndarray, times: Iterable[float], t0: float = 0.0

@@ -15,6 +15,7 @@ feel the cutoff.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
@@ -138,7 +139,7 @@ def rotating_frame_diagonal(
     Returned as a phase vector over the standard basis; drives are matched to
     spin factors in list order.
     """
-    return np.kron(np.ones(config.n_max**config.n_modes), rotating_frame_phases(drives, t))
+    return np.kron(np.ones(math.prod(config.shape[:config.n_modes])), rotating_frame_phases(drives, t))
 
 
 def linearizing_transform(config: HilbertConfig, eta_row: Sequence[float], ion: int) -> OperatorMatrix:
@@ -184,7 +185,7 @@ def gauged_balanced_transform(config: HilbertConfig, params: Sequence[BalancedPa
         coef = np.array([[c + s, c - s], [s - c, s + c]]) / np.sqrt(2.0)
         d, da = displacement_factors(config, 0.5 * par.eta), displacement_factors(config, par.alpha.imag)
         ions.append((coef, (da, dagger_factors(da)), (dagger_factors(d), d)))
-    size, spins = config.n_max**config.n_modes, list(itertools.product((0, 1), repeat=config.n_spins))
+    size, spins = math.prod(config.shape[:config.n_modes]), list(np.ndindex(config.shape[config.n_modes:]))
     out = np.empty((size, len(spins), size, len(spins)))
     for (row, rs), (col, cs) in itertools.product(enumerate(spins), repeat=2):
         scale = np.prod([w[r, q] for (w, _, _), r, q in zip(ions, rs, cs)])

@@ -285,6 +285,19 @@ def test_guarded_infidelity_basics():
     assert guarded_infidelity(eye, OperatorMatrix(cfg, flip.entries, unitary=True)) == pytest.approx(1.0)
 
 
+def test_guarded_infidelity_of_guarded_columns():
+    # U given as its guarded columns scores bit for bit like U, in either memory layout
+    cfg = HilbertConfig(n_modes=2, n_max=4, n_spins=1, guard=1)
+    keep = guard_mask(cfg)
+    u = displacement(cfg, 1, 0.3 - 0.2j)
+    v = displacement(cfg, 2, 0.5j)
+    block = u.entries[:, keep]
+    for layout in (block, np.ascontiguousarray(block), np.asfortranarray(block)):
+        assert guarded_infidelity(layout, v) == guarded_infidelity(u, v)
+    with pytest.raises(DimensionMismatchError):
+        guarded_infidelity(u.entries, v)
+
+
 def test_disjoint_factors_commute_exactly():
     cfg = HilbertConfig(n_modes=2, n_max=4, n_spins=2)
     a1 = ladder(cfg, 1, "annihilate").entries

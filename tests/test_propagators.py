@@ -3,13 +3,17 @@ import pytest
 
 from conftest import make_single_model, make_two_ion_model
 from ionjc import propagators
+from ionjc.config import parse_config
+from ionjc.experiments import run_sweep_rabi
 from ionjc.fock import (
+    NumericalValidationError,
     OperatorMatrix,
     _mode_destroy,
     basis_state,
     coherent_state,
     embed_factors,
     expm_unitary,
+    guard_mask,
     guarded_distance,
     guarded_infidelity,
     guarded_norm,
@@ -19,6 +23,8 @@ from ionjc.fock import (
 )
 from ionjc.hamiltonians import balanced_hamiltonian, rotating_frame_hamiltonian
 from ionjc.propagators import (
+    METHODS,
+    _plan,
     evolve_states,
     exact_propagator,
     jc_coupling,
@@ -28,7 +34,7 @@ from ionjc.propagators import (
     standard_rwa_propagator,
     turn_on_propagator,
 )
-from ionjc.transforms import NoDriveError, balanced_transform, rotating_frame_diagonal
+from ionjc.transforms import NoDriveError, balanced_transform, gauged_balanced_transform, rotating_frame_diagonal
 
 
 def _gauge_models():
@@ -401,3 +407,54 @@ def test_exact_propagator_matches_complex_exponential_at_t0(index):
     (_, pipeline_state), = evolve_states(model, psi0, [t], method="pipeline_exact", t0=t0)
     u = pipeline_propagator(model, t, t0, mode="exact").entries
     assert np.abs(pipeline_state - u @ psi0).max() <= 1e-11
+
+
+def _two_ion_sweep_config():
+    """Sweep of drive 1 on mode 1 (nu_1 = 1): three reachable points, then 2 Omega_R = 1.8 > nu_1."""
+    return parse_config({
+        "experiment": "sweep-rabi",
+        "chain": {"N": 2},
+        "hilbert": {"n_max": 6, "guard": 2},
+        "drives": [{"ion": 1, "Omega_R": 0.2, "delta": 0.9, "k_L": 0.1, "phase": 0.4},
+                   {"ion": 2, "Omega_R": 0.15, "delta": 1.4, "k_L": 0.05}],
+        "sweep": {"points": 4, "start": 0.05, "stop": 0.9, "scale": "log", "drive": 1, "mode": 1},
+    })
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_plan_columns_are_the_matrix_columns(method):
+    # matrix is the all-columns block, and a guarded block is those columns of it, bit for bit
+    model = make_two_ion_model(n_max=6, guard=2, phases=(0.4, -1.2), phi_beams=(0.3, 0.8))
+    plan = _plan(model, method, None if method in ("exact", "pipeline_exact") else [(1, 1)])
+    keep = guard_mask(model.config)
+    t, t0 = 9.4, 1.7
+    full = plan.matrix(t, t0).entries
+    assert (plan.columns(slice(None), t, t0) == full).all()
+    assert (plan.columns(keep, t, t0) == full[:, keep]).all()
+
+
+def test_sweep_scores_columns_like_dense_propagators():
+    cfg = _two_ion_sweep_config()
+    model, table = cfg.model, run_sweep_rabi(cfg)
+    nu = float(model.chain.nu[0])
+    rows = [dict(zip(table.columns, row)) for row in table.rows]
+    assert [row["reachable"] for row in rows] == [True, True, True, False]
+    for row in rows:
+        om, t = row["Omega_R"], row["t_pulse"]
+        balanced = model.with_drive(1, Omega_R=om, omega_L=model.omega_ge - row["delta"])
+        standard = model.with_drive(1, Omega_R=om, omega_L=model.omega_ge - nu)
+        dense_balanced = guarded_infidelity(
+            pipeline_propagator(balanced, t, mode="rwa", resonant_pairs=[(1, 1)]), exact_propagator(balanced, t))
+        dense_standard = guarded_infidelity(standard_rwa_propagator(standard, 1, 1, t), exact_propagator(standard, t))
+        assert abs(row["infidelity_balanced_rwa"] - dense_balanced) <= 1e-14
+        assert abs(row["infidelity_standard_rwa"] - dense_standard) <= 1e-14
+
+
+def test_non_orthogonal_transform_rejected_by_plan_and_sweep(monkeypatch):
+    # the sweep scores unchecked RWA columns: the gauged transform check at plan build guards them
+    monkeypatch.setattr(propagators, "gauged_balanced_transform",
+                        lambda config, params: (1.0 + 1e-9) * gauged_balanced_transform(config, params))
+    with pytest.raises(NumericalValidationError, match="unitary"):
+        _plan(make_two_ion_model(n_max=6, guard=2), "pipeline_rwa", [(1, 1)])
+    with pytest.raises(NumericalValidationError, match="unitary"):
+        run_sweep_rabi(_two_ion_sweep_config())

@@ -1,4 +1,4 @@
-"""Property tests over random one-ion models and random configs."""
+"""Property tests over random one-ion models, random drives and random configs."""
 
 import json
 
@@ -11,9 +11,11 @@ from hypothesis import strategies as st  # noqa: E402
 
 from conftest import make_single_model  # noqa: E402
 from ionjc import propagators  # noqa: E402
+from ionjc.chain import LaserDrive  # noqa: E402
 from ionjc.config import ConfigError, parse_config, serialize_config  # noqa: E402
 from ionjc.fock import coherent_state  # noqa: E402
 from ionjc.propagators import METHODS, evolve_states  # noqa: E402
+from ionjc.transforms import balanced_params  # noqa: E402
 from test_propagators import _method_propagator  # noqa: E402
 
 MODELS = st.builds(
@@ -26,6 +28,23 @@ MODELS = st.builds(
     guard=st.just(2),
 )
 TIMES = st.floats(-5.0, 15.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_omega=st.floats(-3.0, 3.0), delta=st.floats(-5.0, 5.0),
+       eta=st.lists(st.floats(-0.3, 0.3), min_size=1, max_size=3))
+def test_balanced_params_invariants(log_omega, delta, eta):
+    # the tolerances of test_transforms.test_balanced_params_invariants_random
+    omega_r = 10.0**log_omega
+    par = balanced_params(LaserDrive(ion=1, Omega_R=omega_r, omega_L=-delta, k_L=0.1), eta)
+    eta = np.asarray(eta)
+    assert par.kappa_plus**2 + par.kappa_minus**2 == pytest.approx(1.0, abs=1e-12)
+    assert par.kappa_plus * par.kappa_minus == pytest.approx(1.0 / np.sqrt(4.0 + par.Delta**2), abs=1e-12)
+    assert par.eps_plus - par.eps_minus == pytest.approx(1.0, abs=1e-12)
+    assert par.delta_eff >= max(2.0 * omega_r, abs(delta)) - 1e-12
+    assert np.all(np.abs(par.eta_eff_by_Delta) <= np.abs(eta) / 2.0 + 1e-15)
+    assert -np.pi / 2 <= par.theta <= np.pi / 2
+    assert par.eta_eff == pytest.approx(par.Delta * par.eta_eff_by_Delta, abs=1e-12)
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -30,6 +30,7 @@ import numpy as np
 UNITARY_ATOL = 1e-12
 HERMITIAN_ATOL = 1e-10
 DENSE_MATRIX_BYTES = 2**30  # largest single dense complex dim x dim matrix a configuration may need
+_CHECK_ROWS = 32  # rows per block of the hermiticity residual: a few (32, dim) temporaries, not dim x dim
 
 
 class DimensionMismatchError(ValueError):
@@ -93,16 +94,30 @@ def guard_mask(config: HilbertConfig) -> np.ndarray:
     return keep
 
 
+def _unitary_residual(m: np.ndarray) -> float:
+    """max|U^dag U - I| bit for bit, with 1 subtracted on the Gram matrix's diagonal in place of a dense identity."""
+    gram = m.conj().T @ m
+    gram[np.diag_indices_from(gram)] -= 1.0
+    return np.abs(gram).max()
+
+
+def _hermitian_residual(m: np.ndarray) -> float:
+    """max|H - H^dag| bit for bit, taken over blocks of _CHECK_ROWS rows instead of one dense difference."""
+    # np.max, unlike the builtin max, keeps a NaN block residual, as the dense formula would
+    return np.max([np.abs(m[i:i + _CHECK_ROWS] - m[:, i:i + _CHECK_ROWS].conj().T).max()
+                   for i in range(0, m.shape[0], _CHECK_ROWS)])
+
+
 def check_matrix(m: np.ndarray, hermitian: bool = False, unitary: bool = False) -> np.ndarray:
     """Verify a real or complex square matrix against the tolerance of each tag it carries; return it."""
     if unitary:
-        err = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
+        err = _unitary_residual(m)
         if err > UNITARY_ATOL:
             raise NumericalValidationError(
                 f"matrix tagged unitary violates ||U^dag U - I||_max <= {UNITARY_ATOL} (got {err:.3e})"
             )
     if hermitian:
-        err = np.abs(m - m.conj().T).max()
+        err = _hermitian_residual(m)
         if err > HERMITIAN_ATOL:
             raise NumericalValidationError(
                 f"matrix tagged hermitian violates ||H - H^dag||_max <= {HERMITIAN_ATOL} (got {err:.3e})"
@@ -205,6 +220,25 @@ def embed_factors(
     factors = [np.asarray(mode_ops.get(p, eye_m)) for p in range(1, config.n_modes + 1)]
     factors += [np.asarray(spin_ops.get(j, eye_s)) for j in range(1, config.n_spins + 1)]
     return reduce(np.kron, factors)
+
+
+def spin_blocks(config: HilbertConfig, m: np.ndarray) -> np.ndarray:
+    """A C-contiguous dim x dim matrix as the view (modes, spins, modes, spins) of the split in config.shape.
+
+    view[:, r, :, c] is the mode x mode block between spin states r and c, numbered
+    in C order over the spin axes; writing into the view writes into m.
+    """
+    if not m.flags.c_contiguous:
+        raise ValueError("spin_blocks needs a C-contiguous matrix, so that its view writes through")
+    modes = math.prod(config.shape[:config.n_modes])
+    return m.reshape(modes, config.dim // modes, modes, config.dim // modes)
+
+
+def raising_blocks(config: HilbertConfig, ion: int) -> list[tuple[int, int]]:
+    """Spin-state pairs (r, c) of spin_blocks where sigma_+^ion (|e><g| on ion, identity on the other spins) is 1."""
+    spins = config.shape[config.n_modes:]
+    return [(r, int(np.ravel_multi_index(s[:ion - 1] + (1,) + s[ion:], spins)))
+            for r, s in enumerate(np.ndindex(spins)) if s[ion - 1] == 0]
 
 
 def ladder(config: HilbertConfig, mode: int, kind: str) -> OperatorMatrix:

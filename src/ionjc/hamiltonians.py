@@ -12,6 +12,7 @@ The anharmonic part of the Coulomb interaction is not modelled.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -26,6 +27,8 @@ from .fock import (
     displacement_factors,
     embed_factors,
     mode_occupations,
+    raising_blocks,
+    spin_blocks,
     spin_signs,
     ungauge,
 )
@@ -98,12 +101,16 @@ def gauged_rotating_frame_hamiltonian(model: ModelSpec) -> np.ndarray:
     config = model.config
     eta = model.eta_matrix()
     h = np.diag(free_diagonal(model, [d.detuning for d in model.drives]))
+    blocks = spin_blocks(config, h)
     for j, drive in enumerate(model.drives, start=1):
         if drive.Omega_R == 0.0:
             continue
-        # sigma_+^j P^dag D_j^2 P as one Kronecker product; its transpose is the sigma_- term
-        w = embed_factors(config, displacement_factors(config, eta[j - 1]), {j: _SPIN_2X2["plus"]})
-        h += drive.Omega_R * (w.T + w)
+        # Omega_j P^dag D_j^2 P is the mode block of the sigma_+^j term, its transpose that of the sigma_-^j term;
+        # drives fill disjoint off-diagonal blocks, so no entry of h gets more than one term
+        w = drive.Omega_R * reduce(np.kron, displacement_factors(config, eta[j - 1]).values())
+        for r, c in raising_blocks(config, j):
+            blocks[:, r, :, c] += w
+            blocks[:, c, :, r] += w.T
     return h
 
 
@@ -244,18 +251,25 @@ def gauged_balanced_flip(model: ModelSpec) -> np.ndarray:
     config = model.config
     nu = model.chain.nu
     flip = np.zeros((config.dim, config.dim))
+    blocks = spin_blocks(config, flip)
     a1 = _mode_destroy(config.n_max)
     x = -(a1 + a1.T)
     for j, par in enumerate(model.balanced(), start=1):
-        sp, sm = {j: _SPIN_2X2["plus"]}, {j: _SPIN_2X2["minus"]}
+        pairs = raising_blocks(config, j)  # (r, c): the sigma_+^j block is [r, c], the sigma_-^j block [c, r]
         d2 = displacement_factors(config, par.eta_eff)
         d2_dag = dagger_factors(d2)
         for p in range(1, config.n_modes + 1):  # x_p (sigma_-^j Dj^dag2 + sigma_+^j Dj^2), factor by factor
             coup = par.eta_eff_by_Delta[p - 1] * nu[p - 1]
-            flip += coup * embed_factors(config, {**d2_dag, p: x @ d2_dag[p]}, sm)
-            flip += coup * embed_factors(config, {**d2, p: x @ d2[p]}, sp)
-        w = embed_factors(config, d2, sp)  # sigma_+^j Dj^2
-        flip -= float(np.sum(par.eta_eff_by_Delta * par.eta_eff * nu)) * (w.T - w)
+            down = coup * reduce(np.kron, {**d2_dag, p: x @ d2_dag[p]}.values())
+            up = coup * reduce(np.kron, {**d2, p: x @ d2[p]}.values())
+            for r, c in pairs:
+                blocks[:, c, :, r] += down
+                blocks[:, r, :, c] += up
+        # - kappa_j (sigma_-^j Dj^dag2 - sigma_+^j Dj^2), with w the mode block of kappa_j sigma_+^j Dj^2
+        w = float(np.sum(par.eta_eff_by_Delta * par.eta_eff * nu)) * reduce(np.kron, d2.values())
+        for r, c in pairs:
+            blocks[:, c, :, r] -= w.T
+            blocks[:, r, :, c] += w
     return (flip + flip.T) / 2.0
 
 

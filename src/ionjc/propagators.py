@@ -58,8 +58,21 @@ def jc_coupling(model: ModelSpec, drive: int, mode: int) -> float:
 
 
 def _real_matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ x for a real matrix m and a complex vector or block x, without a complex copy of m."""
-    return m @ x.real + 1j * (m @ x.imag)
+    """m @ x for a real matrix m and a complex vector or block x, without a complex copy of m.
+
+    One real GEMM on the interleaved float view of x, (dim, 2k) with the real and
+    imaginary part of each column side by side; x is copied only if not C-contiguous.
+    """
+    x = np.ascontiguousarray(x)
+    return (m @ x.view(float).reshape(len(x), -1)).view(complex).reshape(x.shape)
+
+
+def _unit_columns(dim: int, cols: slice | np.ndarray) -> np.ndarray:
+    """The identity's columns I[:, cols], C-ordered, built without the dim x dim identity."""
+    index = np.arange(dim)[cols]
+    out = np.zeros((dim, index.size), dtype=complex)
+    out[index, np.arange(index.size)] = 1.0
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,8 +92,8 @@ class _Plan:
     _finish, conj(R_t) P [B] y, and fix one association order, so their
     outputs are reproducible bit for bit.  apply evolves the time grid in
     blocks of k = _BLOCK_BYTES // (16 dim) points, each block one complex
-    (dim, k) array: O(dim) core work per point, plus
-    one real GEMM pair per block where the plan has back; the frame and the
+    (dim, k) array: O(dim) core work per point, plus one real GEMM per block
+    on its interleaved float view where the plan has back; the frame and the
     gauge enter through the 2^n_spins spin phases of each point and a diagonal.
     """
 
@@ -100,8 +113,11 @@ class _Plan:
         g[n] + i s[n-1] e[n-1], s[n] = sin(g tau sqrt(n+1)); the top |e> level has
         no partner under hard truncation and stays invariant.  O(dim) per column.
         tau is one time for every column, or a vector with one time per column of
-        the block x; then cos_e, cos_g and s hold one row per column.
+        the block x; then cos_e, cos_g and s hold one row per column.  A plan
+        without exchanges returns x itself.
         """
+        if not self.exchanges:
+            return x
         config = self.model.config
         y = x.reshape(config.shape + x.shape[1:])
         root = np.sqrt(np.arange(1, config.n_max, dtype=float))  # sqrt(n + 1), n < n_max - 1
@@ -137,10 +153,11 @@ class _Plan:
         """core(t - t0) times x, a vector or a block of columns.
 
         A vector of times t takes a vector x and returns the block with columns core(t[c] - t0) x.
+        The result is C-ordered: an F-ordered x (the start B^T) is transposed by the first product.
         """
         t = np.asarray(t, dtype=float)
         rows = (slice(None),) + (None,) * (x.ndim - 1)
-        y = np.exp(1j * self.diag * t0)[rows] * x
+        y = np.multiply(np.exp(1j * self.diag * t0)[rows], x, order="C")
         if t.ndim:
             y = np.broadcast_to(y[:, None], y.shape + t.shape)
         y = self._exchange(y, t - t0)
@@ -162,7 +179,7 @@ class _Plan:
         config = self.model.config
         # the start is never bound to a local, and columns returns before matrix runs its dense check
         u = self._finish(self._core(
-            (np.eye(config.dim, dtype=complex) if self.back is None else self.back.T)[:, cols], t, t0), t)
+            _unit_columns(config.dim, cols) if self.back is None else self.back.T[:, cols], t, t0), t)
         u *= self._framed(np.ones(config.dim, dtype=complex), t0, left=False)[cols]
         return u
 
@@ -298,7 +315,7 @@ def evolve_states(
     Equivalent to applying the corresponding propagator at every grid time
     without forming it.  The grid is evolved in blocks of k = _BLOCK_BYTES //
     (16 dim) points: O(dim) work per point for the closed-form core, plus one
-    real GEMM pair per block where the transform or an eigenbasis is applied.
+    real GEMM per block where the transform or an eigenbasis is applied.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (model.config.dim,):

@@ -30,6 +30,7 @@ from .fock import (
     dagger_factors,
     displacement_factors,
     embed_factors,
+    spin_blocks,
     ungauge,
 )
 
@@ -185,14 +186,14 @@ def gauged_balanced_transform(config: HilbertConfig, params: Sequence[BalancedPa
         coef = np.array([[c + s, c - s], [s - c, s + c]]) / np.sqrt(2.0)
         d, da = displacement_factors(config, 0.5 * par.eta), displacement_factors(config, par.alpha.imag)
         ions.append((coef, (da, dagger_factors(da)), (dagger_factors(d), d)))
-    size, spins = math.prod(config.shape[:config.n_modes]), list(np.ndindex(config.shape[config.n_modes:]))
-    out = np.empty((size, len(spins), size, len(spins)))
+    out = np.empty((config.dim, config.dim))
+    blocks, spins = spin_blocks(config, out), list(np.ndindex(config.shape[config.n_modes:]))
     for (row, rs), (col, cs) in itertools.product(enumerate(spins), repeat=2):
         scale = np.prod([w[r, q] for (w, _, _), r, q in zip(ions, rs, cs)])
         modes = [reduce(np.matmul, [lf[r][p] @ rf[q][p] for (_, lf, rf), r, q in zip(ions, rs, cs)])
                  for p in range(1, config.n_modes + 1)]
-        out[:, row, :, col] = scale * reduce(np.kron, modes)
-    return out.reshape(config.dim, config.dim)
+        blocks[:, row, :, col] = scale * reduce(np.kron, modes)
+    return out
 
 
 def balanced_transform(config: HilbertConfig, params: Sequence[BalancedParams]) -> OperatorMatrix:

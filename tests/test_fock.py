@@ -24,6 +24,8 @@ from ionjc.fock import (
     mode_occupations,
     parity_gauge,
     population_above_guard,
+    raising_blocks,
+    spin_blocks,
     spin_op,
     spin_signs,
 )
@@ -231,6 +233,52 @@ def test_unitary_tag_enforced():
     with pytest.raises(NumericalValidationError, match="hermitian"):
         check_matrix(rotation, hermitian=True)
     assert check_matrix(rotation + rotation.T, hermitian=True).dtype == np.float64
+
+
+def _nearly_unitary(rng, n, dtype):
+    z = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if dtype is complex else 0.0)
+    q, _ = np.linalg.qr(z)
+    return q + 1e-14 * rng.normal(size=(n, n))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_check_residuals_equal_dense_formulas(dtype):
+    # the blocked hermiticity residual and the in-place unitarity residual are the dense formulas bit for bit;
+    # 70 rows end in a partial block of the hermiticity loop
+    rng = np.random.default_rng(5)
+    for n in (1, 31, 32, 70):
+        u = _nearly_unitary(rng, n, dtype)
+        z = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if dtype is complex else 0.0)
+        for m in (u, z, z + z.conj().T, u + u.conj().T + 1e-12 * z):
+            assert fock._unitary_residual(m) == np.abs(m.conj().T @ m - np.eye(n)).max()
+            assert fock._hermitian_residual(m) == np.abs(m - m.conj().T).max()
+    # past the tolerance both still raise, also when the only defect sits in the last row block
+    u = _nearly_unitary(rng, 70, dtype)
+    check_matrix(u, unitary=True)
+    bad = u.copy()
+    bad[69, 69] *= 1.0 + 1e-9
+    with pytest.raises(NumericalValidationError, match="unitary"):
+        check_matrix(bad, unitary=True)
+    h = u + u.conj().T
+    check_matrix(h, hermitian=True)
+    h[69, 3] += 1e-9
+    with pytest.raises(NumericalValidationError, match="hermitian"):
+        check_matrix(h, hermitian=True)
+
+
+def test_spin_blocks_view_of_the_basis_layout():
+    cfg = HilbertConfig(n_modes=2, n_max=3, n_spins=2)
+    m = np.zeros((cfg.dim, cfg.dim))
+    # sigma_+ on ion 1 flips the slower spin axis (stride 2 in the 4 spin states), on ion 2 the faster one
+    assert raising_blocks(cfg, 1) == [(0, 2), (1, 3)]
+    assert raising_blocks(cfg, 2) == [(0, 1), (2, 3)]
+    mode_block = np.arange(81.0).reshape(9, 9)
+    for r, c in raising_blocks(cfg, 2):
+        spin_blocks(cfg, m)[:, r, :, c] = mode_block  # writes through to m
+    expected = np.kron(mode_block, np.kron(np.eye(2), fock._SPIN_2X2["plus"]))
+    assert (m == expected).all()
+    with pytest.raises(ValueError, match="C-contiguous"):
+        spin_blocks(cfg, np.asfortranarray(m))
 
 
 def test_guarded_distance_basics():

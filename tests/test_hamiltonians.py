@@ -1,11 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import make_single_model, make_two_ion_model
 from ionjc.chain import ChainModel, LaserDrive
 from ionjc.fock import (
+    _SPIN_2X2,
     HilbertConfig,
+    _mode_destroy,
     basis_state,
+    check_matrix,
+    dagger_factors,
+    displacement_factors,
+    embed_factors,
     guarded_norm,
     mode_occupations,
     spin_op,
@@ -14,6 +22,9 @@ from ionjc.hamiltonians import (
     ModelSpec,
     balanced_hamiltonian,
     dropped_linearization_constant,
+    free_diagonal,
+    gauged_balanced_flip,
+    gauged_rotating_frame_hamiltonian,
     jc_interaction,
     linearized_hamiltonian,
     mixed_hamiltonian,
@@ -23,6 +34,7 @@ from ionjc.hamiltonians import (
     standard_rwa_generator,
 )
 from ionjc.transforms import (
+    NoDriveError,
     conditional_displacement,
     linearizing_transform,
     mixing_rotation,
@@ -282,3 +294,74 @@ def test_resonance_offsets_nearest_pair(two_ion_model):
     gaps = {(r.ion, r.mode): abs(r.omega_minus) for r in report.rows}
     assert gaps[(report.nearest_ion, report.nearest_mode)] <= min(gaps.values()) + 1e-12
     assert gaps[(report.nearest_ion, report.nearest_mode)] <= 1e-10
+
+
+def _embedded_gauged_hamiltonian(model):
+    """Reference assembly of P^dag H P as a sum of full-space embedded Kronecker products."""
+    config, eta = model.config, model.eta_matrix()
+    h = np.diag(free_diagonal(model, [d.detuning for d in model.drives]))
+    for j, drive in enumerate(model.drives, start=1):
+        w = embed_factors(config, displacement_factors(config, eta[j - 1]), {j: _SPIN_2X2["plus"]})
+        h += drive.Omega_R * (w.T + w)
+    return h
+
+
+def _embedded_gauged_flip(model):
+    """Reference assembly of P^dag F P, term by term in the builder's accumulation order."""
+    config, nu = model.config, model.chain.nu
+    flip = np.zeros((config.dim, config.dim))
+    a1 = _mode_destroy(config.n_max)
+    x = -(a1 + a1.T)
+    for j, par in enumerate(model.balanced(), start=1):
+        sp, sm = {j: _SPIN_2X2["plus"]}, {j: _SPIN_2X2["minus"]}
+        d2 = displacement_factors(config, par.eta_eff)
+        d2_dag = dagger_factors(d2)
+        for p in range(1, config.n_modes + 1):
+            coup = par.eta_eff_by_Delta[p - 1] * nu[p - 1]
+            flip += coup * embed_factors(config, {**d2_dag, p: x @ d2_dag[p]}, sm)
+            flip += coup * embed_factors(config, {**d2, p: x @ d2[p]}, sp)
+        w = embed_factors(config, d2, sp)
+        flip -= float(np.sum(par.eta_eff_by_Delta * par.eta_eff * nu)) * (w.T - w)
+    return (flip + flip.T) / 2.0
+
+
+def _three_ion_outer_drives():
+    chain = ChainModel.build(3)
+    config = HilbertConfig(n_modes=3, n_max=4, n_spins=2, guard=1)
+    drives = (LaserDrive(ion=1, Omega_R=0.3, omega_L=-0.8, k_L=0.12, phase=0.3),
+              LaserDrive(ion=3, Omega_R=0.5, omega_L=1.1, k_L=0.09, phi_beam=0.4))
+    return ModelSpec(chain=chain, drives=drives, config=config)
+
+
+@pytest.mark.parametrize("model", [
+    make_single_model(n_max=6, guard=2),
+    make_two_ion_model(phases=(0.4, -1.2), phi_beams=(0.3, 0.8)),
+    _three_ion_outer_drives(),
+    make_two_ion_model(Om1=0.0, n_max=6, guard=2),
+], ids=["1ion", "2ions", "3ions-drives-1-3", "2ions-undriven"])
+def test_spin_block_assembly_equals_embedded_products(model):
+    # writing the mode blocks into place gives every entry the one term the embedded sum gives it
+    assert np.array_equal(gauged_rotating_frame_hamiltonian(model), _embedded_gauged_hamiltonian(model))
+    if model.drives[0].Omega_R == 0.0:
+        with pytest.raises(NoDriveError):
+            gauged_balanced_flip(model)
+    else:
+        assert np.array_equal(gauged_balanced_flip(model), _embedded_gauged_flip(model))
+
+
+def test_gauged_hamiltonian_and_its_check_hold_no_dense_temporaries():
+    model = make_two_ion_model(n_max=12)
+    matrix_bytes = model.config.dim**2 * 8
+    gauged_rotating_frame_hamiltonian(model)  # fill the basis caches outside the measurement
+    tracemalloc.start()
+    try:
+        h = gauged_rotating_frame_hamiltonian(model)
+        _, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        check_matrix(h, hermitian=True)
+        _, check_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert build_peak <= 1.5 * matrix_bytes  # h itself plus mode-block temporaries
+    assert check_peak - base < matrix_bytes

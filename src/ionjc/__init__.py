@@ -22,8 +22,8 @@ from .fock import (
     spin_op,
 )
 from .hamiltonians import (
+    IntermediateParts,
     ModelSpec,
-    OffsetHamiltonian,
     balanced_hamiltonian,
     jc_interaction,
     resonance_offsets,

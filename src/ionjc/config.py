@@ -11,6 +11,7 @@ identity.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import numpy as np
 from .chain import ChainModel, LaserDrive
 from .fock import HilbertConfig
 from .hamiltonians import ModelSpec
-from .propagators import METHODS
+from .propagators import METHODS, RWA_METHODS
 
 HBAR_SI = 1.054571817e-34
 AMU_SI = 1.66053906892e-27
@@ -70,6 +71,8 @@ def _typed(value, kind, path):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # NaN, +-Infinity (json reads 1e999 as inf), ints past float range
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
         return float(value)
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -248,7 +251,7 @@ def _parse_evolve(raw, model, freq_scale) -> EvolveSpec:
     if method not in METHODS:
         raise ConfigError(f"$.evolve.method: unknown method {method!r}; pick from {METHODS}")
     pair = None
-    if method in ("pipeline_rwa", "standard_rwa", "rwa_jc"):
+    if method in RWA_METHODS:
         ion = _require(e, "resonant_drive", "$.evolve", int)
         mode = _require(e, "resonant_mode", "$.evolve", int)
         if not 1 <= ion <= len(model.drives) or not 1 <= mode <= model.chain.N:

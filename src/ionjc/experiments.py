@@ -28,6 +28,7 @@ from .fock import (
 )
 from .hamiltonians import resonance_offsets
 from .propagators import _plan, evolve_states, exact_propagator, jc_coupling
+from .transforms import corrected_detuning
 
 
 @dataclass
@@ -108,9 +109,9 @@ def _sweep_point(cfg: ExperimentConfig, omega_r: float) -> tuple:
     omega_ge = model.omega_ge
 
     # corrected resonance: delta_eff = nu_k, else the closest achievable (delta = 0)
-    gap = nu_k**2 - 4.0 * omega_r**2
-    reachable = gap >= 0.0
-    delta = float(np.sqrt(gap)) if reachable else 0.0
+    required = corrected_detuning(nu_k, omega_r)
+    reachable = required is not None
+    delta = required if reachable else 0.0
     balanced_model = model.with_drive(drive_idx, Omega_R=omega_r, omega_L=omega_ge - delta)
     par = balanced_model.balanced()[drive_idx - 1]
     g = jc_coupling(balanced_model, drive_idx, mode)

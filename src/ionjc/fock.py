@@ -112,13 +112,13 @@ def check_matrix(m: np.ndarray, hermitian: bool = False, unitary: bool = False) 
     """Verify a real or complex square matrix against the tolerance of each tag it carries; return it."""
     if unitary:
         err = _unitary_residual(m)
-        if err > UNITARY_ATOL:
+        if not err <= UNITARY_ATOL:  # NaN-safe: a NaN residual fails
             raise NumericalValidationError(
                 f"matrix tagged unitary violates ||U^dag U - I||_max <= {UNITARY_ATOL} (got {err:.3e})"
             )
     if hermitian:
         err = _hermitian_residual(m)
-        if err > HERMITIAN_ATOL:
+        if not err <= HERMITIAN_ATOL:
             raise NumericalValidationError(
                 f"matrix tagged hermitian violates ||H - H^dag||_max <= {HERMITIAN_ATOL} (got {err:.3e})"
             )
@@ -282,7 +282,7 @@ def _displacement_1mode(n_max: int, alpha: complex) -> np.ndarray:
     if alpha.imag != 0.0:
         return d
     err = np.abs(d.imag).max()  # rounding residue only: the exact value is real
-    if err > UNITARY_ATOL:
+    if not err <= UNITARY_ATOL:
         raise NumericalValidationError(f"real-argument displacement has ||Im D||_max = {err:.3e} > {UNITARY_ATOL}")
     return d.real
 

@@ -1,10 +1,10 @@
 """Hamiltonians of the driven ion chain, in every frame of the pipeline.
 
-All frequencies are in units of the axial trap frequency.  Scalar constants
-that unitary transformations would otherwise drop are tracked explicitly as
-offsets, so unitary-equivalence checks close including global phases: an
-``OffsetHamiltonian`` with offset c is unitarily equivalent to the
-rotating-frame Hamiltonian plus c times the identity.
+All frequencies are in units of the axial trap frequency.  The rotating frame
+is one checked ``OperatorMatrix``; every later frame is ``IntermediateParts``
+(h0, flip, offset), with the scalar its transformation would otherwise drop
+tracked as the offset, so unitary-equivalence checks close including global
+phases: h0 + flip + offset I is unitarily equivalent to the rotating frame.
 
 The anharmonic part of the Coulomb interaction is not modelled.
 """
@@ -32,7 +32,7 @@ from .fock import (
     spin_signs,
     ungauge,
 )
-from .transforms import BalancedParams, balanced_params
+from .transforms import BalancedParams, balanced_params, corrected_detuning
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,18 +75,6 @@ class ModelSpec:
         return replace(self, drives=tuple(drives))
 
 
-@dataclass(frozen=True, eq=False)
-class OffsetHamiltonian:
-    """Hermitian matrix plus the scalar that makes it equivalent to the rotating-frame Hamiltonian.
-
-    matrix + offset * I has the same spectrum as the rotating-frame
-    Hamiltonian of the model (offset 0 for that Hamiltonian itself).
-    """
-
-    matrix: OperatorMatrix
-    offset: float
-
-
 def free_diagonal(model: ModelSpec, spin_freqs: Sequence[float]) -> np.ndarray:
     """Diagonal of sum_p nu_p n_p + sum_j (w_j / 2) sigma_z^j, one w_j per spin factor in order."""
     diag = model.chain.nu @ mode_occupations(model.config)
@@ -114,7 +102,7 @@ def gauged_rotating_frame_hamiltonian(model: ModelSpec) -> np.ndarray:
     return h
 
 
-def rotating_frame_hamiltonian(model: ModelSpec) -> OffsetHamiltonian:
+def rotating_frame_hamiltonian(model: ModelSpec) -> OperatorMatrix:
     """Time-independent Hamiltonian in the frame rotating at the laser frequencies.
 
     sum_p nu_p n_p + sum_j [ delta_j sigma_z^j / 2
@@ -123,13 +111,13 @@ def rotating_frame_hamiltonian(model: ModelSpec) -> OffsetHamiltonian:
     with D_j^2 = prod_p D_p(i eta_jp).  Hermitian exactly, including at the
     Fock cutoff.
     """
-    h = ungauge(model.config, gauged_rotating_frame_hamiltonian(model))
-    return OffsetHamiltonian(OperatorMatrix(model.config, h, hermitian=True), 0.0)
+    config = model.config
+    return OperatorMatrix(config, ungauge(config, gauged_rotating_frame_hamiltonian(model)), hermitian=True)
 
 
 def standard_rwa_generator(
     model: ModelSpec, resonance: str, mode: int | None = None, drive: int = 1
-) -> OffsetHamiltonian:
+) -> OperatorMatrix:
     """Effective generator kept by the conventional rotating wave approximation.
 
     resonance selects the carrier, the blue sideband of one mode
@@ -153,14 +141,15 @@ def standard_rwa_generator(
         )
     else:
         raise ValueError(f"unknown resonance kind {resonance!r}")
-    return OffsetHamiltonian(OperatorMatrix(config, gen, hermitian=True), 0.0)
+    return OperatorMatrix(config, gen, hermitian=True)
 
 
 class IntermediateParts(NamedTuple):
-    """Single-drive Hamiltonian after the linearization or the mixing rotation.
+    """Hamiltonian of the linearized, mixed or balanced frame: large part h0, bounded flip part, scalar offset.
 
-    Built from its own closed expressions, independently of the transformation
-    builders, for verification purposes only.
+    For every frame, h0 + flip + offset I is unitarily equivalent to the
+    rotating-frame Hamiltonian up to truncation error.  Each frame is built from
+    its own closed expressions, independently of the transformation builders.
     """
 
     h0: OperatorMatrix
@@ -273,11 +262,11 @@ def gauged_balanced_flip(model: ModelSpec) -> np.ndarray:
     return (flip + flip.T) / 2.0
 
 
-def balanced_hamiltonian(model: ModelSpec) -> tuple[OffsetHamiltonian, OperatorMatrix]:
+def balanced_hamiltonian(model: ModelSpec) -> IntermediateParts:
     """Balanced-frame Hamiltonian: exactly diagonal part plus bounded flip part.
 
-    The diagonal part is sum_p nu_p n_p + sum_j (delta_eff_j / 2) sigma_z^j,
-    returned with the accumulated scalar offset.  The flip part is
+    The diagonal part h0 is sum_p nu_p n_p + sum_j (delta_eff_j / 2) sigma_z^j,
+    and the offset is balanced_offset.  The flip part is
 
         sum_jp (i/Delta_j) etaeff_jp nu_p (a_p - a_p^dag)
                (sigma_-^j Dj^dag2 + sigma_+^j Dj^2)
@@ -296,7 +285,7 @@ def balanced_hamiltonian(model: ModelSpec) -> tuple[OffsetHamiltonian, OperatorM
     diag = free_diagonal(model, [par.delta_eff for par in model.balanced()])
     h0 = OperatorMatrix(config, np.diag(diag), hermitian=True)
     flip = OperatorMatrix(config, ungauge(config, gauged_balanced_flip(model)), hermitian=True)
-    return OffsetHamiltonian(h0, balanced_offset(model)), flip
+    return IntermediateParts(h0, flip, balanced_offset(model))
 
 
 def jc_interaction(model: ModelSpec, t: float) -> OperatorMatrix:
@@ -356,9 +345,8 @@ def resonance_offsets(model: ModelSpec) -> ResonanceReport:
     """Intensity-corrected sideband offsets omega_jp^+- = nu_p +- delta_eff_j.
 
     For each pair also reports the |detuning| that would put the pair exactly
-    on resonance at the given Rabi frequency, by inverting delta_eff^2 =
-    4 Omega^2 + delta^2; a mode below 2 Omega is unreachable because
-    delta_eff >= 2 Omega.
+    on resonance at the given Rabi frequency (transforms.corrected_detuning);
+    a mode below 2 Omega is unreachable because delta_eff >= 2 Omega.
     """
     nu = model.chain.nu
     params = model.balanced()
@@ -368,8 +356,6 @@ def resonance_offsets(model: ModelSpec) -> ResonanceReport:
         for p in range(1, model.config.n_modes + 1):
             w_minus = float(nu[p - 1] - par.delta_eff)
             w_plus = float(nu[p - 1] + par.delta_eff)
-            gap = nu[p - 1] ** 2 - 4.0 * drive.Omega_R**2
-            required = float(np.sqrt(gap)) if gap >= 0 else None
             rows.append(
                 ResonanceRow(
                     ion=drive.ion,
@@ -377,7 +363,7 @@ def resonance_offsets(model: ModelSpec) -> ResonanceReport:
                     nu=float(nu[p - 1]),
                     omega_minus=w_minus,
                     omega_plus=w_plus,
-                    required_abs_delta=required,
+                    required_abs_delta=corrected_detuning(nu[p - 1], drive.Omega_R),
                 )
             )
             if abs(w_minus) < best[0]:

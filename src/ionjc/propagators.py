@@ -23,9 +23,10 @@ from .hamiltonians import (ModelSpec, balanced_offset, free_diagonal, gauged_bal
                            gauged_rotating_frame_hamiltonian)
 from .transforms import gauged_balanced_transform, rotating_frame_phases
 
-# rwa_jc is the bare interaction-picture closed form, useful for inspecting
-# the undressed sideband exchange
-METHODS = ("exact", "pipeline_exact", "pipeline_rwa", "standard_rwa", "rwa_jc")
+# the methods that take resonant (drive, mode) pairs; rwa_jc is the bare
+# interaction-picture closed form, useful for inspecting the undressed sideband exchange
+RWA_METHODS = ("pipeline_rwa", "standard_rwa", "rwa_jc")
+METHODS = ("exact", "pipeline_exact") + RWA_METHODS
 
 # bytes of one block of complex states in _Plan.apply: 4 MiB holds 163 states at
 # dim 1600, enough columns for level-3 BLAS while a block stays a few MiB
@@ -207,14 +208,17 @@ def _plan(model: ModelSpec, method: str, resonant_pairs=None) -> _Plan:
     if method == "exact":
         w, v = np.linalg.eigh(check_matrix(gauged_rotating_frame_hamiltonian(model), hermitian=True))
         return _Plan(model, diag=w, back=v)
-    if method == "pipeline_exact":
+    pairs = _normalize_pairs(model, resonant_pairs) if method in RWA_METHODS else None
+    if method in ("pipeline_exact", "pipeline_rwa"):
+        # the balanced frame, once for both pipeline plans: the checked T' and the delta_eff free diagonal d0
         params = model.balanced()
         transform = check_matrix(gauged_balanced_transform(config, params), unitary=True)
+        d0 = free_diagonal(model, [par.delta_eff for par in params])
+    if method == "pipeline_exact":
         h = gauged_balanced_flip(model)
-        h[np.diag_indices(config.dim)] += free_diagonal(model, [par.delta_eff for par in params])
+        h[np.diag_indices(config.dim)] += d0
         w, v = np.linalg.eigh(check_matrix(h, hermitian=True))
         return _Plan(model, diag=w + balanced_offset(model), back=transform.T @ v)
-    pairs = _normalize_pairs(model, resonant_pairs)
     if method == "standard_rwa":
         if len(pairs) != 1:
             raise ValueError("standard RWA takes a single resonant pair")
@@ -225,10 +229,7 @@ def _plan(model: ModelSpec, method: str, resonant_pairs=None) -> _Plan:
     if method == "rwa_jc":
         return _Plan(model, diag=np.zeros(config.dim), exchanges=exchanges, frame=False)
     # pipeline_rwa needs only the diagonal part of the balanced Hamiltonian
-    params = model.balanced()
-    transform = check_matrix(gauged_balanced_transform(config, params), unitary=True)
-    d0 = free_diagonal(model, [par.delta_eff for par in params]) + balanced_offset(model)
-    return _Plan(model, diag=d0, back=transform.T, exchanges=exchanges)
+    return _Plan(model, diag=d0 + balanced_offset(model), back=transform.T, exchanges=exchanges)
 
 
 def exact_propagator(model: ModelSpec, t: float, t0: float = 0.0) -> OperatorMatrix:

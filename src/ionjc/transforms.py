@@ -116,6 +116,13 @@ def balanced_params(drive: LaserDrive, eta_row: Sequence[float]) -> BalancedPara
     )
 
 
+def corrected_detuning(nu: float, omega_r: float) -> float | None:
+    """|delta| with delta_eff = sqrt(4 Omega_R^2 + delta^2) = nu, balanced_params inverted; None if 2 Omega_R > nu."""
+    if 2.0 * omega_r > nu:  # exact in floating point, unlike the sign of the rounded nu^2 - 4 Omega_R^2
+        return None
+    return float(np.sqrt(max(nu**2 - 4.0 * omega_r**2, 0.0)))
+
+
 def rotating_frame_phases(drives: Sequence[LaserDrive], t: float | np.ndarray) -> np.ndarray:
     """Spin part of rotating_frame_diagonal: its 2^n_spins phases, which repeat for every mode state.
 

@@ -127,8 +127,8 @@ def test_criterion_3_guarded_tier_identities():
     ))
 
     # interaction-picture coupling vs frame conjugation of the flip part
-    h0, flip = balanced_hamiltonian(model)
-    d0 = np.real(np.diag(h0.matrix.entries))
+    h0, flip, _ = balanced_hamiltonian(model)
+    d0 = np.real(np.diag(h0.entries))
     for t in (0.9, 4.7):
         phases = np.exp(1j * d0 * t)
         conj = (phases[:, None] * flip.entries) * np.conj(phases)[None, :]
@@ -173,14 +173,14 @@ def test_criterion_5_limit_behavior():
     exponents = [-3, -4, -5, -6]
     for m in exponents:
         model = make_single_model(Omega_R=10.0**m, delta=1.0, k_L=0.1, n_max=20, guard=5)
-        _, flip = balanced_hamiltonian(model)
+        _, flip, _ = balanced_hamiltonian(model)
         norms.append(np.linalg.norm(flip.entries, 2))
     slope = np.polyfit(exponents, np.log10(norms), 1)[0]
     slope_ok = abs(slope - 1.0) <= 0.02  # norm ~ Omega^1
 
     # strong field: flip matches its limit operator to 1e-5 relative
     model = make_single_model(Omega_R=1e6, delta=1.0, k_L=0.1, n_max=20, guard=5)
-    _, flip = balanced_hamiltonian(model)
+    _, flip, _ = balanced_hamiltonian(model)
     from ionjc.fock import _mode_destroy, embed_factors
 
     cfg = model.config

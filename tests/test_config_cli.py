@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -345,6 +346,36 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     path = write_config(tmp_path, minimal_modes_config(chain={"N": 11}))
     assert main(["modes", "--config", path]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+# json reads NaN, Infinity and -Infinity, an overflowing literal as inf, and a long integer literal exactly
+NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400]
+
+
+@pytest.mark.parametrize("spelling", NON_FINITE)
+@pytest.mark.parametrize("keys, path", [
+    (("drives", 0, "Omega_R"), "$.drives[0].Omega_R"),
+    (("drives", 0, "delta"), "$.drives[0].delta"),
+    (("drives", 0, "k_L"), "$.drives[0].k_L"),
+    (("omega_ge",), "$.omega_ge"),
+    (("evolve", "t_stop"), "$.evolve.t_stop"),
+    (("evolve", "initial_state", "coherent", 0), "$.evolve.initial_state.coherent[*]"),
+])
+def test_non_finite_numbers_rejected(tmp_path, capsys, spelling, keys, path):
+    cfg = evolve_config(initial_state={"coherent": [0.5], "spins": ["g"]})
+    node = cfg
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = "@"
+    text = json.dumps(cfg).replace('"@"', spelling)
+    with pytest.raises(ConfigError, match=r"^" + re.escape(path) + ": expected a finite number"):
+        parse_config(json.loads(text))
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main(["evolve", "--config", str(config_path), "--out", str(out)]) == 2
+    assert f"config error: {path}: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_exit_code_experiment_mismatch(tmp_path, capsys):

@@ -235,6 +235,16 @@ def test_unitary_tag_enforced():
     assert check_matrix(rotation + rotation.T, hermitian=True).dtype == np.float64
 
 
+@pytest.mark.parametrize("tag", ["unitary", "hermitian"])
+def test_nan_matrix_fails_every_tag(tag):
+    # a NaN residual compares False against any tolerance; the check must still reject it
+    for m in (np.full((4, 4), np.nan), np.where(np.eye(4) > 0, np.nan, np.eye(4))):
+        with pytest.raises(NumericalValidationError, match=tag):
+            check_matrix(m, **{tag: True})
+        with pytest.raises(NumericalValidationError, match=tag):
+            check_matrix(m.astype(complex), **{tag: True})
+
+
 def _nearly_unitary(rng, n, dtype):
     z = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if dtype is complex else 0.0)
     q, _ = np.linalg.qr(z)

@@ -8,6 +8,7 @@ from ionjc.chain import ChainModel, LaserDrive
 from ionjc.fock import (
     _SPIN_2X2,
     HilbertConfig,
+    OperatorMatrix,
     _mode_destroy,
     basis_state,
     check_matrix,
@@ -19,8 +20,10 @@ from ionjc.fock import (
     spin_op,
 )
 from ionjc.hamiltonians import (
+    IntermediateParts,
     ModelSpec,
     balanced_hamiltonian,
+    balanced_offset,
     dropped_linearization_constant,
     free_diagonal,
     gauged_balanced_flip,
@@ -59,18 +62,17 @@ def test_model_spec_validation():
 def test_rotating_frame_hamiltonian_free_case():
     model = make_single_model(Omega_R=0.0, delta=0.7, n_max=6, guard=0)
     ht = rotating_frame_hamiltonian(model)
-    assert ht.offset == 0.0
-    diag = np.diag(ht.matrix.entries)
-    assert np.abs(ht.matrix.entries - np.diag(diag)).max() == 0.0
+    diag = np.diag(ht.entries)
+    assert np.abs(ht.entries - np.diag(diag)).max() == 0.0
     # |g, 1>: nu * 1 - delta / 2
     ket = basis_state(model.config, [1], ["g"])
-    assert np.vdot(ket, ht.matrix.entries @ ket) == pytest.approx(1.0 - 0.35)
+    assert np.vdot(ket, ht.entries @ ket) == pytest.approx(1.0 - 0.35)
 
 
 def test_rotating_frame_hamiltonian_zero_eta_flip_block():
     # with eta = 0 the coupling is Omega sigma_x; realized by a perpendicular beam
     model = make_single_model(Omega_R=0.4, delta=0.3, n_max=6, guard=0, phi_beam=np.pi / 2)
-    ht = rotating_frame_hamiltonian(model).matrix.entries
+    ht = rotating_frame_hamiltonian(model).entries
     n_part = np.diag(np.repeat(np.arange(6.0), 2))
     sz = spin_op(model.config, 1, "z").entries
     sx = spin_op(model.config, 1, "x").entries
@@ -81,7 +83,7 @@ def test_rotating_frame_hamiltonian_zero_eta_flip_block():
 def test_rotating_frame_hamiltonian_vacuum_matrix_element():
     # <e,0|H|g,0> = Omega e^{-sum eta^2 / 2}, via the exponential power series
     model = make_single_model(Omega_R=0.3, delta=0.7, k_L=0.1, n_max=30, guard=8)
-    ht = rotating_frame_hamiltonian(model).matrix.entries
+    ht = rotating_frame_hamiltonian(model).entries
     bra = basis_state(model.config, [0], ["e"])
     ket = basis_state(model.config, [0], ["g"])
     x = -0.1**2 / 2.0
@@ -95,31 +97,31 @@ def test_rotating_frame_hamiltonian_vacuum_matrix_element():
 
 def test_rotating_frame_hamiltonian_exactly_hermitian():
     model = make_two_ion_model()
-    ht = rotating_frame_hamiltonian(model).matrix.entries
+    ht = rotating_frame_hamiltonian(model).entries
     assert np.abs(ht - ht.conj().T).max() <= 1e-15
 
 
 def test_standard_rwa_generator_kinds():
     model = make_single_model(Omega_R=0.25, delta=1.0, k_L=0.1, n_max=8, guard=0)
-    carrier = standard_rwa_generator(model, "carrier").matrix.entries
+    carrier = standard_rwa_generator(model, "carrier").entries
     sx = spin_op(model.config, 1, "x").entries
     assert np.abs(carrier - 0.25 * sx).max() == 0.0
 
-    red = standard_rwa_generator(model, "red", mode=1).matrix.entries
+    red = standard_rwa_generator(model, "red", mode=1).entries
     bra = basis_state(model.config, [0], ["e"])
     ket = basis_state(model.config, [1], ["g"])
     elem = np.vdot(bra, red @ ket)
     assert abs(elem) == pytest.approx(0.1 * 0.25, abs=1e-15)
     assert elem == pytest.approx(1j * 0.1 * 0.25, abs=1e-15)
 
-    blue = standard_rwa_generator(model, "blue", mode=1).matrix.entries
+    blue = standard_rwa_generator(model, "blue", mode=1).entries
     bra2 = basis_state(model.config, [1], ["e"])
     ket2 = basis_state(model.config, [0], ["g"])
     assert np.vdot(bra2, blue @ ket2) == pytest.approx(1j * 0.1 * 0.25, abs=1e-15)
 
     # zero Lamb-Dicke coupling gives the zero matrix (up to cos(pi/2) roundoff)
     perp = make_single_model(Omega_R=0.25, delta=1.0, n_max=8, guard=0, phi_beam=np.pi / 2)
-    assert np.abs(standard_rwa_generator(perp, "red", mode=1).matrix.entries).max() <= 1e-16
+    assert np.abs(standard_rwa_generator(perp, "red", mode=1).entries).max() <= 1e-16
 
     with pytest.raises(ValueError):
         standard_rwa_generator(model, "red", mode=2)
@@ -132,7 +134,7 @@ def test_transformation_chain_closes_step_by_step(single_model):
     model = single_model
     cfg = model.config
     par = model.balanced()[0]
-    ht = rotating_frame_hamiltonian(model).matrix.entries
+    ht = rotating_frame_hamiltonian(model).entries
     eye = np.eye(cfg.dim)
 
     lin = linearized_hamiltonian(model)
@@ -146,11 +148,11 @@ def test_transformation_chain_closes_step_by_step(single_model):
     # spin-only rotation: exact even on the truncated space
     assert np.abs(conj2 - (mix.h0.entries + mix.flip.entries)).max() <= 1e-12
 
-    h0, flip = balanced_hamiltonian(model)
+    h0, flip, _ = balanced_hamiltonian(model)
     t3 = conditional_displacement(cfg, par.alpha, 1).entries
     c2 = restored_displacement_constant(par, model.chain.nu)
     conj3 = t3 @ (mix.h0.entries + mix.flip.entries + c2 * eye) @ t3.conj().T
-    assert guarded_norm(conj3 - (h0.matrix.entries + flip.entries), cfg) <= 1e-8
+    assert guarded_norm(conj3 - (h0.entries + flip.entries), cfg) <= 1e-8
 
 
 def test_mixing_rotation_diagonalizes_linearized_h0(single_model):
@@ -176,9 +178,31 @@ def test_conditional_displacement_diagonalizes_mixed_h0(single_model):
     assert guarded_norm(off_diagonal, cfg) <= 1e-8
 
 
+@pytest.mark.parametrize("model_name", ["single_model", "two_ion_model"])
+def test_balanced_frame_is_intermediate_parts(request, model_name):
+    # the balanced frame has the (h0, flip, offset) shape of the linearized and mixed frames
+    model = request.getfixturevalue(model_name)
+    parts = balanced_hamiltonian(model)
+    assert isinstance(parts, IntermediateParts)
+    h0, flip, offset = parts
+    assert np.array_equal(h0.entries, np.diag(free_diagonal(model, [par.delta_eff for par in model.balanced()])))
+    assert h0.hermitian and flip.hermitian
+    assert offset == balanced_offset(model)
+    if model_name == "single_model":
+        assert isinstance(linearized_hamiltonian(model), IntermediateParts)
+        assert isinstance(mixed_hamiltonian(model), IntermediateParts)
+
+
+def test_rotating_frame_and_standard_generator_are_checked_operators(single_model):
+    for op in (rotating_frame_hamiltonian(single_model), standard_rwa_generator(single_model, "carrier"),
+               standard_rwa_generator(single_model, "red", mode=1)):
+        assert isinstance(op, OperatorMatrix)
+        assert op.hermitian and not op.unitary
+
+
 def test_balanced_h0_exactly_diagonal_and_flip_hermitian(single_model):
-    h0, flip = balanced_hamiltonian(single_model)
-    m = h0.matrix.entries
+    h0, flip, _ = balanced_hamiltonian(single_model)
+    m = h0.entries
     assert np.abs(m - np.diag(np.diag(m))).max() == 0.0
     assert np.abs(flip.entries - flip.entries.conj().T).max() <= 1e-15
     # eigenvalue of |e, n>: sum nu n + delta_eff / 2
@@ -191,12 +215,12 @@ def test_balanced_offsets_and_spectrum_preservation():
     for omega_r, delta in [(0.3, 0.7), (2.0, 0.5)]:
         model = make_single_model(Omega_R=omega_r, delta=delta)
         ht = rotating_frame_hamiltonian(model)
-        h0, flip = balanced_hamiltonian(model)
+        h0, flip, offset = balanced_hamiltonian(model)
         par = model.balanced()[0]
         expected_offset = dropped_linearization_constant(par.eta, model.chain.nu) - restored_displacement_constant(par, model.chain.nu)
-        assert h0.offset == pytest.approx(expected_offset, abs=1e-15)
-        e_ref = np.linalg.eigvalsh(ht.matrix.entries)
-        e_bal = np.linalg.eigvalsh(h0.matrix.entries + flip.entries) + h0.offset
+        assert offset == pytest.approx(expected_offset, abs=1e-15)
+        e_ref = np.linalg.eigvalsh(ht.entries)
+        e_bal = np.linalg.eigvalsh(h0.entries + flip.entries) + offset
         interior = 2 * (model.config.n_max - model.config.guard)
         assert np.abs(e_ref - e_bal)[:interior].max() <= 1e-8
 
@@ -204,14 +228,14 @@ def test_balanced_offsets_and_spectrum_preservation():
 def test_balanced_flip_weak_field_scale():
     # || flip || ~ Omega at fixed detuning
     model = make_single_model(Omega_R=1e-6, delta=1.0, n_max=20, guard=5)
-    _, flip = balanced_hamiltonian(model)
+    _, flip, _ = balanced_hamiltonian(model)
     assert np.linalg.norm(flip.entries, 2) <= 1e-5 * 0.1  # well under nu1 * max eta scale
 
 
 def test_balanced_flip_strong_field_limit():
     # Omega -> inf: flip -> (i/2) sum eta nu (a - a^dag) sigma_x, to 1e-5 relative
     model = make_single_model(Omega_R=1e6, delta=1.0, n_max=20, guard=5)
-    _, flip = balanced_hamiltonian(model)
+    _, flip, _ = balanced_hamiltonian(model)
     cfg = model.config
     from ionjc.fock import _mode_destroy, embed_factors
 
@@ -230,7 +254,7 @@ def test_balanced_flip_small_eta_linearization():
         model = make_single_model(Omega_R=0.4, delta=0.6, k_L=k_l, n_max=25, guard=6)
         cfg = model.config
         par = model.balanced()[0]
-        _, flip = balanced_hamiltonian(model)
+        _, flip, _ = balanced_hamiltonian(model)
         from ionjc.fock import _mode_destroy, embed_factors
 
         a = embed_factors(cfg, {1: _mode_destroy(cfg.n_max)})
@@ -242,15 +266,15 @@ def test_balanced_flip_small_eta_linearization():
 
 
 def test_jc_interaction_at_zero_time_is_flip(single_model):
-    _, flip = balanced_hamiltonian(single_model)
+    _, flip, _ = balanced_hamiltonian(single_model)
     jc0 = jc_interaction(single_model, 0.0)
     assert np.abs(jc0.entries - flip.entries).max() <= 1e-12
 
 
 @pytest.mark.parametrize("t", [0.37, 2.14, 9.81])
 def test_jc_interaction_matches_frame_conjugation(single_model, t):
-    h0, flip = balanced_hamiltonian(single_model)
-    d0 = np.real(np.diag(h0.matrix.entries))
+    h0, flip, _ = balanced_hamiltonian(single_model)
+    d0 = np.real(np.diag(h0.entries))
     phases = np.exp(1j * d0 * t)
     conj = (phases[:, None] * flip.entries) * np.conj(phases)[None, :]
     jc = jc_interaction(single_model, t)
@@ -259,9 +283,9 @@ def test_jc_interaction_matches_frame_conjugation(single_model, t):
 
 
 def test_jc_interaction_multi_drive_consistency(two_ion_model):
-    h0, flip = balanced_hamiltonian(two_ion_model)
+    h0, flip, _ = balanced_hamiltonian(two_ion_model)
     t = 1.3
-    d0 = np.real(np.diag(h0.matrix.entries))
+    d0 = np.real(np.diag(h0.entries))
     phases = np.exp(1j * d0 * t)
     conj = (phases[:, None] * flip.entries) * np.conj(phases)[None, :]
     jc = jc_interaction(two_ion_model, t)

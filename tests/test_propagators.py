@@ -21,7 +21,8 @@ from ionjc.fock import (
     spin_op,
     spin_signs,
 )
-from ionjc.hamiltonians import balanced_hamiltonian, rotating_frame_hamiltonian
+from ionjc.hamiltonians import (balanced_hamiltonian, balanced_offset, free_diagonal, gauged_balanced_flip,
+                                rotating_frame_hamiltonian)
 from ionjc.propagators import (
     METHODS,
     _plan,
@@ -382,10 +383,10 @@ def test_evolve_states_matches_propagators(method, pairs, monkeypatch):
 def test_model_operators_real_in_parity_gauge(index):
     model = _gauge_models()[index]
     gauge = parity_gauge(model.config)
-    h0, flip = balanced_hamiltonian(model)
+    h0, flip, _ = balanced_hamiltonian(model)
     for m in (
-        rotating_frame_hamiltonian(model).matrix.entries,
-        h0.matrix.entries + flip.entries,
+        rotating_frame_hamiltonian(model).entries,
+        h0.entries + flip.entries,
         balanced_transform(model.config, model.balanced()).entries,
     ):
         assert np.abs((gauge.conj()[:, None] * m * gauge[None, :]).imag).max() <= 1e-14
@@ -397,7 +398,7 @@ def test_exact_propagator_matches_complex_exponential_at_t0(index):
     model = _gauge_models()[index]
     config = model.config
     t0, t = 1.7, 9.4
-    core = expm_unitary(rotating_frame_hamiltonian(model).matrix, t - t0).entries
+    core = expm_unitary(rotating_frame_hamiltonian(model), t - t0).entries
     left = np.conj(rotating_frame_diagonal(config, model.drives, t))
     ref = (left[:, None] * core) * rotating_frame_diagonal(config, model.drives, t0)[None, :]
     assert np.abs(exact_propagator(model, t, t0).entries - ref).max() <= 1e-10
@@ -472,3 +473,21 @@ def test_non_orthogonal_transform_rejected_by_plan_and_sweep(monkeypatch):
         _plan(make_two_ion_model(n_max=6, guard=2), "pipeline_rwa", [(1, 1)])
     with pytest.raises(NumericalValidationError, match="unitary"):
         run_sweep_rabi(_two_ion_sweep_config())
+
+
+@pytest.mark.parametrize("model_name", ["single_model", "two_ion_model"])
+def test_pipeline_plans_are_the_balanced_frame(request, model_name):
+    # both pipeline plans, assembled here from the balanced-frame builders in the documented order
+    model = request.getfixturevalue(model_name)
+    params = model.balanced()
+    transform = gauged_balanced_transform(model.config, params)
+    d0 = free_diagonal(model, [par.delta_eff for par in params])
+    rwa = _plan(model, "pipeline_rwa", [(1, 1)])
+    assert np.array_equal(rwa.diag, d0 + balanced_offset(model))
+    assert np.array_equal(rwa.back, transform.T)
+    h = gauged_balanced_flip(model)
+    h[np.diag_indices(model.config.dim)] += d0
+    w, v = np.linalg.eigh(h)
+    exact = _plan(model, "pipeline_exact")
+    assert np.array_equal(exact.diag, w + balanced_offset(model))
+    assert np.array_equal(exact.back, transform.T @ v)

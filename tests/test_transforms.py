@@ -17,6 +17,7 @@ from ionjc.transforms import (
     balanced_transform,
     balanced_transform_closed,
     conditional_displacement,
+    corrected_detuning,
     linearizing_transform,
     mixing_rotation,
     rotating_frame_diagonal,
@@ -57,6 +58,21 @@ def test_balanced_params_strong_field_limit():
 def test_balanced_params_rejects_zero_drive():
     with pytest.raises(NoDriveError):
         balanced_params(drive(0.0, 1.0), [0.1])
+
+
+@pytest.mark.parametrize("nu, omega_r", [
+    (1.0, 0.3), (1.0, 0.5), (1.0, 0.6), (1.7320508075688772, 1e-3), (0.5, 2.0),
+    # one ulp either side of 2 Omega_R = nu: reachability follows the exact comparison, not the rounded nu^2 - 4 Omega_R^2
+    (6.766184153134855, 3.3830920765674275), (1.0, float(np.nextafter(0.5, 1.0))),
+])
+def test_corrected_detuning_inverts_delta_eff(nu, omega_r):
+    delta = corrected_detuning(nu, omega_r)
+    assert (delta is None) == (2.0 * omega_r > nu)
+    if delta is not None:
+        assert delta >= 0.0
+        assert balanced_params(drive(omega_r, delta), [0.1]).delta_eff == pytest.approx(nu, rel=1e-12)
+        # a numpy scalar nu, as the resonance report passes it, gives the same bits as a Python float
+        assert corrected_detuning(np.float64(nu), omega_r) == delta
 
 
 def test_balanced_params_invariants_random():

@@ -93,12 +93,14 @@ def _load(source) -> dict:
     path = Path(source)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read config file: {exc}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer past the digit limit, nesting past the recursion limit
+        raise ConfigError(f"{path}: cannot decode config file: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top-level value must be an object")
     return raw

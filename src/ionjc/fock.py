@@ -8,8 +8,11 @@ in Kronecker order, the C-order layout of ``HilbertConfig.shape``: mode 1 is
 the slowest index, then mode 2, ..., then the spin factors (fastest).  Each
 spin factor orders |e> before |g>, so sigma_z = diag(+1, -1) and 2x2
 operator-block notation over (e, g) maps directly onto Kronecker products.
-The public builders return complex matrices in this basis; the propagators
-build real ones in the mode-parity gauge (``parity_gauge``) from real factors.
+Every operator of the model is a sum of Kronecker terms, mode factors times
+one 2x2 factor per ion, and ``kron_terms``, the one assembler of such sums,
+is the only code that splits a matrix into mode x mode blocks between spin
+states.  The public builders return complex matrices in this basis; the
+propagators build real ones in the mode-parity gauge (``parity_gauge``).
 
 Truncation is hard: a_dag annihilates the top Fock level.  Displacements and
 propagators are built by exponentiating the *truncated* generator, so they are
@@ -23,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -198,47 +201,62 @@ _SPIN_2X2 = {
 }
 
 
+def kron_terms(
+    config: HilbertConfig,
+    terms: Iterable[tuple[complex, Mapping[int, np.ndarray], Mapping[int, np.ndarray]]],
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Sum of the Kronecker terms c (x)_p M_p (x) (x)_j s_j, one per (c, mode_ops, spin_ops), identity elsewhere.
+
+    Keys are 1-based mode / ion indices.  In the layout of config.shape a term
+    is its mode product times one scalar in each mode x mode block between spin
+    states where its spin product is non-zero, and it is added block by block,
+    never formed at dim x dim.  Terms are added into a given C-contiguous out; a
+    new matrix takes each block from its first term, and zeros where none is.
+    """
+    terms = [(c, {p: np.asarray(m) for p, m in (mode_ops or {}).items()},
+              {j: np.asarray(s) for j, s in (spin_ops or {}).items()}) for c, mode_ops, spin_ops in terms]
+    for _, mode_ops, spin_ops in terms:
+        for p in mode_ops:
+            if not 1 <= p <= config.n_modes:
+                raise ValueError(f"mode index {p} out of range 1..{config.n_modes}")
+        for j in spin_ops:
+            if not 1 <= j <= config.n_spins:
+                raise ValueError(f"ion index {j} out of range 1..{config.n_spins}")
+    spins = 2**config.n_spins
+    written = np.full((spins, spins), out is not None)
+    if out is None:
+        dtype = reduce(np.promote_types, [np.result_type(c, *m.values(), *s.values()) for c, m, s in terms], float)
+        out = np.empty((config.dim, config.dim), dtype)
+    elif out.shape != (config.dim, config.dim) or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous {config.dim} x {config.dim} matrix, so that blocks write through")
+    blocks = out.reshape(config.dim // spins, spins, config.dim // spins, spins)
+    eye_m, eye_s = np.eye(config.n_max), np.eye(2)
+    for c, mode_ops, spin_ops in terms:
+        modes = reduce(np.kron, [mode_ops.get(p, eye_m) for p in range(1, config.n_modes + 1)])
+        scaled = {}  # (c scale) modes, formed once per distinct scale for the blocks it is added into
+        spin = reduce(np.kron, [spin_ops.get(j, eye_s) for j in range(1, config.n_spins + 1)])
+        for r, col in zip(*np.nonzero(spin)):
+            scale = spin[r, col]
+            if not written[r, col]:
+                np.multiply(c * scale, modes, out=blocks[:, r, :, col])
+                written[r, col] = True
+                continue
+            if scale not in scaled:
+                scaled[scale] = (c * scale) * modes
+            blocks[:, r, :, col] += scaled[scale]
+    for r, col in zip(*np.nonzero(~written)):
+        blocks[:, r, :, col] = 0.0
+    return out
+
+
 def embed_factors(
     config: HilbertConfig,
     mode_ops: Mapping[int, np.ndarray] | None = None,
     spin_ops: Mapping[int, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Kronecker-assemble single-factor operators, identity elsewhere.
-
-    Keys are 1-based mode / ion indices, matching the basis ordering.
-    """
-    mode_ops = mode_ops or {}
-    spin_ops = spin_ops or {}
-    for p in mode_ops:
-        if not 1 <= p <= config.n_modes:
-            raise ValueError(f"mode index {p} out of range 1..{config.n_modes}")
-    for j in spin_ops:
-        if not 1 <= j <= config.n_spins:
-            raise ValueError(f"ion index {j} out of range 1..{config.n_spins}")
-    eye_m = np.eye(config.n_max)
-    eye_s = np.eye(2)
-    factors = [np.asarray(mode_ops.get(p, eye_m)) for p in range(1, config.n_modes + 1)]
-    factors += [np.asarray(spin_ops.get(j, eye_s)) for j in range(1, config.n_spins + 1)]
-    return reduce(np.kron, factors)
-
-
-def spin_blocks(config: HilbertConfig, m: np.ndarray) -> np.ndarray:
-    """A C-contiguous dim x dim matrix as the view (modes, spins, modes, spins) of the split in config.shape.
-
-    view[:, r, :, c] is the mode x mode block between spin states r and c, numbered
-    in C order over the spin axes; writing into the view writes into m.
-    """
-    if not m.flags.c_contiguous:
-        raise ValueError("spin_blocks needs a C-contiguous matrix, so that its view writes through")
-    modes = math.prod(config.shape[:config.n_modes])
-    return m.reshape(modes, config.dim // modes, modes, config.dim // modes)
-
-
-def raising_blocks(config: HilbertConfig, ion: int) -> list[tuple[int, int]]:
-    """Spin-state pairs (r, c) of spin_blocks where sigma_+^ion (|e><g| on ion, identity on the other spins) is 1."""
-    spins = config.shape[config.n_modes:]
-    return [(r, int(np.ravel_multi_index(s[:ion - 1] + (1,) + s[ion:], spins)))
-            for r, s in enumerate(np.ndindex(spins)) if s[ion - 1] == 0]
+    """Kronecker-assemble single-factor operators, identity elsewhere: the one-term case of kron_terms."""
+    return kron_terms(config, [(1.0, mode_ops, spin_ops)])
 
 
 def ladder(config: HilbertConfig, mode: int, kind: str) -> OperatorMatrix:
@@ -426,22 +444,21 @@ def coherent_state(config: HilbertConfig, alphas: Sequence[complex], spins: Sequ
     """Normalized truncated coherent state on every mode, definite spin per ion."""
     if len(alphas) != config.n_modes or len(spins) != config.n_spins:
         raise ValueError("need one amplitude per mode and one spin label per ion")
-    vec = np.ones(1, dtype=complex)
+    if any(s not in ("e", "g") for s in spins):
+        raise ValueError("spin labels must be 'e' or 'g'")
+    cols = []
     for al in alphas:
         col = np.zeros(config.n_max, dtype=complex)
         col[0] = math.exp(-abs(al) ** 2 / 2.0)
         for n in range(1, config.n_max):
             col[n] = col[n - 1] * al / math.sqrt(n)
-        vec = np.kron(vec, col)
-    for s in spins:
-        if s not in ("e", "g"):
-            raise ValueError("spin labels must be 'e' or 'g'")
-        col = np.array([1.0, 0.0] if s == "e" else [0.0, 1.0], dtype=complex)
-        vec = np.kron(vec, col)
+        cols.append(col)
+    vec = np.zeros(config.shape, dtype=complex)
+    vec[(Ellipsis,) + tuple(0 if s == "e" else 1 for s in spins)] = reduce(np.multiply.outer, cols)
     norm = np.linalg.norm(vec)
     if not norm > 0.0:  # exp(-|alpha|^2 / 2) underflows to 0 once |alpha| exceeds about 38.6
         raise ValueError(f"coherent amplitudes {list(alphas)} underflow to a zero state")
-    return vec / norm
+    return vec.ravel() / norm
 
 
 def population_above_guard(config: HilbertConfig, state: np.ndarray) -> float:

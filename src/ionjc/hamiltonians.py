@@ -12,7 +12,6 @@ The anharmonic part of the Coulomb interaction is not modelled.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -25,10 +24,8 @@ from .fock import (
     _mode_destroy,
     dagger_factors,
     displacement_factors,
-    embed_factors,
+    kron_terms,
     mode_occupations,
-    raising_blocks,
-    spin_blocks,
     spin_signs,
     ungauge,
 )
@@ -89,17 +86,14 @@ def gauged_rotating_frame_hamiltonian(model: ModelSpec) -> np.ndarray:
     config = model.config
     eta = model.eta_matrix()
     h = np.diag(free_diagonal(model, [d.detuning for d in model.drives]))
-    blocks = spin_blocks(config, h)
+    terms = []
     for j, drive in enumerate(model.drives, start=1):
-        if drive.Omega_R == 0.0:
-            continue
-        # Omega_j P^dag D_j^2 P is the mode block of the sigma_+^j term, its transpose that of the sigma_-^j term;
-        # drives fill disjoint off-diagonal blocks, so no entry of h gets more than one term
-        w = drive.Omega_R * reduce(np.kron, displacement_factors(config, eta[j - 1]).values())
-        for r, c in raising_blocks(config, j):
-            blocks[:, r, :, c] += w
-            blocks[:, c, :, r] += w.T
-    return h
+        # Omega_j (sigma_+^j P^dag D_j^2 P + its transpose); drives reach disjoint off-diagonal
+        # blocks, so no entry of h gets more than one term
+        d2 = displacement_factors(config, eta[j - 1])
+        terms += [(drive.Omega_R, d2, {j: _SPIN_2X2["plus"]}),
+                  (drive.Omega_R, dagger_factors(d2), {j: _SPIN_2X2["minus"]})]
+    return kron_terms(config, terms, out=h)
 
 
 def rotating_frame_hamiltonian(model: ModelSpec) -> OperatorMatrix:
@@ -129,19 +123,17 @@ def standard_rwa_generator(
     d = model.drives[drive - 1]
     eta = model.eta_matrix()[drive - 1]
     if resonance == "carrier":
-        gen = d.Omega_R * embed_factors(config, spin_ops={drive: _SPIN_2X2["x"]})
+        terms = [(d.Omega_R, {}, {drive: _SPIN_2X2["x"]})]
     elif resonance in ("blue", "red"):
         if mode is None or not 1 <= mode <= config.n_modes:
             raise ValueError(f"resonance {resonance!r} needs a mode index in 1..{config.n_modes}")
         a = _mode_destroy(config.n_max)
         up, down = (a.conj().T, a) if resonance == "blue" else (a, a.conj().T)
-        gen = (1j * eta[mode - 1] * d.Omega_R) * (
-            embed_factors(config, {mode: up}, {drive: _SPIN_2X2["plus"]})
-            - embed_factors(config, {mode: down}, {drive: _SPIN_2X2["minus"]})
-        )
+        g = 1j * eta[mode - 1] * d.Omega_R
+        terms = [(g, {mode: up}, {drive: _SPIN_2X2["plus"]}), (-g, {mode: down}, {drive: _SPIN_2X2["minus"]})]
     else:
         raise ValueError(f"unknown resonance kind {resonance!r}")
-    return OperatorMatrix(config, gen, hermitian=True)
+    return OperatorMatrix(config, kron_terms(config, terms), hermitian=True)
 
 
 class IntermediateParts(NamedTuple):
@@ -178,15 +170,11 @@ def linearized_hamiltonian(model: ModelSpec) -> IntermediateParts:
     eta = model.eta_matrix()[0]
     nu = model.chain.nu
     sz, sx = {1: _SPIN_2X2["z"]}, {1: _SPIN_2X2["x"]}
-    h0 = (
-        np.diag(free_diagonal(model, ()).astype(complex))
-        + drive.Omega_R * embed_factors(config, spin_ops=sz)
-        - 0.5 * drive.detuning * embed_factors(config, spin_ops=sx)
-    )
-    flip = np.zeros_like(h0)
+    h0 = kron_terms(config, [(drive.Omega_R, {}, sz), (-0.5 * drive.detuning, {}, sx)],
+                    out=np.diag(free_diagonal(model, ())))
     a1 = _mode_destroy(config.n_max)
-    for p in range(1, config.n_modes + 1):
-        flip = flip + 0.5 * eta[p - 1] * nu[p - 1] * embed_factors(config, {p: 1j * (a1 - a1.conj().T)}, sx)
+    flip = kron_terms(config, [(0.5 * eta[p - 1] * nu[p - 1], {p: 1j * (a1 - a1.conj().T)}, sx)
+                               for p in range(1, config.n_modes + 1)])
     return IntermediateParts(
         OperatorMatrix(config, h0, hermitian=True),
         OperatorMatrix(config, flip, hermitian=True),
@@ -208,12 +196,12 @@ def mixed_hamiltonian(model: ModelSpec) -> IntermediateParts:
     a1 = _mode_destroy(config.n_max)
     x = 1j * (a1 - a1.conj().T)
     sz, sx = {1: _SPIN_2X2["z"]}, {1: _SPIN_2X2["x"]}
-    h0 = np.diag(free_diagonal(model, ()).astype(complex)) + 0.5 * par.delta_eff * embed_factors(config, spin_ops=sz)
-    flip = np.zeros_like(h0)
     root = 1.0 / np.sqrt(4.0 + par.Delta**2)
-    for p in range(1, config.n_modes + 1):
-        h0 = h0 - (par.Delta * root / 2.0) * par.eta[p - 1] * nu[p - 1] * embed_factors(config, {p: x}, sz)
-        flip = flip + root * par.eta[p - 1] * nu[p - 1] * embed_factors(config, {p: x}, sx)
+    modes = range(1, config.n_modes + 1)
+    h0 = kron_terms(config, [(0.5 * par.delta_eff, {}, sz)]
+                    + [(-(par.Delta * root / 2.0) * par.eta[p - 1] * nu[p - 1], {p: x}, sz) for p in modes],
+                    out=np.diag(free_diagonal(model, ()).astype(complex)))
+    flip = kron_terms(config, [(root * par.eta[p - 1] * nu[p - 1], {p: x}, sx) for p in modes])
     return IntermediateParts(
         OperatorMatrix(config, h0, hermitian=True),
         OperatorMatrix(config, flip, hermitian=True),
@@ -239,26 +227,20 @@ def gauged_balanced_flip(model: ModelSpec) -> np.ndarray:
     """P^dag F P of balanced_hamiltonian's flip part F in the parity gauge P, real: i (a - a^dag) -> -(a + a^dag)."""
     config = model.config
     nu = model.chain.nu
-    flip = np.zeros((config.dim, config.dim))
-    blocks = spin_blocks(config, flip)
     a1 = _mode_destroy(config.n_max)
     x = -(a1 + a1.T)
+    terms = []
     for j, par in enumerate(model.balanced(), start=1):
-        pairs = raising_blocks(config, j)  # (r, c): the sigma_+^j block is [r, c], the sigma_-^j block [c, r]
+        sp, sm = {j: _SPIN_2X2["plus"]}, {j: _SPIN_2X2["minus"]}
         d2 = displacement_factors(config, par.eta_eff)
         d2_dag = dagger_factors(d2)
         for p in range(1, config.n_modes + 1):  # x_p (sigma_-^j Dj^dag2 + sigma_+^j Dj^2), factor by factor
             coup = par.eta_eff_by_Delta[p - 1] * nu[p - 1]
-            down = coup * reduce(np.kron, {**d2_dag, p: x @ d2_dag[p]}.values())
-            up = coup * reduce(np.kron, {**d2, p: x @ d2[p]}.values())
-            for r, c in pairs:
-                blocks[:, c, :, r] += down
-                blocks[:, r, :, c] += up
-        # - kappa_j (sigma_-^j Dj^dag2 - sigma_+^j Dj^2), with w the mode block of kappa_j sigma_+^j Dj^2
-        w = float(np.sum(par.eta_eff_by_Delta * par.eta_eff * nu)) * reduce(np.kron, d2.values())
-        for r, c in pairs:
-            blocks[:, c, :, r] -= w.T
-            blocks[:, r, :, c] += w
+            terms += [(coup, {**d2_dag, p: x @ d2_dag[p]}, sm), (coup, {**d2, p: x @ d2[p]}, sp)]
+        kappa = float(np.sum(par.eta_eff_by_Delta * par.eta_eff * nu))
+        terms += [(-kappa, d2_dag, sm), (kappa, d2, sp)]  # - kappa_j (sigma_-^j Dj^dag2 - sigma_+^j Dj^2)
+    # every term is added onto zeros (0.0 + x), none written in place, so zero entries keep the sum's sign
+    flip = kron_terms(config, terms, out=np.zeros((config.dim, config.dim)))
     return (flip + flip.T) / 2.0
 
 
@@ -299,7 +281,7 @@ def jc_interaction(model: ModelSpec, t: float) -> OperatorMatrix:
     config = model.config
     nu = model.chain.nu
     a1 = _mode_destroy(config.n_max)
-    out = np.zeros((config.dim, config.dim), dtype=complex)
+    terms = []
     for j, par in enumerate(model.balanced(), start=1):
         sp, sm = {j: _SPIN_2X2["plus"]}, {j: _SPIN_2X2["minus"]}
         # prod_p exp(i etaeff_p (e^{-i nu_p t} a_p + e^{i nu_p t} a_p^dag)), one factor per mode
@@ -311,13 +293,11 @@ def jc_interaction(model: ModelSpec, t: float) -> OperatorMatrix:
             ph_plus = np.exp(-1j * (nu[p - 1] + par.delta_eff) * t)
             up = (ph_minus * a1 - np.conj(ph_plus) * a1.conj().T) @ dt[p]  # sigma_+ terms
             down = (ph_plus * a1 - np.conj(ph_minus) * a1.conj().T) @ dt_dag[p]  # sigma_- terms
-            out = out + 1j * coup * embed_factors(config, {**dt, p: up}, sp)
-            out = out + 1j * coup * embed_factors(config, {**dt_dag, p: down}, sm)
+            terms += [(1j * coup, {**dt, p: up}, sp), (1j * coup, {**dt_dag, p: down}, sm)]
         kappa = float(np.sum(par.eta_eff_by_Delta * par.eta_eff * nu))
-        out = out - kappa * (
-            np.exp(-1j * par.delta_eff * t) * embed_factors(config, dt_dag, sm)
-            - np.exp(1j * par.delta_eff * t) * embed_factors(config, dt, sp)
-        )
+        terms += [(-kappa * np.exp(-1j * par.delta_eff * t), dt_dag, sm),
+                  (kappa * np.exp(1j * par.delta_eff * t), dt, sp)]
+    out = kron_terms(config, terms)
     out = (out + out.conj().T) / 2.0
     return OperatorMatrix(config, out, hermitian=True)
 

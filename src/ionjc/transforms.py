@@ -30,7 +30,7 @@ from .fock import (
     dagger_factors,
     displacement_factors,
     embed_factors,
-    spin_blocks,
+    kron_terms,
     ungauge,
 )
 
@@ -157,10 +157,8 @@ def linearizing_transform(config: HilbertConfig, eta_row: Sequence[float], ion: 
     D = prod_p D_p(i eta_p / 2).
     """
     d = displacement_factors(config, 0.5j * np.asarray(eta_row, dtype=float))
-    t1 = (
-        embed_factors(config, dagger_factors(d), {ion: _SPIN_2X2["ee"] - _SPIN_2X2["minus"]})
-        + embed_factors(config, d, {ion: _SPIN_2X2["plus"] + _SPIN_2X2["gg"]})
-    ) / np.sqrt(2.0)
+    t1 = kron_terms(config, [(1.0, dagger_factors(d), {ion: (_SPIN_2X2["ee"] - _SPIN_2X2["minus"]) / np.sqrt(2.0)}),
+                             (1.0, d, {ion: (_SPIN_2X2["plus"] + _SPIN_2X2["gg"]) / np.sqrt(2.0)})])
     return OperatorMatrix(config, t1, unitary=True)
 
 
@@ -178,8 +176,7 @@ def conditional_displacement(
 ) -> OperatorMatrix:
     """Block-diagonal spin-conditioned displacement diag(D({alpha}), D({alpha})^dag)."""
     d = displacement_factors(config, np.asarray(alpha_row, dtype=complex))
-    t3 = embed_factors(config, d, {ion: _SPIN_2X2["ee"]})
-    t3 = t3 + embed_factors(config, dagger_factors(d), {ion: _SPIN_2X2["gg"]})
+    t3 = kron_terms(config, [(1.0, d, {ion: _SPIN_2X2["ee"]}), (1.0, dagger_factors(d), {ion: _SPIN_2X2["gg"]})])
     return OperatorMatrix(config, t3, unitary=True)
 
 
@@ -193,14 +190,15 @@ def gauged_balanced_transform(config: HilbertConfig, params: Sequence[BalancedPa
         coef = np.array([[c + s, c - s], [s - c, s + c]]) / np.sqrt(2.0)
         d, da = displacement_factors(config, 0.5 * par.eta), displacement_factors(config, par.alpha.imag)
         ions.append((coef, (da, dagger_factors(da)), (dagger_factors(d), d)))
-    out = np.empty((config.dim, config.dim))
-    blocks, spins = spin_blocks(config, out), list(np.ndindex(config.shape[config.n_modes:]))
-    for (row, rs), (col, cs) in itertools.product(enumerate(spins), repeat=2):
-        scale = np.prod([w[r, q] for (w, _, _), r, q in zip(ions, rs, cs)])
-        modes = [reduce(np.matmul, [lf[r][p] @ rf[q][p] for (_, lf, rf), r, q in zip(ions, rs, cs)])
-                 for p in range(1, config.n_modes + 1)]
-        blocks[:, row, :, col] = scale * reduce(np.kron, modes)
-    return out
+    units = [[_SPIN_2X2["ee"], _SPIN_2X2["plus"]], [_SPIN_2X2["minus"], _SPIN_2X2["gg"]]]  # |r><q| over (e, g)
+    terms = []
+    # the product of the ions' block matrices: one term per choice of an entry (r, q) of each
+    for rq in itertools.product(itertools.product(range(2), repeat=2), repeat=len(ions)):
+        scale = np.prod([w[r, q] for (w, _, _), (r, q) in zip(ions, rq)])
+        modes = {p: reduce(np.matmul, [lf[r][p] @ rf[q][p] for (_, lf, rf), (r, q) in zip(ions, rq)])
+                 for p in range(1, config.n_modes + 1)}
+        terms.append((scale, modes, {j: units[r][q] for j, (r, q) in enumerate(rq, start=1)}))
+    return kron_terms(config, terms)
 
 
 def balanced_transform(config: HilbertConfig, params: Sequence[BalancedParams]) -> OperatorMatrix:
@@ -210,8 +208,9 @@ def balanced_transform(config: HilbertConfig, params: Sequence[BalancedParams]) 
     * linearizing_transform for that ion, over its (e, g) spin the 2 x 2 block
     matrix diag(Da, Da^dag) R(theta) [[1, 1], [-1, 1]] diag(D^dag, D) / sqrt(2)
     with D = prod_p D_p(i eta_p / 2), Da = prod_p D_p(alpha_p).  Factors of
-    different ions commute, so each spin block of the product is a scalar times
-    one Kronecker product of per-mode factor products, written into place.
+    different ions commute, so the product is one Kronecker term per choice of
+    an entry of each ion's block matrix: a scalar, per-mode factor products and
+    one |r><q| per ion, assembled by fock.kron_terms.
     """
     return OperatorMatrix(config, ungauge(config, gauged_balanced_transform(config, params)), unitary=True)
 
@@ -230,11 +229,11 @@ def balanced_transform_closed(
     for ion, par in enumerate(params, start=1):
         d_minus = displacement_factors(config, 1j * par.eps_minus * par.eta)
         d_plus = displacement_factors(config, 1j * par.eps_plus * par.eta)
-        factor = (
-            par.kappa_plus * embed_factors(config, d_minus, {ion: _SPIN_2X2["ee"]})
-            + par.kappa_minus * embed_factors(config, d_plus, {ion: _SPIN_2X2["plus"]})
-            - par.kappa_minus * embed_factors(config, dagger_factors(d_plus), {ion: _SPIN_2X2["minus"]})
-            + par.kappa_plus * embed_factors(config, dagger_factors(d_minus), {ion: _SPIN_2X2["gg"]})
-        )
+        factor = kron_terms(config, [
+            (par.kappa_plus, d_minus, {ion: _SPIN_2X2["ee"]}),
+            (par.kappa_minus, d_plus, {ion: _SPIN_2X2["plus"]}),
+            (-par.kappa_minus, dagger_factors(d_plus), {ion: _SPIN_2X2["minus"]}),
+            (par.kappa_plus, dagger_factors(d_minus), {ion: _SPIN_2X2["gg"]}),
+        ])
         out = factor @ out
     return OperatorMatrix(config, out, unitary=True)

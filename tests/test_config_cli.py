@@ -378,6 +378,20 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, spelling, keys, path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content", [
+    b'{"experiment": "modes", "chain": {"N": ' + b"7" * 5001 + b"}}",  # past the int-conversion digit limit
+    b"[" * 100_000 + b"]" * 100_000,  # nested past the recursion limit
+    b'{"experiment": "modes\xff"}',  # not UTF-8
+], ids=["long-integer", "deep-nesting", "not-utf8"])
+def test_cli_unreadable_config_exits_2_with_its_path(tmp_path, capsys, content):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_bytes(content)
+    out = tmp_path / "out.csv"
+    assert main(["modes", "--config", str(config_path), "--out", str(out)]) == 2
+    assert f"config error: {config_path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_exit_code_experiment_mismatch(tmp_path, capsys):
     path = write_config(tmp_path, minimal_modes_config())
     assert main(["resonance", "--config", path]) == 2

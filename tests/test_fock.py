@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -20,12 +21,11 @@ from ionjc.fock import (
     guard_mask,
     guarded_distance,
     guarded_infidelity,
+    kron_terms,
     ladder,
     mode_occupations,
     parity_gauge,
     population_above_guard,
-    raising_blocks,
-    spin_blocks,
     spin_op,
     spin_signs,
 )
@@ -276,19 +276,45 @@ def test_check_residuals_equal_dense_formulas(dtype):
         check_matrix(h, hermitian=True)
 
 
-def test_spin_blocks_view_of_the_basis_layout():
-    cfg = HilbertConfig(n_modes=2, n_max=3, n_spins=2)
-    m = np.zeros((cfg.dim, cfg.dim))
-    # sigma_+ on ion 1 flips the slower spin axis (stride 2 in the 4 spin states), on ion 2 the faster one
-    assert raising_blocks(cfg, 1) == [(0, 2), (1, 3)]
-    assert raising_blocks(cfg, 2) == [(0, 1), (2, 3)]
-    mode_block = np.arange(81.0).reshape(9, 9)
-    for r, c in raising_blocks(cfg, 2):
-        spin_blocks(cfg, m)[:, r, :, c] = mode_block  # writes through to m
-    expected = np.kron(mode_block, np.kron(np.eye(2), fock._SPIN_2X2["plus"]))
-    assert (m == expected).all()
+def _dense_term(cfg, c, mode_ops, spin_ops):
+    factors = [mode_ops.get(p, np.eye(cfg.n_max)) for p in range(1, cfg.n_modes + 1)]
+    factors += [spin_ops.get(j, np.eye(2)) for j in range(1, cfg.n_spins + 1)]
+    return c * reduce(np.kron, factors)
+
+
+@pytest.mark.parametrize("n_modes, n_max, n_spins", [(1, 4, 1), (2, 3, 2), (3, 2, 3)])
+def test_kron_terms_against_dense_kron(n_modes, n_max, n_spins):
+    cfg = HilbertConfig(n_modes=n_modes, n_max=n_max, n_spins=n_spins)
+    rng = np.random.default_rng(n_spins)
+
+    def mode():
+        return rng.normal(size=(n_max, n_max))
+
+    plus, minus = fock._SPIN_2X2["plus"], fock._SPIN_2X2["minus"]
+    terms = [
+        (0.7, {1: mode()}, {1: plus}),
+        (-1.3 + 0.4j, {n_modes: mode() + 1j * mode()}, {n_spins: minus}),  # complex coefficient and factor
+        (0.5, {p: mode() for p in range(1, n_modes + 1)}, {j: rng.normal(size=(2, 2)) for j in range(1, n_spins + 1)}),
+        (2.0, {}, {1: plus}),  # reaches the blocks of the first term again
+    ]
+    # the first two terms reach disjoint blocks: every other block of a new matrix is exactly zero
+    assert kron_terms(cfg, terms[:1]).dtype == float
+    pair = kron_terms(cfg, terms[:2])
+    assert pair.dtype == complex
+    assert np.array_equal(pair, _dense_term(cfg, *terms[0]) + _dense_term(cfg, *terms[1]))
+    expected = sum(_dense_term(cfg, *term) for term in terms)
+    assert np.allclose(kron_terms(cfg, terms), expected, rtol=0.0, atol=1e-13)
+    start = rng.normal(size=(cfg.dim, cfg.dim)) + 0j
+    out = start.copy()
+    assert kron_terms(cfg, terms, out=out) is out
+    assert np.allclose(out, start + expected, rtol=0.0, atol=1e-13)
+    assert np.allclose(embed_factors(cfg, *terms[2][1:]), _dense_term(cfg, 1.0, *terms[2][1:]), rtol=0.0, atol=1e-13)
+    with pytest.raises(ValueError, match=f"mode index {n_modes + 1} out of range 1..{n_modes}"):
+        kron_terms(cfg, [(1.0, {n_modes + 1: mode()}, {})])
+    with pytest.raises(ValueError, match=f"ion index 0 out of range 1..{n_spins}"):
+        kron_terms(cfg, terms[:1] + [(1.0, {}, {0: plus})])
     with pytest.raises(ValueError, match="C-contiguous"):
-        spin_blocks(cfg, np.asfortranarray(m))
+        kron_terms(cfg, terms, out=np.asfortranarray(start))
 
 
 def test_guarded_distance_basics():

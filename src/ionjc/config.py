@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .chain import ChainModel, LaserDrive
-from .fock import HilbertConfig
+from .fock import DENSE_MATRIX_BYTES, HilbertConfig, basis_state, coherent_state, population_above_guard
 from .hamiltonians import ModelSpec
 from .propagators import METHODS, RWA_METHODS
 
@@ -27,6 +27,7 @@ AMU_SI = 1.66053906892e-27
 
 EXPERIMENTS = ("modes", "resonance", "sweep-rabi", "evolve")
 MAX_IONS = 10
+MAX_GRID_POINTS = DENSE_MATRIX_BYTES // 1024  # 2**20 sweep or time points: 1 KiB of output row each
 
 
 class ConfigError(ValueError):
@@ -42,12 +43,15 @@ class SweepSpec:
 
 @dataclass(frozen=True, eq=False)
 class EvolveSpec:
+    """Time grid, method and start state; ``psi0`` is built, guard-checked and made read-only at parse time."""
+
     times: np.ndarray
     method: str
     resonant_pair: tuple[int, int] | None
     fock: tuple[int, ...] | None
     coherent: tuple[complex, ...] | None
     spins: tuple[str, ...]
+    psi0: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,6 +88,14 @@ def _typed(value, kind, path):
         raise ConfigError(f"{path}: expected an object, got {value!r}")
     if kind is list and not isinstance(value, list):
         raise ConfigError(f"{path}: expected an array, got {value!r}")
+    return value
+
+
+def _grid_list(value, path) -> list:
+    """An explicit grid array, bounded before any of its points is converted."""
+    value = _typed(value, list, path)
+    if len(value) > MAX_GRID_POINTS:
+        raise ConfigError(f"{path}: at most {MAX_GRID_POINTS} points")
     return value
 
 
@@ -209,15 +221,15 @@ def _parse_sweep(raw, model, freq_scale) -> SweepSpec:
     if not 1 <= mode <= model.chain.N:
         raise ConfigError("$.sweep.mode: out of range")
     if "grid" in s:
-        grid = np.array([_typed(v, float, "$.sweep.grid[*]") for v in _typed(s["grid"], list, "$.sweep.grid")])
+        grid = np.array([_typed(v, float, "$.sweep.grid[*]") for v in _grid_list(s["grid"], "$.sweep.grid")])
         grid = grid / freq_scale
     else:
         start = _typed(s.get("start", 1e-2), float, "$.sweep.start") / freq_scale
         stop = _typed(s.get("stop", 10.0), float, "$.sweep.stop") / freq_scale
         points = _typed(s.get("points", 25), int, "$.sweep.points")
         scale = _typed(s.get("scale", "log"), str, "$.sweep.scale")
-        if points < 2:
-            raise ConfigError("$.sweep.points: need at least 2 grid points")
+        if not 2 <= points <= MAX_GRID_POINTS:
+            raise ConfigError(f"$.sweep.points: need 2..{MAX_GRID_POINTS} grid points")
         if start <= 0 or stop <= start:
             raise ConfigError("$.sweep: need 0 < start < stop")
         if scale == "log":
@@ -237,14 +249,16 @@ def _parse_sweep(raw, model, freq_scale) -> SweepSpec:
 def _parse_evolve(raw, model, freq_scale) -> EvolveSpec:
     e = _require(raw, "evolve", "$", dict)
     if "times" in e:
-        times = np.array([_typed(v, float, "$.evolve.times[*]") for v in _typed(e["times"], list, "$.evolve.times")])
+        times = np.array([_typed(v, float, "$.evolve.times[*]") for v in _grid_list(e["times"], "$.evolve.times")])
         times = times * freq_scale
     else:
         t_stop = _require(e, "t_stop", "$.evolve", float) * freq_scale
         t_start = _typed(e.get("t_start", 0.0), float, "$.evolve.t_start") * freq_scale
         steps = _typed(e.get("steps", 200), int, "$.evolve.steps")
-        if steps < 2 or t_stop <= t_start:
-            raise ConfigError("$.evolve: need t_stop > t_start and steps >= 2")
+        if not 2 <= steps <= MAX_GRID_POINTS:
+            raise ConfigError(f"$.evolve.steps: need 2..{MAX_GRID_POINTS} time points")
+        if t_stop <= t_start:
+            raise ConfigError("$.evolve: need t_stop > t_start")
         times = np.linspace(t_start, t_stop, steps)
     if len(times) < 2 or not np.all(np.diff(times) > 0):
         raise ConfigError("$.evolve.times: must be strictly increasing with >= 2 points")
@@ -263,23 +277,26 @@ def _parse_evolve(raw, model, freq_scale) -> EvolveSpec:
     st = _require(e, "initial_state", "$.evolve", dict)
     spins = tuple(_typed(s, str, "$.evolve.initial_state.spins[*]")
                   for s in _require(st, "spins", "$.evolve.initial_state", list))
-    if len(spins) != len(model.drives) or any(s not in ("e", "g") for s in spins):
-        raise ConfigError("$.evolve.initial_state.spins: one 'e'/'g' label per drive")
     fock = coherent = None
     if ("fock" in st) == ("coherent" in st):
         raise ConfigError("$.evolve.initial_state: give exactly one of fock or coherent")
     if "fock" in st:
         fock = tuple(_typed(n, int, "$.evolve.initial_state.fock[*]")
                      for n in _typed(st["fock"], list, "$.evolve.initial_state.fock"))
-        if len(fock) != model.chain.N or any(n < 0 or n >= model.config.n_max for n in fock):
-            raise ConfigError("$.evolve.initial_state.fock: one index in 0..n_max-1 per mode")
     else:
         coherent = tuple(complex(_typed(a, float, "$.evolve.initial_state.coherent[*]"))
                          for a in _typed(st["coherent"], list, "$.evolve.initial_state.coherent"))
-        if len(coherent) != model.chain.N:
-            raise ConfigError("$.evolve.initial_state.coherent: one amplitude per mode")
+    try:  # fock owns the spin, Fock-range and amplitude rules
+        psi0 = (basis_state(model.config, fock, spins) if fock is not None
+                else coherent_state(model.config, coherent, spins))
+    except ValueError as exc:
+        raise ConfigError(f"$.evolve.initial_state: {exc}") from exc
+    leak = population_above_guard(model.config, psi0)
+    if leak > 1e-6:
+        raise ConfigError(f"$.evolve.initial_state: {leak:.3e} population above the guard band; raise n_max")
+    psi0.setflags(write=False)
     return EvolveSpec(times=times, method=method, resonant_pair=pair,
-                      fock=fock, coherent=coherent, spins=spins)
+                      fock=fock, coherent=coherent, spins=spins, psi0=psi0)
 
 
 def _normalize(experiment, model, sweep, evolve, out_path, out_format) -> dict:

@@ -17,15 +17,7 @@ from typing import IO
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .fock import (
-    basis_state,
-    coherent_state,
-    guard_mask,
-    guarded_infidelity,
-    mode_occupations,
-    population_above_guard,
-    spin_signs,
-)
+from .fock import guard_mask, guarded_infidelity, mode_occupations, spin_signs
 from .hamiltonians import resonance_offsets
 from .propagators import _plan, evolve_states, exact_propagator, jc_coupling
 from .transforms import corrected_detuning
@@ -166,20 +158,8 @@ def run_sweep_rabi(cfg: ExperimentConfig, threads: int = 1) -> Table:
 
 
 def initial_state(cfg: ExperimentConfig) -> np.ndarray:
-    """Initial state of the evolve experiment, rejected if it leaks past the guard."""
-    ev = cfg.evolve
-    config = cfg.model.config
-    try:
-        psi = (basis_state(config, ev.fock, ev.spins) if ev.fock is not None
-               else coherent_state(config, ev.coherent, ev.spins))
-    except ValueError as exc:
-        raise ConfigError(f"$.evolve.initial_state: {exc}") from exc
-    leak = population_above_guard(config, psi)
-    if leak > 1e-6:
-        raise ConfigError(
-            f"initial state carries {leak:.3e} population above the guard band; raise n_max"
-        )
-    return psi
+    """Read-only start state of the evolve experiment, built and checked by ``parse_config``."""
+    return cfg.evolve.psi0
 
 
 def run_evolve(cfg: ExperimentConfig) -> Table:

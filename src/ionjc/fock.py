@@ -426,26 +426,28 @@ def spin_signs(config: HilbertConfig) -> np.ndarray:
     return signs
 
 
+def _spin_index(config: HilbertConfig, spins: Sequence[str]) -> tuple[int, ...]:
+    """Basis index of each ion's definite spin: 0 for 'e', 1 for 'g'."""
+    if len(spins) != config.n_spins or any(s not in ("e", "g") for s in spins):
+        raise ValueError("need one spin label 'e' or 'g' per ion")
+    return tuple(0 if s == "e" else 1 for s in spins)
+
+
 def basis_state(config: HilbertConfig, fock: Sequence[int], spins: Sequence[str]) -> np.ndarray:
     """Product basis state |n_1 .. n_k> (x) |s_1 .. s_m>, spins 'e' or 'g'."""
-    if len(fock) != config.n_modes or len(spins) != config.n_spins:
-        raise ValueError("need one Fock index per mode and one spin label per ion")
-    for n in fock:
-        if not 0 <= n < config.n_max:
-            raise ValueError(f"Fock index {n} outside 0..{config.n_max - 1}")
-    if any(s not in ("e", "g") for s in spins):
-        raise ValueError("spin labels must be 'e' or 'g'")
+    spin = _spin_index(config, spins)
+    if len(fock) != config.n_modes or any(not 0 <= n < config.n_max for n in fock):
+        raise ValueError(f"need one Fock index in 0..{config.n_max - 1} per mode")
     vec = np.zeros(config.shape, dtype=complex)
-    vec[tuple(int(n) for n in fock) + tuple(0 if s == "e" else 1 for s in spins)] = 1.0
+    vec[tuple(int(n) for n in fock) + spin] = 1.0
     return vec.ravel()
 
 
 def coherent_state(config: HilbertConfig, alphas: Sequence[complex], spins: Sequence[str]) -> np.ndarray:
     """Normalized truncated coherent state on every mode, definite spin per ion."""
-    if len(alphas) != config.n_modes or len(spins) != config.n_spins:
-        raise ValueError("need one amplitude per mode and one spin label per ion")
-    if any(s not in ("e", "g") for s in spins):
-        raise ValueError("spin labels must be 'e' or 'g'")
+    spin = _spin_index(config, spins)
+    if len(alphas) != config.n_modes:
+        raise ValueError("need one coherent amplitude per mode")
     cols = []
     for al in alphas:
         col = np.zeros(config.n_max, dtype=complex)
@@ -454,7 +456,7 @@ def coherent_state(config: HilbertConfig, alphas: Sequence[complex], spins: Sequ
             col[n] = col[n - 1] * al / math.sqrt(n)
         cols.append(col)
     vec = np.zeros(config.shape, dtype=complex)
-    vec[(Ellipsis,) + tuple(0 if s == "e" else 1 for s in spins)] = reduce(np.multiply.outer, cols)
+    vec[(Ellipsis,) + spin] = reduce(np.multiply.outer, cols)
     norm = np.linalg.norm(vec)
     if not norm > 0.0:  # exp(-|alpha|^2 / 2) underflows to 0 once |alpha| exceeds about 38.6
         raise ValueError(f"coherent amplitudes {list(alphas)} underflow to a zero state")

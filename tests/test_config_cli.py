@@ -10,12 +10,21 @@ from ionjc.cli import main
 from ionjc.config import (
     AMU_SI,
     HBAR_SI,
+    MAX_GRID_POINTS,
     ConfigError,
     parse_config,
     serialize_config,
 )
-from ionjc.experiments import Table, run_evolve, run_modes, run_resonance, run_sweep_rabi, write_table
-from ionjc.fock import NumericalValidationError
+from ionjc.experiments import (
+    Table,
+    initial_state,
+    run_evolve,
+    run_modes,
+    run_resonance,
+    run_sweep_rabi,
+    write_table,
+)
+from ionjc.fock import NumericalValidationError, basis_state, coherent_state
 from ionjc.propagators import exact_propagator
 from ionjc.transforms import NoDriveError
 
@@ -285,19 +294,75 @@ def test_evolve_coherent_state_bounded_populations():
 
 
 def test_evolve_rejects_leaky_coherent_state(tmp_path, capsys):
-    cfg_dict = evolve_config(initial_state={"coherent": [3.5], "spins": ["g"]})
-    cfg = parse_config(cfg_dict)
-    with pytest.raises(ConfigError, match="guard"):
-        run_evolve(cfg)
+    # a start state leaking past the guard band is rejected by the parser, before any run
+    with pytest.raises(ConfigError, match=r"^\$\.evolve\.initial_state: .*guard"):
+        parse_config(evolve_config(initial_state={"coherent": [3.5], "spins": ["g"]}))
     # amplitude 40 underflows exp(-|alpha|^2 / 2) to 0: a config error, not NaN rows
     cfg_dict = evolve_config(initial_state={"coherent": [40.0], "spins": ["g"]})
     cfg_dict["hilbert"] = {"n_max": 40, "guard": 10}
     with pytest.raises(ConfigError, match=r"\$\.evolve\.initial_state: "):
-        run_evolve(parse_config(cfg_dict))
+        parse_config(cfg_dict)
     out = tmp_path / "out.csv"
     assert main(["evolve", "--config", write_config(tmp_path, cfg_dict), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("state, rule", [
+    ({"fock": [1], "spins": ["g", "g"]}, "one spin label 'e' or 'g' per ion"),
+    ({"fock": [1], "spins": ["x"]}, "one spin label 'e' or 'g' per ion"),
+    ({"fock": [24], "spins": ["g"]}, r"one Fock index in 0\.\.23 per mode"),
+    ({"fock": [-1], "spins": ["g"]}, r"one Fock index in 0\.\.23 per mode"),
+    ({"coherent": [0.5, 0.5], "spins": ["g"]}, "one coherent amplitude per mode"),
+    ({"coherent": [40.0], "spins": ["g"]}, "underflow to a zero state"),
+    ({"coherent": [3.5], "spins": ["g"]}, "above the guard band"),
+], ids=["spin-count", "spin-label", "fock-above", "fock-below", "coherent-length", "underflow", "leak"])
+def test_evolve_start_state_rejected_at_parse_time(tmp_path, capsys, state, rule):
+    cfg_dict = evolve_config(initial_state=state)
+    with pytest.raises(ConfigError, match=r"^\$\.evolve\.initial_state: .*" + rule):
+        parse_config(cfg_dict)
+    out = tmp_path / "out.csv"
+    assert main(["evolve", "--config", write_config(tmp_path, cfg_dict), "--out", str(out)]) == 2
+    assert "config error: $.evolve.initial_state: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("state", [
+    {"fock": [3], "spins": ["e"]},
+    {"coherent": [-1.5], "spins": ["g"]},
+])
+def test_initial_state_is_the_parsed_start_state(state):
+    cfg = parse_config(evolve_config(initial_state=state))
+    config = cfg.model.config
+    direct = (basis_state(config, state["fock"], state["spins"]) if "fock" in state
+              else coherent_state(config, state["coherent"], state["spins"]))
+    psi0 = initial_state(cfg)
+    assert psi0 is cfg.evolve.psi0 and not psi0.flags.writeable
+    assert np.array_equal(psi0, direct)
+
+
+@pytest.mark.parametrize("path", ["$.evolve.steps", "$.sweep.points", "$.evolve.times", "$.sweep.grid"])
+def test_grid_size_bounded_before_allocation(tmp_path, capsys, path):
+    _, section, key = path.split(".")
+    value = 10**12 if key in ("steps", "points") else list(range(1, MAX_GRID_POINTS + 2))
+    cfg_dict = evolve_config(**{key: value}) if section == "evolve" else {**sweep_config(), "sweep": {key: value}}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"^" + re.escape(path) + ": "):
+            parse_config(cfg_dict)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**24  # rejected before anything of grid size is allocated
+    out = tmp_path / "out.csv"
+    assert main([cfg_dict["experiment"], "--config", write_config(tmp_path, cfg_dict), "--out", str(out)]) == 2
+    assert f"config error: {path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_grid_size_bound_is_inclusive():
+    assert MAX_GRID_POINTS == 2**20
+    assert len(parse_config(evolve_config(steps=MAX_GRID_POINTS)).evolve.times) == MAX_GRID_POINTS
 
 
 def test_write_table_formats(tmp_path):

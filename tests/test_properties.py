@@ -109,10 +109,11 @@ def raw_configs(draw):
     elif raw["experiment"] == "evolve":
         method = draw(st.sampled_from(METHODS))
         spins = draw(st.lists(st.sampled_from(["e", "g"]), min_size=len(drives), max_size=len(drives)))
+        kept = n_max - raw["hilbert"]["guard"]  # the parser rejects a start state above the guard band
         if draw(st.booleans()):
-            state = {"fock": draw(st.lists(st.integers(0, n_max - 1), min_size=n_ions, max_size=n_ions))}
-        else:
-            state = {"coherent": draw(st.lists(st.floats(-1.0, 1.0), min_size=n_ions, max_size=n_ions))}
+            state = {"fock": draw(st.lists(st.integers(0, kept - 1), min_size=n_ions, max_size=n_ions))}
+        else:  # small enough to stay below the band even when the guard keeps only the vacuum
+            state = {"coherent": draw(st.lists(st.floats(-1e-4, 1e-4), min_size=n_ions, max_size=n_ions))}
         raw["evolve"] = {"t_stop": draw(st.floats(0.1, 50.0)) / freq, "steps": draw(st.integers(2, 6)),
                          "method": method, "initial_state": {**state, "spins": spins}}
         if method in ("pipeline_rwa", "standard_rwa", "rwa_jc"):

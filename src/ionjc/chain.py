@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+NEWTON_TOL = 1e-13  # equilibrium_positions stops once max |residual| is below this
+NEWTON_MAX_ITER = 200
 
 @dataclass(frozen=True, eq=False)
 class LaserDrive:
@@ -76,7 +78,7 @@ def _hessian(u: np.ndarray) -> np.ndarray:
     return np.diag(1.0 + inv3.sum(axis=1)) - inv3
 
 
-def equilibrium_positions(n_ions: int, tol: float = 1e-13, max_iter: int = 200) -> np.ndarray:
+def equilibrium_positions(n_ions: int) -> np.ndarray:
     """Dimensionless equilibrium positions of n_ions in a harmonic axial trap.
 
     Solves u_m - sum_{n<m} (u_m - u_n)^-2 + sum_{n>m} (u_m - u_n)^-2 = 0 by
@@ -94,9 +96,9 @@ def equilibrium_positions(n_ions: int, tol: float = 1e-13, max_iter: int = 200) 
         return np.zeros(1)
     # uniform seed with the c / N^0.56 spacing heuristic
     u = (np.arange(n_ions) - (n_ions - 1) / 2.0) * (2.0 / n_ions**0.56)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         res = equilibrium_residual(u)
-        if np.abs(res).max() < tol:
+        if np.abs(res).max() < NEWTON_TOL:
             break
         step = np.linalg.solve(_hessian(u), res)
         lam = 1.0

@@ -9,15 +9,12 @@ failure, 1 any other failure (numpy errors, MemoryError), on one stderr line.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .config import ConfigError, parse_config
 from .experiments import run_experiment, write_table
 from .fock import NumericalValidationError
 from .transforms import NoDriveError
-
-THREADS_ENV = "IONJC_THREADS"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,38 +33,21 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--out", default=None, help="output path (default: config output.path or stdout)")
         p.add_argument("--format", default=None, choices=("csv", "json"), help="output format")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help=f"worker threads for sweeps (default: ${THREADS_ENV} or 1)",
-        )
+        p.add_argument("--threads", type=int, default=1, help="worker threads for sweeps (default: 1)")
     return parser
-
-
-def _thread_count(args) -> int:
-    if args.threads is not None:
-        n = args.threads
-    else:
-        try:
-            n = int(os.environ.get(THREADS_ENV, "1"))
-        except ValueError:
-            raise ConfigError(f"${THREADS_ENV} must be an integer") from None
-    if n < 1:
-        raise ConfigError("thread count must be >= 1")
-    return n
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        threads = _thread_count(args)
+        if args.threads < 1:
+            raise ConfigError("thread count must be >= 1")
         cfg = parse_config(args.config)
         if cfg.experiment != args.command:
             raise ConfigError(
                 f"config declares experiment {cfg.experiment!r} but the {args.command!r} subcommand was invoked"
             )
-        table = run_experiment(cfg, threads=threads)
+        table = run_experiment(cfg, threads=args.threads)
         out_path = args.out if args.out is not None else cfg.out_path
         fmt = args.format if args.format is not None else cfg.out_format
         if out_path is None:

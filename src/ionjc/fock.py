@@ -11,8 +11,10 @@ operator-block notation over (e, g) maps directly onto Kronecker products.
 Every operator of the model is a sum of Kronecker terms, mode factors times
 one 2x2 factor per ion, and ``kron_terms``, the one assembler of such sums,
 is the only code that splits a matrix into mode x mode blocks between spin
-states.  The public builders return complex matrices in this basis; the
-propagators build real ones in the mode-parity gauge (``parity_gauge``).
+states.  It has one rule: every term is added, in list order, into a given
+matrix or else into zeros.  The public builders return complex matrices in
+this basis; the propagators build real ones in the mode-parity gauge
+(``parity_gauge``).
 
 Truncation is hard: a_dag annihilates the top Fock level.  Displacements and
 propagators are built by exponentiating the *truncated* generator, so they are
@@ -211,8 +213,8 @@ def kron_terms(
     Keys are 1-based mode / ion indices.  In the layout of config.shape a term
     is its mode product times one scalar in each mode x mode block between spin
     states where its spin product is non-zero, and it is added block by block,
-    never formed at dim x dim.  Terms are added into a given C-contiguous out; a
-    new matrix takes each block from its first term, and zeros where none is.
+    never formed at dim x dim.  One rule: every term is added, into a given
+    C-contiguous out or else into a new matrix of zeros.
     """
     terms = [(c, {p: np.asarray(m) for p, m in (mode_ops or {}).items()},
               {j: np.asarray(s) for j, s in (spin_ops or {}).items()}) for c, mode_ops, spin_ops in terms]
@@ -223,13 +225,12 @@ def kron_terms(
         for j in spin_ops:
             if not 1 <= j <= config.n_spins:
                 raise ValueError(f"ion index {j} out of range 1..{config.n_spins}")
-    spins = 2**config.n_spins
-    written = np.full((spins, spins), out is not None)
     if out is None:
         dtype = reduce(np.promote_types, [np.result_type(c, *m.values(), *s.values()) for c, m, s in terms], float)
-        out = np.empty((config.dim, config.dim), dtype)
+        out = np.zeros((config.dim, config.dim), dtype)
     elif out.shape != (config.dim, config.dim) or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous {config.dim} x {config.dim} matrix, so that blocks write through")
+    spins = 2**config.n_spins
     blocks = out.reshape(config.dim // spins, spins, config.dim // spins, spins)
     eye_m, eye_s = np.eye(config.n_max), np.eye(2)
     for c, mode_ops, spin_ops in terms:
@@ -238,15 +239,9 @@ def kron_terms(
         spin = reduce(np.kron, [spin_ops.get(j, eye_s) for j in range(1, config.n_spins + 1)])
         for r, col in zip(*np.nonzero(spin)):
             scale = spin[r, col]
-            if not written[r, col]:
-                np.multiply(c * scale, modes, out=blocks[:, r, :, col])
-                written[r, col] = True
-                continue
             if scale not in scaled:
                 scaled[scale] = (c * scale) * modes
             blocks[:, r, :, col] += scaled[scale]
-    for r, col in zip(*np.nonzero(~written)):
-        blocks[:, r, :, col] = 0.0
     return out
 
 
@@ -436,10 +431,11 @@ def _spin_index(config: HilbertConfig, spins: Sequence[str]) -> tuple[int, ...]:
 def basis_state(config: HilbertConfig, fock: Sequence[int], spins: Sequence[str]) -> np.ndarray:
     """Product basis state |n_1 .. n_k> (x) |s_1 .. s_m>, spins 'e' or 'g'."""
     spin = _spin_index(config, spins)
-    if len(fock) != config.n_modes or any(not 0 <= n < config.n_max for n in fock):
+    if len(fock) != config.n_modes or not all(
+            isinstance(n, (int, np.integer)) and not isinstance(n, bool) and 0 <= n < config.n_max for n in fock):
         raise ValueError(f"need one Fock index in 0..{config.n_max - 1} per mode")
     vec = np.zeros(config.shape, dtype=complex)
-    vec[tuple(int(n) for n in fock) + spin] = 1.0
+    vec[tuple(fock) + spin] = 1.0
     return vec.ravel()
 
 

@@ -239,8 +239,7 @@ def gauged_balanced_flip(model: ModelSpec) -> np.ndarray:
             terms += [(coup, {**d2_dag, p: x @ d2_dag[p]}, sm), (coup, {**d2, p: x @ d2[p]}, sp)]
         kappa = float(np.sum(par.eta_eff_by_Delta * par.eta_eff * nu))
         terms += [(-kappa, d2_dag, sm), (kappa, d2, sp)]  # - kappa_j (sigma_-^j Dj^dag2 - sigma_+^j Dj^2)
-    # every term is added onto zeros (0.0 + x), none written in place, so zero entries keep the sum's sign
-    flip = kron_terms(config, terms, out=np.zeros((config.dim, config.dim)))
+    flip = kron_terms(config, terms)
     return (flip + flip.T) / 2.0
 
 

@@ -180,25 +180,37 @@ def conditional_displacement(
     return OperatorMatrix(config, t3, unitary=True)
 
 
+_UNITS = ((_SPIN_2X2["ee"], _SPIN_2X2["plus"]), (_SPIN_2X2["minus"], _SPIN_2X2["gg"]))  # |r><q| over (e, g)
+
+
+def _ion_product(config: HilbertConfig, ions: Sequence) -> np.ndarray:
+    """prod_j B_j for one 2 x 2 block operator per ion, ions[j - 1][r][q] = (scale, {mode: factor}) its (r, q) block.
+
+    Blocks of different ions commute, so the product is one Kronecker term per
+    choice of an entry (r, q) of each ion: the product of the scales, per mode
+    the product of the factors in ion order, and |r><q| on each ion.
+    """
+    if len(ions) != config.n_spins:
+        raise ValueError("need balanced parameters for every spin factor")
+    terms = []
+    for rq in itertools.product(itertools.product(range(2), repeat=2), repeat=len(ions)):
+        blocks = [ion[r][q] for ion, (r, q) in zip(ions, rq)]
+        modes = {p: reduce(np.matmul, [m[p] for _, m in blocks]) for p in range(1, config.n_modes + 1)}
+        terms.append((np.prod([scale for scale, _ in blocks]), modes,
+                      {j: _UNITS[r][q] for j, (r, q) in enumerate(rq, start=1)}))
+    return kron_terms(config, terms)
+
+
 def gauged_balanced_transform(config: HilbertConfig, params: Sequence[BalancedParams]) -> np.ndarray:
     """P^dag T P of balanced_transform in the parity gauge P, real: D_p(i y) becomes D_p(y) for D and Da."""
-    if len(params) != config.n_spins:
-        raise ValueError("need balanced parameters for every spin factor")
-    ions = []  # per ion: 2 x 2 scalars, row factors (Da, Da^dag), column factors (D^dag, D)
+    ions = []  # block (r, q) of each ion: coef[r, q] times (Da, Da^dag)[r] times (D^dag, D)[q]
     for par in params:
         c, s = np.cos(par.theta / 2.0), np.sin(par.theta / 2.0)
         coef = np.array([[c + s, c - s], [s - c, s + c]]) / np.sqrt(2.0)
         d, da = displacement_factors(config, 0.5 * par.eta), displacement_factors(config, par.alpha.imag)
-        ions.append((coef, (da, dagger_factors(da)), (dagger_factors(d), d)))
-    units = [[_SPIN_2X2["ee"], _SPIN_2X2["plus"]], [_SPIN_2X2["minus"], _SPIN_2X2["gg"]]]  # |r><q| over (e, g)
-    terms = []
-    # the product of the ions' block matrices: one term per choice of an entry (r, q) of each
-    for rq in itertools.product(itertools.product(range(2), repeat=2), repeat=len(ions)):
-        scale = np.prod([w[r, q] for (w, _, _), (r, q) in zip(ions, rq)])
-        modes = {p: reduce(np.matmul, [lf[r][p] @ rf[q][p] for (_, lf, rf), (r, q) in zip(ions, rq)])
-                 for p in range(1, config.n_modes + 1)}
-        terms.append((scale, modes, {j: units[r][q] for j, (r, q) in enumerate(rq, start=1)}))
-    return kron_terms(config, terms)
+        rows, cols = (da, dagger_factors(da)), (dagger_factors(d), d)
+        ions.append([[(coef[r, q], {p: rows[r][p] @ cols[q][p] for p in d}) for q in range(2)] for r in range(2)])
+    return _ion_product(config, ions)
 
 
 def balanced_transform(config: HilbertConfig, params: Sequence[BalancedParams]) -> OperatorMatrix:
@@ -208,9 +220,9 @@ def balanced_transform(config: HilbertConfig, params: Sequence[BalancedParams]) 
     * linearizing_transform for that ion, over its (e, g) spin the 2 x 2 block
     matrix diag(Da, Da^dag) R(theta) [[1, 1], [-1, 1]] diag(D^dag, D) / sqrt(2)
     with D = prod_p D_p(i eta_p / 2), Da = prod_p D_p(alpha_p).  Factors of
-    different ions commute, so the product is one Kronecker term per choice of
-    an entry of each ion's block matrix: a scalar, per-mode factor products and
-    one |r><q| per ion, assembled by fock.kron_terms.
+    different ions commute, so _ion_product expands their product into one
+    Kronecker term per choice of an entry of each ion's block matrix, which
+    fock.kron_terms assembles.
     """
     return OperatorMatrix(config, ungauge(config, gauged_balanced_transform(config, params)), unitary=True)
 
@@ -221,19 +233,14 @@ def balanced_transform_closed(
     """Closed block form of the balanced transform.
 
     Per ion: [[k+ D(i eps- eta), k- D(i eps+ eta)], [-k- D(i eps+ eta)^dag,
-    k+ D(i eps- eta)^dag]].  Used as a cross-check against the product form.
+    k+ D(i eps- eta)^dag]], built from kappa/eps alone and expanded over the
+    ions by the same _ion_product as the product form, so it stays an
+    independent cross-check of the per-ion blocks.
     """
-    if len(params) != config.n_spins:
-        raise ValueError("need balanced parameters for every spin factor")
-    out = np.eye(config.dim, dtype=complex)
-    for ion, par in enumerate(params, start=1):
+    ions = []
+    for par in params:
         d_minus = displacement_factors(config, 1j * par.eps_minus * par.eta)
         d_plus = displacement_factors(config, 1j * par.eps_plus * par.eta)
-        factor = kron_terms(config, [
-            (par.kappa_plus, d_minus, {ion: _SPIN_2X2["ee"]}),
-            (par.kappa_minus, d_plus, {ion: _SPIN_2X2["plus"]}),
-            (-par.kappa_minus, dagger_factors(d_plus), {ion: _SPIN_2X2["minus"]}),
-            (par.kappa_plus, dagger_factors(d_minus), {ion: _SPIN_2X2["gg"]}),
-        ])
-        out = factor @ out
-    return OperatorMatrix(config, out, unitary=True)
+        ions.append([[(par.kappa_plus, d_minus), (par.kappa_minus, d_plus)],
+                     [(-par.kappa_minus, dagger_factors(d_plus)), (par.kappa_plus, dagger_factors(d_minus))]])
+    return OperatorMatrix(config, _ion_product(config, ions), unitary=True)

@@ -506,13 +506,16 @@ def test_cli_exit_code_by_cause(tmp_path, capsys, monkeypatch, exc, code):
     assert code == 2 or type(exc).__name__ in err
 
 
-def test_cli_thread_env_override(tmp_path, monkeypatch):
+def test_cli_threads_come_from_the_flag_only(tmp_path, capsys, monkeypatch):
     path = write_config(tmp_path, sweep_config(points=2, start=0.05, stop=0.1))
-    monkeypatch.setenv("IONJC_THREADS", "2")
+    monkeypatch.setenv("IONJC_THREADS", "zero")  # an inherited variable is not read
     out = tmp_path / "sweep.csv"
     assert main(["sweep-rabi", "--config", path, "--out", str(out)]) == 0
-    monkeypatch.setenv("IONJC_THREADS", "zero")
-    assert main(["sweep-rabi", "--config", path]) == 2
+    assert out.read_text() != ""
+    bad = tmp_path / "bad.csv"
+    assert main(["sweep-rabi", "--config", path, "--threads", "0", "--out", str(bad)]) == 2
+    assert "config error: thread count must be >= 1" in capsys.readouterr().err
+    assert not bad.exists()
 
 
 def strip_timestamp(text: str) -> str:

@@ -303,7 +303,11 @@ def test_kron_terms_against_dense_kron(n_modes, n_max, n_spins):
     assert pair.dtype == complex
     assert np.array_equal(pair, _dense_term(cfg, *terms[0]) + _dense_term(cfg, *terms[1]))
     expected = sum(_dense_term(cfg, *term) for term in terms)
-    assert np.allclose(kron_terms(cfg, terms), expected, rtol=0.0, atol=1e-13)
+    full = kron_terms(cfg, terms)
+    assert np.allclose(full, expected, rtol=0.0, atol=1e-13)
+    # one rule: a new matrix is the same terms added into explicit zeros, bit for bit (sign bits included)
+    into_zeros = kron_terms(cfg, terms, out=np.zeros((cfg.dim, cfg.dim), complex))
+    assert np.array_equal(full.view(np.uint64), into_zeros.view(np.uint64))
     start = rng.normal(size=(cfg.dim, cfg.dim)) + 0j
     out = start.copy()
     assert kron_terms(cfg, terms, out=out) is out
@@ -418,6 +422,12 @@ def test_basis_and_coherent_states():
     # exp(-|alpha|^2 / 2) underflows to 0: rejected, not normalised into NaNs
     with pytest.raises(ValueError, match="underflow"):
         coherent_state(cfg, [40.0], ["g"])
+    # a Fock index is an integer: 1.5 and 2.9 are not truncated, True is not read as 1
+    four = HilbertConfig(n_modes=1, n_max=4)
+    for fock_index in ([1.5], [True], [2.9]):
+        with pytest.raises(ValueError, match=r"one Fock index in 0\.\.3 per mode"):
+            basis_state(four, fock_index, ["g"])
+    assert np.array_equal(basis_state(four, [np.int64(2)], ["g"]), basis_state(four, [2], ["g"]))
 
 
 def test_spin_signs_and_occupations():

@@ -201,13 +201,14 @@ def test_balanced_transform_product_vs_closed_form():
     assert np.abs(prod.entries - closed.entries).max() <= 1e-10
 
 
-def test_balanced_transform_blocks_equal_dense_factor_product():
-    # two ions, two modes: the block assembly against the dense product of the per-ion builders
-    cfg = HilbertConfig(n_modes=2, n_max=6, n_spins=2, guard=1)
-    eta_rows = np.array([[0.1, 0.05], [0.07, -0.06]])
+@pytest.mark.parametrize("n_ions, n_max", [(2, 6), (3, 5)], ids=["2-ions", "3-ions"])
+def test_balanced_transform_blocks_equal_dense_factor_product(n_ions, n_max):
+    # two modes: the ion expansion of both forms against the dense product of the per-ion builders
+    cfg = HilbertConfig(n_modes=2, n_max=n_max, n_spins=n_ions, guard=1)
+    eta_rows = np.array([[0.1, 0.05], [0.07, -0.06], [0.04, 0.08]])
     pars = [
         balanced_params(LaserDrive(ion=j, Omega_R=0.3, omega_L=-0.4 * j, k_L=0.1), eta_rows[j - 1])
-        for j in (1, 2)
+        for j in range(1, n_ions + 1)
     ]
     ref = np.eye(cfg.dim)
     for ion, par in enumerate(pars, start=1):

@@ -165,7 +165,6 @@ class ChainModel:
     N: int
     mu: float
     nu1: float
-    positions: np.ndarray
     M: np.ndarray
     nu: np.ndarray
 
@@ -178,9 +177,8 @@ class ChainModel:
         """
         if mu <= 0 or nu1 <= 0:
             raise ValueError("mu and nu1 must be positive")
-        positions = equilibrium_positions(n_ions)
         m, nu = normal_modes(n_ions)
-        return cls(N=n_ions, mu=mu, nu1=nu1, positions=positions, M=m, nu=nu)
+        return cls(N=n_ions, mu=mu, nu1=nu1, M=m, nu=nu)
 
 
 def lamb_dicke_matrix(chain: ChainModel, drives) -> np.ndarray:

@@ -33,7 +33,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--out", default=None, help="output path (default: config output.path or stdout)")
         p.add_argument("--format", default=None, choices=("csv", "json"), help="output format")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for sweeps (default: 1)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker threads for sweeps, at most one per grid point and per CPU core (default: 1)")
     return parser
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO
@@ -144,7 +145,7 @@ def run_sweep_rabi(cfg: ExperimentConfig, threads: int = 1) -> Table:
     if cfg.sweep is None:
         raise ConfigError("sweep-rabi experiment needs a sweep section")
     grid = [float(v) for v in cfg.sweep.grid]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=min(threads, len(grid), os.cpu_count() or 1)) as pool:
         rows = list(pool.map(lambda om: _sweep_point(cfg, om), grid))
     columns = [
         "Omega_R", "delta", "delta_eff", "eta_eff", "t_pulse",

@@ -11,9 +11,9 @@ operator-block notation over (e, g) maps directly onto Kronecker products.
 Every operator of the model is a sum of Kronecker terms, mode factors times
 one 2x2 factor per ion, and ``kron_terms``, the one assembler of such sums,
 is the only code that splits a matrix into mode x mode blocks between spin
-states.  It has one rule: every term is added, in list order, into a given
-matrix or else into zeros.  The public builders return complex matrices in
-this basis; the propagators build real ones in the mode-parity gauge
+states.  It has one rule: every term is added, in list order, into a new
+matrix of zeros.  The public builders return complex matrices in this
+basis; the propagators build real ones in the mode-parity gauge
 (``parity_gauge``).
 
 Truncation is hard: a_dag annihilates the top Fock level.  Displacements and
@@ -206,15 +206,14 @@ _SPIN_2X2 = {
 def kron_terms(
     config: HilbertConfig,
     terms: Iterable[tuple[complex, Mapping[int, np.ndarray], Mapping[int, np.ndarray]]],
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sum of the Kronecker terms c (x)_p M_p (x) (x)_j s_j, one per (c, mode_ops, spin_ops), identity elsewhere.
 
     Keys are 1-based mode / ion indices.  In the layout of config.shape a term
     is its mode product times one scalar in each mode x mode block between spin
     states where its spin product is non-zero, and it is added block by block,
-    never formed at dim x dim.  One rule: every term is added, into a given
-    C-contiguous out or else into a new matrix of zeros.
+    never formed at dim x dim.  One rule: every term is added into a new matrix
+    of zeros.
     """
     terms = [(c, {p: np.asarray(m) for p, m in (mode_ops or {}).items()},
               {j: np.asarray(s) for j, s in (spin_ops or {}).items()}) for c, mode_ops, spin_ops in terms]
@@ -225,11 +224,8 @@ def kron_terms(
         for j in spin_ops:
             if not 1 <= j <= config.n_spins:
                 raise ValueError(f"ion index {j} out of range 1..{config.n_spins}")
-    if out is None:
-        dtype = reduce(np.promote_types, [np.result_type(c, *m.values(), *s.values()) for c, m, s in terms], float)
-        out = np.zeros((config.dim, config.dim), dtype)
-    elif out.shape != (config.dim, config.dim) or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous {config.dim} x {config.dim} matrix, so that blocks write through")
+    dtype = reduce(np.promote_types, [np.result_type(c, *m.values(), *s.values()) for c, m, s in terms], float)
+    out = np.zeros((config.dim, config.dim), dtype)
     spins = 2**config.n_spins
     blocks = out.reshape(config.dim // spins, spins, config.dim // spins, spins)
     eye_m, eye_s = np.eye(config.n_max), np.eye(2)

@@ -85,7 +85,6 @@ def gauged_rotating_frame_hamiltonian(model: ModelSpec) -> np.ndarray:
     """P^dag H P of rotating_frame_hamiltonian in the parity gauge P, real: D_p(i eta_jp) becomes D_p(eta_jp)."""
     config = model.config
     eta = model.eta_matrix()
-    h = np.diag(free_diagonal(model, [d.detuning for d in model.drives]))
     terms = []
     for j, drive in enumerate(model.drives, start=1):
         # Omega_j (sigma_+^j P^dag D_j^2 P + its transpose); drives reach disjoint off-diagonal
@@ -93,7 +92,9 @@ def gauged_rotating_frame_hamiltonian(model: ModelSpec) -> np.ndarray:
         d2 = displacement_factors(config, eta[j - 1])
         terms += [(drive.Omega_R, d2, {j: _SPIN_2X2["plus"]}),
                   (drive.Omega_R, dagger_factors(d2), {j: _SPIN_2X2["minus"]})]
-    return kron_terms(config, terms, out=h)
+    h = kron_terms(config, terms)
+    h[np.diag_indices(config.dim)] += free_diagonal(model, [d.detuning for d in model.drives])
+    return h
 
 
 def rotating_frame_hamiltonian(model: ModelSpec) -> OperatorMatrix:
@@ -170,8 +171,8 @@ def linearized_hamiltonian(model: ModelSpec) -> IntermediateParts:
     eta = model.eta_matrix()[0]
     nu = model.chain.nu
     sz, sx = {1: _SPIN_2X2["z"]}, {1: _SPIN_2X2["x"]}
-    h0 = kron_terms(config, [(drive.Omega_R, {}, sz), (-0.5 * drive.detuning, {}, sx)],
-                    out=np.diag(free_diagonal(model, ())))
+    h0 = kron_terms(config, [(drive.Omega_R, {}, sz), (-0.5 * drive.detuning, {}, sx)])
+    h0[np.diag_indices(config.dim)] += free_diagonal(model, ())
     a1 = _mode_destroy(config.n_max)
     flip = kron_terms(config, [(0.5 * eta[p - 1] * nu[p - 1], {p: 1j * (a1 - a1.conj().T)}, sx)
                                for p in range(1, config.n_modes + 1)])
@@ -199,8 +200,8 @@ def mixed_hamiltonian(model: ModelSpec) -> IntermediateParts:
     root = 1.0 / np.sqrt(4.0 + par.Delta**2)
     modes = range(1, config.n_modes + 1)
     h0 = kron_terms(config, [(0.5 * par.delta_eff, {}, sz)]
-                    + [(-(par.Delta * root / 2.0) * par.eta[p - 1] * nu[p - 1], {p: x}, sz) for p in modes],
-                    out=np.diag(free_diagonal(model, ()).astype(complex)))
+                    + [(-(par.Delta * root / 2.0) * par.eta[p - 1] * nu[p - 1], {p: x}, sz) for p in modes])
+    h0[np.diag_indices(config.dim)] += free_diagonal(model, ())
     flip = kron_terms(config, [(root * par.eta[p - 1] * nu[p - 1], {p: x}, sx) for p in modes])
     return IntermediateParts(
         OperatorMatrix(config, h0, hermitian=True),

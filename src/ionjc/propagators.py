@@ -12,7 +12,6 @@ including phase.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -36,7 +35,10 @@ _BLOCK_BYTES = 4 << 20
 def _normalize_pairs(model: ModelSpec, resonant_pairs) -> list[tuple[int, int]]:
     if resonant_pairs is None:
         raise ValueError("RWA propagation needs at least one resonant (drive, mode) pair")
-    pairs = [(int(j), int(k)) for j, k in resonant_pairs]
+    pairs = [tuple(pair) for pair in resonant_pairs]
+    if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for pair in pairs for i in pair):
+        raise ValueError(f"resonant pairs {pairs} must hold integer (drive, mode) indices")
+    pairs = [(int(j), int(k)) for j, k in pairs]
     drives = [j for j, _ in pairs]
     modes = [k for _, k in pairs]
     for j, k in pairs:
@@ -59,7 +61,7 @@ def jc_coupling(model: ModelSpec, drive: int, mode: int) -> float:
 
 
 def _real_matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ x for a real matrix m and a complex vector or block x, without a complex copy of m.
+    """m @ x for a real matrix m and a complex block x, without a complex copy of m.
 
     One real GEMM on the interleaved float view of x, (dim, 2k) with the real and
     imaginary part of each column side by side; x is copied only if not C-contiguous.
@@ -89,12 +91,13 @@ class _Plan:
     frame's scalar offset (d = 0 for rwa_jc), and X the banded product of gauged
     sideband exchanges (drive, mode, g), if any.  back is never upcast to complex.
 
-    columns (with matrix its checked all-columns case) and apply both end in
-    _finish, conj(R_t) P [B] y, and fix one association order, so their
-    outputs are reproducible bit for bit.  apply evolves the time grid in
-    blocks of k = _BLOCK_BYTES // (16 dim) points, each block one complex
-    (dim, k) array: O(dim) core work per point, plus one real GEMM per block
-    on its interleaved float view where the plan has back; the frame and the
+    Every step takes one shape: a (dim, k) block with a vector of k times, or
+    of one time shared by every column.  columns (with matrix its checked
+    all-columns case) and apply both run _evolve, conj(R_t) P [B] core(t - t0) x,
+    in one association order, so their outputs are reproducible bit for bit.
+    apply evolves its (dim, 1) start at blocks of k = _BLOCK_BYTES // (16 dim)
+    grid points: O(dim) core work per point, plus one real GEMM per block on
+    its interleaved float view where the plan has back; the frame and the
     gauge enter through the 2^n_spins spin phases of each point and a diagonal.
     """
 
@@ -104,7 +107,7 @@ class _Plan:
     exchanges: tuple[tuple[int, int, float], ...] = ()
     frame: bool = True
 
-    def _exchange(self, x: np.ndarray, tau: float | np.ndarray) -> np.ndarray:
+    def _exchange(self, x: np.ndarray, tau: np.ndarray) -> np.ndarray:
         """Apply prod exp(i g tau (a_mode sigma_+^drive + a_mode^dag sigma_-^drive)) to the columns of x.
 
         That is the exchange exp(g tau (a sigma_+ - a^dag sigma_-)) in the parity
@@ -113,22 +116,22 @@ class _Plan:
         e[n] <- cos(g tau sqrt(n+1)) e[n] + i s[n] g[n+1], g[n] <- cos(g tau sqrt(n))
         g[n] + i s[n-1] e[n-1], s[n] = sin(g tau sqrt(n+1)); the top |e> level has
         no partner under hard truncation and stays invariant.  O(dim) per column.
-        tau is one time for every column, or a vector with one time per column of
-        the block x; then cos_e, cos_g and s hold one row per column.  A plan
-        without exchanges returns x itself.
+        x is a (dim, k) block and tau holds one time per column or one for every
+        column; cos_e, cos_g and s hold one row per time.  A plan without
+        exchanges returns x itself.
         """
         if not self.exchanges:
             return x
         config = self.model.config
         y = x.reshape(config.shape + x.shape[1:])
         root = np.sqrt(np.arange(1, config.n_max, dtype=float))  # sqrt(n + 1), n < n_max - 1
-        tau = np.asarray(tau, dtype=float)[..., None]
+        tau = tau[:, None]
         for j, k, g in self.exchanges:
             upper = g * tau * root
-            cos, one = np.cos(upper), np.ones(upper.shape[:-1] + (1,))
+            cos, one = np.cos(upper), np.ones((len(tau), 1))
             cos_e, cos_g = np.concatenate([cos, one], axis=-1), np.concatenate([one, cos], axis=-1)
             s = 1j * (np.sin(upper) / root * root)  # (sin / sqrt(n+1)) times a's sqrt(n+1), rounded like f(n) a
-            out = np.empty_like(y)  # views v (input) and w (output) end in the (mode, spin) axes
+            out = np.empty_like(y)  # views v (input) and w (output) end in the (column, mode, spin) axes
             v, w = (np.moveaxis(a, (k - 1, config.n_modes + j - 1), (-2, -1)) for a in (y, out))
             w[..., 0] = cos_e * v[..., 0]
             w[..., :-1, 0] += s * v[..., 1:, 1]
@@ -137,51 +140,41 @@ class _Plan:
             y = out
         return y.reshape(x.shape)
 
-    def _framed(self, x: np.ndarray, t: float | np.ndarray, left: bool) -> np.ndarray:
-        """x times the diagonal conj(R_t) P (left) or P^dag R_t (right); t is one time or one per column of x."""
+    def _framed(self, x: np.ndarray, t: np.ndarray, left: bool) -> np.ndarray:
+        """x times the diagonal conj(R_t) P (left) or P^dag R_t (right); x and t as in _evolve."""
         config = self.model.config
-        shape = (-1, math.prod(config.shape[config.n_modes:])) + (1,) * (x.ndim - 1)
-        y = x.reshape(shape[:2] + x.shape[1:])
+        y = x.reshape(-1, 2**config.n_spins, x.shape[1])
         if self.frame:
             phases = rotating_frame_phases(self.model.drives, t)
-            phases = phases.reshape(phases.shape + (1,) * (x.ndim - phases.ndim))
             y = np.conj(phases) * y if left else phases * y
-        gauge = parity_gauge(config).reshape(shape)
+        gauge = parity_gauge(config).reshape(y.shape[:2] + (1,))
         y = gauge * y if left else gauge.conj() * y
         return y.reshape(x.shape)
 
-    def _core(self, x: np.ndarray, t: float | np.ndarray, t0: float) -> np.ndarray:
-        """core(t - t0) times x, a vector or a block of columns.
+    def _evolve(self, x: np.ndarray, t: np.ndarray, t0: float) -> np.ndarray:
+        """conj(R_t) P [B] core(t - t0) x for a (dim, k) start block x; t holds k times or one for every column.
 
-        A vector of times t takes a vector x and returns the block with columns core(t[c] - t0) x.
-        The result is C-ordered: an F-ordered x (the start B^T) is transposed by the first product.
+        A (dim, 1) x with k times gives one column per time.  The core's output is C-ordered:
+        an F-ordered x (the start B^T) is transposed by the first product.
         """
-        t = np.asarray(t, dtype=float)
-        rows = (slice(None),) + (None,) * (x.ndim - 1)
-        y = np.multiply(np.exp(1j * self.diag * t0)[rows], x, order="C")
-        if t.ndim:
-            y = np.broadcast_to(y[:, None], y.shape + t.shape)
-        y = self._exchange(y, t - t0)
-        phases = np.exp(-1j * np.multiply.outer(self.diag, t))
-        return phases.reshape(phases.shape + (1,) * (y.ndim - phases.ndim)) * y
-
-    def _finish(self, y: np.ndarray, t: float | np.ndarray) -> np.ndarray:
-        """conj(R_t) P [B] y for a core output y, a vector or a block of columns; t as in _framed."""
+        y = np.multiply(np.exp(1j * self.diag * t0)[:, None], x, order="C")
+        y = self._exchange(np.broadcast_to(y, np.broadcast_shapes(y.shape, t.shape)), t - t0)
+        y = np.exp(-1j * np.multiply.outer(self.diag, t)) * y
         if self.back is not None:
             y = _real_matvec(self.back, y)
         return self._framed(y, t, left=True)
 
     def columns(self, cols: slice | np.ndarray, t: float, t0: float = 0.0) -> np.ndarray:
-        """U(t, t0)[:, cols], unchecked: the start B^T[:, cols] (or I[:, cols]) through core, finish and frame.
+        """U(t, t0)[:, cols], unchecked: the start B^T[:, cols] (or I[:, cols]) through _evolve and the right frame.
 
         Every step acts on each column alone, so a column block equals the same
         columns of matrix; cols = slice(None) selects by view, without a copy.
         """
         config = self.model.config
         # the start is never bound to a local, and columns returns before matrix runs its dense check
-        u = self._finish(self._core(
-            _unit_columns(config.dim, cols) if self.back is None else self.back.T[:, cols], t, t0), t)
-        u *= self._framed(np.ones(config.dim, dtype=complex), t0, left=False)[cols]
+        u = self._evolve(_unit_columns(config.dim, cols) if self.back is None else self.back.T[:, cols],
+                         np.array([t], dtype=float), t0)
+        u *= self._framed(np.ones((config.dim, 1), dtype=complex), np.array([t0], dtype=float), left=False)[cols, 0]
         return u
 
     def matrix(self, t: float, t0: float = 0.0) -> OperatorMatrix:
@@ -191,13 +184,13 @@ class _Plan:
         self, psi0: np.ndarray, times: Iterable[float], t0: float = 0.0
     ) -> Iterator[tuple[float, np.ndarray]]:
         """Yield (t, U(t, t0) psi0) along a time grid without forming U, one (dim, k) block of states at a time."""
-        x = self._framed(psi0, t0, left=False)
+        x = self._framed(psi0[:, None], np.array([t0], dtype=float), left=False)
         if self.back is not None:
             x = _real_matvec(self.back.T, x)
         times, size = iter(times), max(1, _BLOCK_BYTES // (16 * self.model.config.dim))
         while block := list(itertools.islice(times, size)):
             ts = np.array(block, dtype=float)
-            yield from zip(block, self._finish(self._core(x, ts, t0), ts).T.copy())
+            yield from zip(block, self._evolve(x, ts, t0).T.copy())
 
 
 def _plan(model: ModelSpec, method: str, resonant_pairs=None) -> _Plan:

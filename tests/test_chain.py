@@ -131,6 +131,5 @@ def test_drive_validation():
 def test_chain_build_carries_consistent_fields():
     chain = ChainModel.build(4, mu=0.5, nu1=1.0)
     assert chain.N == 4
-    assert chain.positions.shape == (4,)
     assert chain.M.shape == (4, 4)
     assert np.all(np.diff(chain.nu) > 0)

@@ -1,11 +1,14 @@
 import json
+import os
 import re
+import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ionjc import experiments
 from ionjc.cli import main
 from ionjc.config import (
     AMU_SI,
@@ -258,6 +261,23 @@ def test_sweep_threading_matches_serial():
     serial = run_sweep_rabi(cfg, threads=1)
     threaded = run_sweep_rabi(cfg, threads=4)
     assert serial.rows == threaded.rows
+
+
+def test_sweep_workers_capped_at_cpu_count(monkeypatch):
+    # a thread count far above the core count starts no more workers than there are cores
+    cfg = parse_config(sweep_config(points=6, start=0.05, stop=0.4))
+    serial = run_sweep_rabi(cfg, threads=1)
+    baseline, peak = threading.active_count(), []
+    sweep_point = experiments._sweep_point
+
+    def counting(*args):
+        peak.append(threading.active_count())
+        return sweep_point(*args)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments, "_sweep_point", counting)
+    assert run_sweep_rabi(cfg, threads=64).rows == serial.rows
+    assert len(peak) == 6 and max(peak) <= baseline + 2
 
 
 def test_evolve_stationary_ground_state():

@@ -220,6 +220,18 @@ def test_rwa_jc_multi_requires_disjoint_pairs(two_ion_model):
         rwa_jc_propagator_multi(two_ion_model, [(1, 3)], 1.0)
 
 
+@pytest.mark.parametrize("pair", [(1.9, 1), (1, 1.0), (True, 1), (1, True), (1, "1")])
+def test_resonant_pair_indices_must_be_integers(two_ion_model, pair):
+    with pytest.raises(ValueError, match="integer"):
+        rwa_jc_propagator_multi(two_ion_model, [pair], 1.0)
+
+
+def test_resonant_pair_accepts_numpy_integers(two_ion_model):
+    pair = (np.int64(1), np.int64(2))
+    assert np.array_equal(rwa_jc_propagator_multi(two_ion_model, [pair], 1.0).entries,
+                          rwa_jc_propagator(two_ion_model, 1, 2, 1.0).entries)
+
+
 def test_rwa_jc_multi_is_commuting_tensor_product(two_ion_model):
     t = 3.0
     u1 = rwa_jc_propagator(two_ion_model, 1, 1, t)

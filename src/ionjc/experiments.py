@@ -111,15 +111,16 @@ def _sweep_point(cfg: ExperimentConfig, omega_r: float) -> tuple:
     t_pulse = np.pi / (2.0 * abs(g))
 
     # each approximation is scored from its guarded columns against the dense oracle; their
-    # unitarity rests on the plan's checked transform and cores that are unitary by construction
+    # unitarity rests on the plan's checked transform and cores that are unitary by construction.
+    # The columns are not bound to a local, so the first block is gone before the second oracle is built
     keep, pair = guard_mask(model.config), [(drive_idx, mode)]
-    rwa = _plan(balanced_model, "pipeline_rwa", pair).columns(keep, t_pulse)
-    infid_balanced = guarded_infidelity(rwa, exact_propagator(balanced_model, t_pulse))
+    infid_balanced = guarded_infidelity(_plan(balanced_model, "pipeline_rwa", pair).columns(keep, t_pulse),
+                                        exact_propagator(balanced_model, t_pulse))
 
     # conventional comparator sits on the uncorrected resonance delta = nu_k
     standard_model = model.with_drive(drive_idx, Omega_R=omega_r, omega_L=omega_ge - nu_k)
-    std = _plan(standard_model, "standard_rwa", pair).columns(keep, t_pulse)
-    infid_standard = guarded_infidelity(std, exact_propagator(standard_model, t_pulse))
+    infid_standard = guarded_infidelity(_plan(standard_model, "standard_rwa", pair).columns(keep, t_pulse),
+                                        exact_propagator(standard_model, t_pulse))
 
     return (
         omega_r,

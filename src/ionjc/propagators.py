@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .fock import OperatorMatrix, check_matrix, parity_gauge
+from .fock import COLUMN_BLOCK, OperatorMatrix, check_matrix, parity_gauge
 from .hamiltonians import (ModelSpec, balanced_offset, free_diagonal, gauged_balanced_flip,
                            gauged_rotating_frame_hamiltonian)
 from .transforms import gauged_balanced_transform, rotating_frame_phases
@@ -70,9 +70,8 @@ def _real_matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (m @ x.view(float).reshape(len(x), -1)).view(complex).reshape(x.shape)
 
 
-def _unit_columns(dim: int, cols: slice | np.ndarray) -> np.ndarray:
-    """The identity's columns I[:, cols], C-ordered, built without the dim x dim identity."""
-    index = np.arange(dim)[cols]
+def _unit_columns(dim: int, index: np.ndarray) -> np.ndarray:
+    """The identity's columns I[:, index], C-ordered, built without the dim x dim identity."""
     out = np.zeros((dim, index.size), dtype=complex)
     out[index, np.arange(index.size)] = 1.0
     return out
@@ -95,10 +94,13 @@ class _Plan:
     of one time shared by every column.  columns (with matrix its checked
     all-columns case) and apply both run _evolve, conj(R_t) P [B] core(t - t0) x,
     in one association order, so their outputs are reproducible bit for bit.
-    apply evolves its (dim, 1) start at blocks of k = _BLOCK_BYTES // (16 dim)
-    grid points: O(dim) core work per point, plus one real GEMM per block on
-    its interleaved float view where the plan has back; the frame and the
-    gauge enter through the 2^n_spins spin phases of each point and a diagonal.
+    columns evolves its start columns in blocks of fock.COLUMN_BLOCK into one
+    preallocated output, so a dense propagator holds (dim, 128) temporaries
+    besides itself and back.  apply evolves its (dim, 1) start at blocks of
+    k = _BLOCK_BYTES // (16 dim) grid points: O(dim) core work per point, plus
+    one real GEMM per block on its interleaved float view where the plan has
+    back; the frame and the gauge enter through the 2^n_spins spin phases of
+    each point and a diagonal.
     """
 
     model: ModelSpec
@@ -155,7 +157,7 @@ class _Plan:
         """conj(R_t) P [B] core(t - t0) x for a (dim, k) start block x; t holds k times or one for every column.
 
         A (dim, 1) x with k times gives one column per time.  The core's output is C-ordered:
-        an F-ordered x (the start B^T) is transposed by the first product.
+        an F-ordered x (a start block of B^T) is transposed by the first product.
         """
         y = np.multiply(np.exp(1j * self.diag * t0)[:, None], x, order="C")
         y = self._exchange(np.broadcast_to(y, np.broadcast_shapes(y.shape, t.shape)), t - t0)
@@ -167,13 +169,20 @@ class _Plan:
     def columns(self, cols: slice | np.ndarray, t: float, t0: float = 0.0) -> np.ndarray:
         """U(t, t0)[:, cols], unchecked: the start B^T[:, cols] (or I[:, cols]) through _evolve and the right frame.
 
-        Every step acts on each column alone, so a column block equals the same
-        columns of matrix; cols = slice(None) selects by view, without a copy.
+        The (dim, k) output is allocated once and filled COLUMN_BLOCK columns at
+        a time, each block's start taken and evolved on its own, so every
+        temporary besides the output is (dim, COLUMN_BLOCK).  Every step acts
+        on each column alone, so a column block equals the same columns of
+        matrix, bit for bit.  The right frame is applied to the output in place.
         """
         config = self.model.config
-        # the start is never bound to a local, and columns returns before matrix runs its dense check
-        u = self._evolve(_unit_columns(config.dim, cols) if self.back is None else self.back.T[:, cols],
-                         np.array([t], dtype=float), t0)
+        index = np.arange(config.dim)[cols]
+        u = np.empty((config.dim, index.size), dtype=complex)
+        ts = np.array([t], dtype=float)
+        for i in range(0, index.size, COLUMN_BLOCK):
+            block = index[i:i + COLUMN_BLOCK]
+            start = _unit_columns(config.dim, block) if self.back is None else self.back.T[:, block]
+            u[:, i:i + COLUMN_BLOCK] = self._evolve(start, ts, t0)
         u *= self._framed(np.ones((config.dim, 1), dtype=complex), np.array([t0], dtype=float), left=False)[cols, 0]
         return u
 
@@ -292,8 +301,9 @@ def turn_on_propagator(model: ModelSpec, t: float, t0: float) -> OperatorMatrix:
     if not t0 < 0.0 < t:
         raise ValueError("turn-on propagator needs t0 < 0 < t; use exact_propagator otherwise")
     free = np.exp(1j * free_diagonal(model, [model.omega_ge] * model.config.n_spins) * t0)
-    u = exact_propagator(model, t, 0.0)
-    return OperatorMatrix(model.config, u.entries * free[None, :], unitary=True)
+    u = _plan(model, "exact").columns(slice(None), t, 0.0)
+    u *= free  # U(t, 0) exp(i H_free t0), scaled in place and checked once, as returned
+    return OperatorMatrix(model.config, u, unitary=True)
 
 
 def evolve_states(

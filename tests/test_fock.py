@@ -254,9 +254,10 @@ def _nearly_unitary(rng, n, dtype):
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_check_residuals_equal_dense_formulas(dtype):
     # the blocked hermiticity residual and the in-place unitarity residual are the dense formulas bit for bit;
-    # 70 rows end in a partial block of the hermiticity loop
+    # 70 rows end in a partial block of the hermiticity loop, 300 columns span three Gram blocks of 128
+    # (the complex case) and end in a partial one
     rng = np.random.default_rng(5)
-    for n in (1, 31, 32, 70):
+    for n in (1, 31, 32, 70, 300):
         u = _nearly_unitary(rng, n, dtype)
         z = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if dtype is complex else 0.0)
         for m in (u, z, z + z.conj().T, u + u.conj().T + 1e-12 * z):
@@ -269,6 +270,12 @@ def test_check_residuals_equal_dense_formulas(dtype):
     bad[69, 69] *= 1.0 + 1e-9
     with pytest.raises(NumericalValidationError, match="unitary"):
         check_matrix(bad, unitary=True)
+    # a norm defect of the last column shows only on the diagonal of the last, partial Gram block
+    u300 = _nearly_unitary(rng, 300, dtype)
+    check_matrix(u300, unitary=True)
+    u300[:, -1] *= 1.0 + 1e-9
+    with pytest.raises(NumericalValidationError, match="unitary"):
+        check_matrix(u300, unitary=True)
     h = u + u.conj().T
     check_matrix(h, hermitian=True)
     h[69, 3] += 1e-9

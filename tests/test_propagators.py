@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import make_single_model, make_two_ion_model
-from ionjc import propagators
+from ionjc import fock, propagators
 from ionjc.config import parse_config
-from ionjc.experiments import run_sweep_rabi
+from ionjc.experiments import _sweep_point, run_sweep_rabi
 from ionjc.fock import (
     NumericalValidationError,
     OperatorMatrix,
@@ -450,14 +452,59 @@ def _two_ion_sweep_config():
 
 @pytest.mark.parametrize("method", METHODS)
 def test_plan_columns_are_the_matrix_columns(method):
-    # matrix is the all-columns block, and a guarded block is those columns of it, bit for bit
-    model = make_two_ion_model(n_max=6, guard=2, phases=(0.4, -1.2), phi_beams=(0.3, 0.8))
-    plan = _plan(model, method, None if method in ("exact", "pipeline_exact") else [(1, 1)])
-    keep = guard_mask(model.config)
-    t, t0 = 9.4, 1.7
-    full = plan.matrix(t, t0).entries
-    assert (plan.columns(slice(None), t, t0) == full).all()
-    assert (plan.columns(keep, t, t0) == full[:, keep]).all()
+    # matrix is the all-columns block, and a guarded block is those columns of it, bit for bit; at dim 576
+    # matrix takes five column blocks of 128 (the last partial) and the guarded block two, on other boundaries
+    for n_max, guard in ((6, 2), (12, 4)):
+        model = make_two_ion_model(n_max=n_max, guard=guard, phases=(0.4, -1.2), phi_beams=(0.3, 0.8))
+        plan = _plan(model, method, None if method in ("exact", "pipeline_exact") else [(1, 1)])
+        keep = guard_mask(model.config)
+        t, t0 = 9.4, 1.7
+        full = plan.matrix(t, t0).entries
+        assert (plan.columns(slice(None), t, t0) == full).all()
+        assert (plan.columns(keep, t, t0) == full[:, keep]).all()
+
+
+def test_dense_propagator_and_sweep_point_hold_column_blocks():
+    # the dense oracle, its unitarity check and the guarded score hold (dim, 128) temporaries, not dim x dim ones
+    cfg = parse_config({
+        "experiment": "sweep-rabi",
+        "chain": {"N": 2},
+        "hilbert": {"n_max": 12, "guard": 4},
+        "drives": [{"ion": 1, "Omega_R": 0.2, "delta": 0.9, "k_L": 0.1, "phase": 0.4},
+                   {"ion": 2, "Omega_R": 0.15, "delta": 1.4, "k_L": 0.05}],
+        "sweep": {"points": 2, "start": 0.05, "stop": 0.9, "scale": "log", "drive": 1, "mode": 1},
+    })
+    real_bytes = 8 * cfg.model.config.dim**2
+    omega_r = float(cfg.sweep.grid[0])
+    _sweep_point(cfg, omega_r)  # fill the basis caches outside the measurement
+    tracemalloc.start()
+    try:
+        exact_propagator(cfg.model, 200.0)
+        _, oracle_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        _sweep_point(cfg, omega_r)
+        _, point_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert oracle_peak <= 2.5 * 2 * real_bytes  # the eigenbasis, the output and column-block temporaries
+    assert point_peak <= 6 * real_bytes  # one oracle build beside one guarded column block
+
+
+def test_turn_on_propagator_checks_its_result_once(monkeypatch):
+    # the free phases scale the plan's columns in place, and only the returned matrix is checked unitary
+    model = make_single_model(Omega_R=0.3, delta=0.7, n_max=16, guard=4)
+    free = np.exp(1j * free_diagonal(model, [model.omega_ge]) * -3.4)
+    expected = exact_propagator(model, 1.7, 0.0).entries * free[None, :]
+    checked, residual = [], fock._unitary_residual
+
+    def recorded_residual(m):
+        checked.append(m)
+        return residual(m)
+
+    monkeypatch.setattr(fock, "_unitary_residual", recorded_residual)
+    u = turn_on_propagator(model, 1.7, -3.4)
+    assert len(checked) == 1 and checked[0] is u.entries
+    assert (u.entries == expected).all()
 
 
 def test_sweep_scores_columns_like_dense_propagators():

@@ -8,7 +8,6 @@ quantifies the approximations against an exact matrix-exponential oracle.
 from .chain import ChainModel, LaserDrive, equilibrium_positions, lamb_dicke_matrix, normal_modes
 from .config import ConfigError, ExperimentConfig, parse_config, serialize_config
 from .fock import (
-    DimensionMismatchError,
     HilbertConfig,
     NumericalValidationError,
     OperatorMatrix,

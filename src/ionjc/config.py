@@ -3,9 +3,9 @@
 Frequencies are dimensionless (units of the axial trap frequency) when
 ``units`` is "nu1"; with "si" the chain is given in SI (mass in amu, nu1 in
 rad/s, wavevector in 1/m, times in seconds) and every quantity is converted at
-parse time.  Parsing always produces a fully defaulted dimensionless
-``normalized`` mapping; serializing that mapping and parsing it again is the
-identity.
+parse time.  ``serialize_config`` writes the parsed configuration as a fully
+defaulted dimensionless mapping; parsing that text and serializing it again is
+the identity.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ class ExperimentConfig:
     evolve: EvolveSpec | None
     out_path: str | None
     out_format: str
-    normalized: dict
 
 
 def _require(mapping, key, path, kind=None):
@@ -205,10 +204,8 @@ def parse_config(source) -> ExperimentConfig:
     if out_format not in ("csv", "json"):
         raise ConfigError("$.output.format: must be 'csv' or 'json'")
 
-    normalized = _normalize(experiment, model, sweep, evolve, out_path, out_format)
     return ExperimentConfig(
-        experiment=experiment, model=model, sweep=sweep, evolve=evolve,
-        out_path=out_path, out_format=out_format, normalized=normalized,
+        experiment=experiment, model=model, sweep=sweep, evolve=evolve, out_path=out_path, out_format=out_format,
     )
 
 
@@ -299,9 +296,10 @@ def _parse_evolve(raw, model, freq_scale) -> EvolveSpec:
                       fock=fock, coherent=coherent, spins=spins, psi0=psi0)
 
 
-def _normalize(experiment, model, sweep, evolve, out_path, out_format) -> dict:
+def _normalize(cfg: ExperimentConfig) -> dict:
+    model, sweep, evolve = cfg.model, cfg.sweep, cfg.evolve
     out = {
-        "experiment": experiment,
+        "experiment": cfg.experiment,
         "units": "nu1",
         "chain": {"N": model.chain.N, "mu": model.chain.mu, "nu1": model.chain.nu1},
         "hilbert": {"n_max": model.config.n_max, "guard": model.config.guard},
@@ -311,7 +309,7 @@ def _normalize(experiment, model, sweep, evolve, out_path, out_format) -> dict:
              "phi_beam": d.phi_beam, "phase": d.phase}
             for d in model.drives
         ],
-        "output": {"path": out_path, "format": out_format},
+        "output": {"path": cfg.out_path, "format": cfg.out_format},
     }
     if sweep is not None:
         out["sweep"] = {"drive": sweep.drive, "mode": sweep.mode, "grid": [float(v) for v in sweep.grid]}
@@ -334,4 +332,4 @@ def _normalize(experiment, model, sweep, evolve, out_path, out_format) -> dict:
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical JSON text of the normalized configuration."""
-    return json.dumps(cfg.normalized, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_normalize(cfg), indent=2, sort_keys=True) + "\n"

@@ -146,7 +146,8 @@ def run_sweep_rabi(cfg: ExperimentConfig, threads: int = 1) -> Table:
     if cfg.sweep is None:
         raise ConfigError("sweep-rabi experiment needs a sweep section")
     grid = [float(v) for v in cfg.sweep.grid]
-    with ThreadPoolExecutor(max_workers=min(threads, len(grid), os.cpu_count() or 1)) as pool:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=min(threads, len(grid), cpus)) as pool:
         rows = list(pool.map(lambda om: _sweep_point(cfg, om), grid))
     columns = [
         "Omega_R", "delta", "delta_eff", "eta_eff", "t_pulse",

@@ -1,4 +1,4 @@
-"""Truncated multi-mode Fock x multi-spin operator algebra.
+"""Truncated multi-mode Fock x multi-spin operators.
 
 Operators are dense matrices on the space
 
@@ -39,10 +39,6 @@ _CHECK_ROWS = 32  # rows per block of the hermiticity residual: a few (32, dim) 
 # columns per block of a dense propagator, of its unitarity Gram matrix and of the guarded overlap:
 # (dim, 128) temporaries instead of dim x dim ones; narrower blocks cost level-3 BLAS speed
 COLUMN_BLOCK = 128
-
-
-class DimensionMismatchError(ValueError):
-    """Operands live on different Hilbert-space configurations."""
 
 
 class NumericalValidationError(RuntimeError):
@@ -154,10 +150,11 @@ def check_matrix(m: np.ndarray, hermitian: bool = False, unitary: bool = False) 
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense complex square matrix with attached Hilbert-space metadata.
+    """A checked result: a dense complex square matrix with its Hilbert-space metadata.
 
     ``hermitian`` and ``unitary`` are construction tags; a tagged matrix is
-    verified against the corresponding tolerance at construction time.
+    verified against the corresponding tolerance at construction time.  The
+    record has no arithmetic: compose operators through ``.entries``.
     Instances are treated as immutable.
     """
 
@@ -169,46 +166,9 @@ class OperatorMatrix:
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
         if m.shape != (self.config.dim, self.config.dim):
-            raise DimensionMismatchError(
-                f"matrix shape {m.shape} does not match config dimension {self.config.dim}"
-            )
+            raise ValueError(f"matrix shape {m.shape} does not match config dimension {self.config.dim}")
         object.__setattr__(self, "entries", m)
         check_matrix(m, hermitian=self.hermitian, unitary=self.unitary)
-
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(
-            self.config, self.entries.conj().T, hermitian=self.hermitian, unitary=self.unitary
-        )
-
-    def _check_config(self, other: "OperatorMatrix"):
-        if self.config != other.config:
-            raise DimensionMismatchError("operands have different Hilbert configurations")
-
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check_config(other)
-        return OperatorMatrix(
-            self.config, self.entries @ other.entries, unitary=self.unitary and other.unitary
-        )
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check_config(other)
-        return OperatorMatrix(
-            self.config, self.entries + other.entries, hermitian=self.hermitian and other.hermitian
-        )
-
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check_config(other)
-        return OperatorMatrix(
-            self.config, self.entries - other.entries, hermitian=self.hermitian and other.hermitian
-        )
-
-    def __mul__(self, scalar) -> "OperatorMatrix":
-        s = complex(scalar)
-        return OperatorMatrix(
-            self.config, s * self.entries, hermitian=self.hermitian and s.imag == 0.0
-        )
-
-    __rmul__ = __mul__
 
 
 def _mode_destroy(n_max: int) -> np.ndarray:
@@ -349,22 +309,14 @@ def displacement_product(config: HilbertConfig, alphas: Sequence[complex]) -> np
 def expm_unitary(h: OperatorMatrix, t: float) -> OperatorMatrix:
     """exp(-i H t) for hermitian H, via eigendecomposition.
 
-    Rejects input that is not tagged hermitian or fails the numerical
-    hermiticity check.
+    Rejects input that fails the numerical hermiticity check.
     """
-    if not h.hermitian:
-        raise NumericalValidationError("expm_unitary requires a hermitian-tagged operator")
     check_matrix(h.entries, hermitian=True)
     return OperatorMatrix(h.config, _expm_hermitian(h.entries, t), unitary=True)
 
 
-def guarded_norm(m: np.ndarray | OperatorMatrix, config: HilbertConfig | None = None) -> float:
+def guarded_norm(m: np.ndarray, config: HilbertConfig) -> float:
     """Spectral norm ||P M P||_2 with P the guard-band projector."""
-    if isinstance(m, OperatorMatrix):
-        config = m.config
-        m = m.entries
-    if config is None:
-        raise ValueError("config required for raw matrices")
     keep = guard_mask(config)
     sub = m[np.ix_(keep, keep)]
     return float(np.linalg.norm(sub, 2))
@@ -376,7 +328,8 @@ def guarded_distance(a: OperatorMatrix, b: OperatorMatrix) -> float:
     A pseudo-metric: zero on equal inputs, symmetric, triangle inequality.
     With guard = 0 it reduces to the plain spectral distance.
     """
-    a._check_config(b)
+    if a.config != b.config:
+        raise ValueError("operands have different Hilbert configurations")
     return guarded_norm(a.entries - b.entries, a.config)
 
 
@@ -388,12 +341,11 @@ def guarded_infidelity(u: OperatorMatrix | np.ndarray, v: OperatorMatrix) -> flo
     """
     keep = guard_mask(v.config)
     if isinstance(u, OperatorMatrix):
-        u._check_config(v)
+        if u.config != v.config:
+            raise ValueError("operands have different Hilbert configurations")
         u = u.entries[:, keep]
     elif u.shape != (v.config.dim, np.count_nonzero(keep)):
-        raise DimensionMismatchError(
-            f"column block shape {u.shape} is not the guarded columns of dim {v.config.dim}"
-        )
+        raise ValueError(f"column block shape {u.shape} is not the guarded columns of dim {v.config.dim}")
     # conj(U) * V[:, keep] in one F-ordered array, multiplied in place COLUMN_BLOCK kept columns of V at a
     # time and summed in column-major order whatever the layout of u, so a block scores bit for bit like its matrix
     terms = np.conj(u, order="F")

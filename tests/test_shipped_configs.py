@@ -1,10 +1,14 @@
-"""The CLI output of every shipped config against its pinned reference table.
+"""The CLI output of every shipped config against its pinned reference table,
+and the README's library example run as written.
 
 tests/reference/<name>.csv is the CLI output of configs/<name>.json, written
 with BLAS on one thread.  A rerun must match it line for line, numbers to
 1e-10, apart from the '# generated:' timestamp.
 """
 
+import contextlib
+import io
+import re
 from pathlib import Path
 
 import pytest
@@ -46,3 +50,14 @@ def test_shipped_config_output_matches_reference(tmp_path, name):
 
 def test_every_shipped_config_is_pinned():
     assert sorted(p.stem for p in (ROOT / "configs").glob("*.json")) == sorted(NAMES)
+
+
+def test_readme_library_example_runs():
+    # the README's one python block, executed as written, prints one infidelity in [0, 1]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.S | re.M)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(blocks[0], "README.md", "exec"), {})
+    assert 0.0 <= float(out.getvalue()) <= 1.0

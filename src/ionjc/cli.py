@@ -9,6 +9,7 @@ failure, 1 any other failure (numpy errors, MemoryError), on one stderr line.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .config import ConfigError, parse_config
@@ -48,8 +49,11 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config declares experiment {cfg.experiment!r} but the {args.command!r} subcommand was invoked"
             )
-        table = run_experiment(cfg, threads=args.threads)
         out_path = args.out if args.out is not None else cfg.out_path
+        # checked before the run, but not opened: a failing run leaves no file
+        if out_path is not None and (os.path.isdir(out_path) or not os.path.isdir(os.path.dirname(out_path) or ".")):
+            raise ConfigError(f"output path {out_path!r} is a directory or lies in no existing directory")
+        table = run_experiment(cfg, threads=args.threads)
         fmt = args.format if args.format is not None else cfg.out_format
         if out_path is None:
             write_table(table, sys.stdout, fmt)

@@ -11,9 +11,10 @@ operator-block notation over (e, g) maps directly onto Kronecker products.
 Every operator of the model is a sum of Kronecker terms, mode factors times
 one 2x2 factor per ion, and ``kron_terms``, the one assembler of such sums,
 is the only code that splits a matrix into mode x mode blocks between spin
-states.  It has one rule: every term is added, in list order, into a new
-matrix of zeros.  The public builders return complex matrices in this
-basis; the propagators build real ones in the mode-parity gauge
+states.  It has one rule: every term, and when asked its adjoint, is added,
+in list order, into a new matrix of zeros, so a Hermitian operator is given
+by its sigma_+ half alone.  The public builders return complex matrices in
+this basis; the propagators build real ones in the mode-parity gauge
 (``parity_gauge``).
 
 Truncation is hard: a_dag annihilates the top Fock level.  Displacements and
@@ -188,6 +189,7 @@ _SPIN_2X2 = {
 def kron_terms(
     config: HilbertConfig,
     terms: Iterable[tuple[complex, Mapping[int, np.ndarray], Mapping[int, np.ndarray]]],
+    adjoint: bool = False,
 ) -> np.ndarray:
     """Sum of the Kronecker terms c (x)_p M_p (x) (x)_j s_j, one per (c, mode_ops, spin_ops), identity elsewhere.
 
@@ -195,7 +197,8 @@ def kron_terms(
     is its mode product times one scalar in each mode x mode block between spin
     states where its spin product is non-zero, and it is added block by block,
     never formed at dim x dim.  One rule: every term is added into a new matrix
-    of zeros.
+    of zeros.  adjoint=True adds each term's adjoint right after it, each mode
+    block's conjugate transpose into the spin-swapped block: S + S^dag, Hermitian.
     """
     terms = [(c, {p: np.asarray(m) for p, m in (mode_ops or {}).items()},
               {j: np.asarray(s) for j, s in (spin_ops or {}).items()}) for c, mode_ops, spin_ops in terms]
@@ -220,6 +223,8 @@ def kron_terms(
             if scale not in scaled:
                 scaled[scale] = (c * scale) * modes
             blocks[:, r, :, col] += scaled[scale]
+            if adjoint:
+                blocks[:, col, :, r] += scaled[scale].conj().T
     return out
 
 

@@ -22,7 +22,6 @@ from .fock import (
     HilbertConfig,
     OperatorMatrix,
     _mode_destroy,
-    dagger_factors,
     displacement_factors,
     kron_terms,
     mode_occupations,
@@ -85,14 +84,11 @@ def gauged_rotating_frame_hamiltonian(model: ModelSpec) -> np.ndarray:
     """P^dag H P of rotating_frame_hamiltonian in the parity gauge P, real: D_p(i eta_jp) becomes D_p(eta_jp)."""
     config = model.config
     eta = model.eta_matrix()
-    terms = []
-    for j, drive in enumerate(model.drives, start=1):
-        # Omega_j (sigma_+^j P^dag D_j^2 P + its transpose); drives reach disjoint off-diagonal
-        # blocks, so no entry of h gets more than one term
-        d2 = displacement_factors(config, eta[j - 1])
-        terms += [(drive.Omega_R, d2, {j: _SPIN_2X2["plus"]}),
-                  (drive.Omega_R, dagger_factors(d2), {j: _SPIN_2X2["minus"]})]
-    h = kron_terms(config, terms)
+    # Omega_j (sigma_+^j P^dag D_j^2 P + its transpose); drives reach disjoint off-diagonal
+    # blocks, so no entry of h gets more than one term
+    terms = [(drive.Omega_R, displacement_factors(config, eta[j - 1]), {j: _SPIN_2X2["plus"]})
+             for j, drive in enumerate(model.drives, start=1)]
+    h = kron_terms(config, terms, adjoint=True)
     h[np.diag_indices(config.dim)] += free_diagonal(model, [d.detuning for d in model.drives])
     return h
 
@@ -124,17 +120,16 @@ def standard_rwa_generator(
     d = model.drives[drive - 1]
     eta = model.eta_matrix()[drive - 1]
     if resonance == "carrier":
-        terms = [(d.Omega_R, {}, {drive: _SPIN_2X2["x"]})]
+        c, modes = d.Omega_R, {}
     elif resonance in ("blue", "red"):
         if mode is None or not 1 <= mode <= config.n_modes:
             raise ValueError(f"resonance {resonance!r} needs a mode index in 1..{config.n_modes}")
         a = _mode_destroy(config.n_max)
-        up, down = (a.conj().T, a) if resonance == "blue" else (a, a.conj().T)
-        g = 1j * eta[mode - 1] * d.Omega_R
-        terms = [(g, {mode: up}, {drive: _SPIN_2X2["plus"]}), (-g, {mode: down}, {drive: _SPIN_2X2["minus"]})]
+        c, modes = 1j * eta[mode - 1] * d.Omega_R, {mode: a.conj().T if resonance == "blue" else a}
     else:
         raise ValueError(f"unknown resonance kind {resonance!r}")
-    return OperatorMatrix(config, kron_terms(config, terms), hermitian=True)
+    terms = [(c, modes, {drive: _SPIN_2X2["plus"]})]  # the sigma_+ half; kron_terms adds the sigma_- half
+    return OperatorMatrix(config, kron_terms(config, terms, adjoint=True), hermitian=True)
 
 
 class IntermediateParts(NamedTuple):
@@ -232,32 +227,28 @@ def gauged_balanced_flip(model: ModelSpec) -> np.ndarray:
     x = -(a1 + a1.T)
     terms = []
     for j, par in enumerate(model.balanced(), start=1):
-        sp, sm = {j: _SPIN_2X2["plus"]}, {j: _SPIN_2X2["minus"]}
         d2 = displacement_factors(config, par.eta_eff)
-        d2_dag = dagger_factors(d2)
-        for p in range(1, config.n_modes + 1):  # x_p (sigma_-^j Dj^dag2 + sigma_+^j Dj^2), factor by factor
+        for p in range(1, config.n_modes + 1):  # (coup / 2) (x_p Dj^2 + Dj^2 x_p) sigma_+^j, factor by factor
             coup = par.eta_eff_by_Delta[p - 1] * nu[p - 1]
-            terms += [(coup, {**d2_dag, p: x @ d2_dag[p]}, sm), (coup, {**d2, p: x @ d2[p]}, sp)]
-        kappa = float(np.sum(par.eta_eff_by_Delta * par.eta_eff * nu))
-        terms += [(-kappa, d2_dag, sm), (kappa, d2, sp)]  # - kappa_j (sigma_-^j Dj^dag2 - sigma_+^j Dj^2)
-    flip = kron_terms(config, terms)
-    return (flip + flip.T) / 2.0
+            terms.append((0.5 * coup, {**d2, p: x @ d2[p] + d2[p] @ x}, {j: _SPIN_2X2["plus"]}))
+    return kron_terms(config, terms, adjoint=True)
 
 
 def balanced_hamiltonian(model: ModelSpec) -> IntermediateParts:
     """Balanced-frame Hamiltonian: exactly diagonal part plus bounded flip part.
 
     The diagonal part h0 is sum_p nu_p n_p + sum_j (delta_eff_j / 2) sigma_z^j,
-    and the offset is balanced_offset.  The flip part is
+    and the offset is balanced_offset.  The paper's flip part is
 
         sum_jp (i/Delta_j) etaeff_jp nu_p (a_p - a_p^dag)
                (sigma_-^j Dj^dag2 + sigma_+^j Dj^2)
       - sum_jp (1/Delta_j) etaeff_jp^2 nu_p (sigma_-^j Dj^dag2 - sigma_+^j Dj^2)
 
-    with Dj^2 = prod_p D_p(i etaeff_jp).  On the truncated space this
-    expression is hermitian only away from the Fock cutoff; the anti-hermitian
-    edge defect is removed by symmetrization, which leaves the guarded
-    interior untouched.
+    with Dj^2 = prod_p D_p(i etaeff_jp).  On the truncated space it is
+    hermitian only away from the Fock cutoff, so F is its hermitian part, which
+    leaves the guarded interior untouched.  The kappa term is anti-hermitian
+    and drops out: F is the sigma_+ half sum_jp (i/(2 Delta_j)) etaeff_jp nu_p
+    (L_p Dj^2 + Dj^2 L_p) sigma_+^j, L_p = a_p - a_p^dag, plus its adjoint.
 
     With several drives the expression drops cross-ion couplings of order
     eta_j eta_j'; the single-drive form is unitarily equivalent to the
@@ -274,32 +265,25 @@ def jc_interaction(model: ModelSpec, t: float) -> OperatorMatrix:
     """Interaction-picture coupling JC(t) relative to the balanced diagonal part.
 
     Built directly from the closed expression with phase factors
-    e^{-i omega_p^- t}, e^{-i omega_p^+ t} and e^{-i delta_eff t}, where
+    e^{-i omega_p^- t} and e^{-i omega_p^+ t}, where
     omega_p^+- = nu_p +- delta_eff; equals the conjugation of the flip part by
-    exp(i H0 t).  Symmetrized at the Fock cutoff like the flip part itself.
+    exp(i H0 t): like the flip part, its sigma_+ half plus its adjoint.
     """
     config = model.config
     nu = model.chain.nu
     a1 = _mode_destroy(config.n_max)
     terms = []
     for j, par in enumerate(model.balanced(), start=1):
-        sp, sm = {j: _SPIN_2X2["plus"]}, {j: _SPIN_2X2["minus"]}
         # prod_p exp(i etaeff_p (e^{-i nu_p t} a_p + e^{i nu_p t} a_p^dag)), one factor per mode
         dt = displacement_factors(config, 1j * par.eta_eff * np.exp(1j * nu * t))
-        dt_dag = dagger_factors(dt)
         for p in range(1, config.n_modes + 1):
             coup = par.eta_eff_by_Delta[p - 1] * nu[p - 1]
+            # L_p rotated by exp(i H0 t): e^{i delta_eff t} (e^{-i nu_p t} a_p - e^{i nu_p t} a_p^dag)
             ph_minus = np.exp(-1j * (nu[p - 1] - par.delta_eff) * t)
             ph_plus = np.exp(-1j * (nu[p - 1] + par.delta_eff) * t)
-            up = (ph_minus * a1 - np.conj(ph_plus) * a1.conj().T) @ dt[p]  # sigma_+ terms
-            down = (ph_plus * a1 - np.conj(ph_minus) * a1.conj().T) @ dt_dag[p]  # sigma_- terms
-            terms += [(1j * coup, {**dt, p: up}, sp), (1j * coup, {**dt_dag, p: down}, sm)]
-        kappa = float(np.sum(par.eta_eff_by_Delta * par.eta_eff * nu))
-        terms += [(-kappa * np.exp(-1j * par.delta_eff * t), dt_dag, sm),
-                  (kappa * np.exp(1j * par.delta_eff * t), dt, sp)]
-    out = kron_terms(config, terms)
-    out = (out + out.conj().T) / 2.0
-    return OperatorMatrix(config, out, hermitian=True)
+            quad = ph_minus * a1 - np.conj(ph_plus) * a1.conj().T
+            terms.append((0.5j * coup, {**dt, p: quad @ dt[p] + dt[p] @ quad}, {j: _SPIN_2X2["plus"]}))
+    return OperatorMatrix(config, kron_terms(config, terms, adjoint=True), hermitian=True)
 
 
 @dataclass(frozen=True)

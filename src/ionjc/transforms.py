@@ -36,7 +36,7 @@ from .fock import (
 
 
 class NoDriveError(ValueError):
-    """Raised when balanced parameters are requested at zero Rabi frequency."""
+    """Raised when balanced parameters are requested at a Rabi frequency zero or too small for the detuning."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +88,9 @@ def balanced_params(drive: LaserDrive, eta_row: Sequence[float]) -> BalancedPara
     """Balanced parameters of one drive, given its Lamb-Dicke row.
 
     sign(Delta) is taken as +1 at Delta = 0; the term it weights vanishes
-    there, the convention just keeps outputs deterministic.
+    there, the convention just keeps outputs deterministic.  A Delta whose
+    square leaves the float range (|Delta| above about 1.3e154) is rejected
+    like Omega_R = 0: the drive is too weak to balance.
     """
     if drive.Omega_R <= 0.0:
         raise NoDriveError(
@@ -97,7 +99,14 @@ def balanced_params(drive: LaserDrive, eta_row: Sequence[float]) -> BalancedPara
     eta = np.asarray(eta_row, dtype=float)
     delta = drive.detuning
     big_delta = delta / drive.Omega_R
-    root = 1.0 / np.sqrt(4.0 + big_delta**2)
+    try:
+        square = big_delta**2
+    except OverflowError:  # a float power checks its range
+        square = math.inf
+    if not math.isfinite(square):
+        raise NoDriveError(f"Omega_R = {drive.Omega_R!r} is too small for the detuning {delta!r}: "
+                           f"Delta = delta / Omega_R = {big_delta!r} squares past the float range")
+    root = 1.0 / np.sqrt(4.0 + square)
     sign = 1.0 if big_delta >= 0 else -1.0
     outer = np.sqrt(0.25 + root / 2.0)
     inner = np.sqrt(max(0.25 - root / 2.0, 0.0))

@@ -482,6 +482,47 @@ def test_cli_unreadable_config_exits_2_with_its_path(tmp_path, capsys, content):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, keys, value", [
+    ("evolve_sideband", ("drives", 0, "delta"), 1e160),
+    ("evolve_sideband", ("drives", 0, "Omega_R"), 1e-160),
+    ("evolve_sideband", ("drives", 0, "Omega_R"), 5e-324),  # Delta = delta / Omega_R is inf
+    ("resonance", ("drives", 0, "Omega_R"), 1e-200),
+    ("sweep_rabi", ("sweep", "start"), 1e-160),
+])
+def test_cli_rabi_frequency_too_small_for_the_detuning_exits_2(tmp_path, capsys, name, keys, value):
+    # Delta = delta / Omega_R whose square leaves the float range: an undriven ion, not an overflow
+    cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    node = cfg
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    out = tmp_path / "out.csv"
+    assert main([cfg["experiment"], "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error: Omega_R = ") and "squares past the float range" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_cli_bad_output_path_exits_2_before_the_run(tmp_path, capsys, monkeypatch, where):
+    def never(cfg, threads=1):
+        raise AssertionError("run_experiment called")
+
+    monkeypatch.setattr("ionjc.cli.run_experiment", never)
+    if where == "missing-directory":  # from --out
+        out = tmp_path / "missing" / "x.csv"
+        path, flags = write_config(tmp_path, minimal_modes_config()), ["--out", str(out)]
+    else:  # from output.path
+        out = tmp_path / "existing"
+        out.mkdir()
+        path, flags = write_config(tmp_path, minimal_modes_config(output={"path": str(out)})), []
+    assert main(["modes", "--config", path, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: output path {str(out)!r} is a directory or lies in no existing directory\n"
+    assert not out.parent.exists() if where == "missing-directory" else out.is_dir() and not any(out.iterdir())
+
+
 def test_cli_exit_code_experiment_mismatch(tmp_path, capsys):
     path = write_config(tmp_path, minimal_modes_config())
     assert main(["resonance", "--config", path]) == 2

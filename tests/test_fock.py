@@ -318,6 +318,14 @@ def test_kron_terms_against_dense_kron(n_modes, n_max, n_spins):
     full = kron_terms(cfg, terms)
     assert np.allclose(full, expected, rtol=0.0, atol=1e-13)
     assert np.allclose(embed_factors(cfg, *terms[2][1:]), _dense_term(cfg, 1.0, *terms[2][1:]), rtol=0.0, atol=1e-13)
+    # adjoint=True adds S + S^dag: real and complex terms, on spin-off-diagonal and spin-diagonal blocks
+    z, ee = fock._SPIN_2X2["z"], fock._SPIN_2X2["ee"]
+    for group in ([terms[0]], [terms[1]], terms[:2], [(0.3, {1: mode()}, {n_spins: z})],
+                  [(0.2 - 0.9j, {n_modes: mode() + 1j * mode()}, {1: ee})]):
+        dense = sum(_dense_term(cfg, *term) for term in group)
+        both = kron_terms(cfg, group, adjoint=True)
+        assert both.dtype == dense.dtype
+        assert np.array_equal(both, dense + dense.conj().T)
     with pytest.raises(ValueError, match=f"mode index {n_modes + 1} out of range 1..{n_modes}"):
         kron_terms(cfg, [(1.0, {n_modes + 1: mode()}, {})])
     with pytest.raises(ValueError, match=f"ion index 0 out of range 1..{n_spins}"):

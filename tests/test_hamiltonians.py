@@ -16,6 +16,7 @@ from ionjc.fock import (
     displacement_factors,
     embed_factors,
     guarded_norm,
+    kron_terms,
     mode_occupations,
     spin_op,
 )
@@ -331,22 +332,41 @@ def _embedded_gauged_hamiltonian(model):
 
 
 def _embedded_gauged_flip(model):
-    """Reference assembly of P^dag F P, term by term in the builder's accumulation order."""
+    """Reference assembly of P^dag F P, term by term in the builder's order: each sigma_+ term, then its transpose."""
     config, nu = model.config, model.chain.nu
     flip = np.zeros((config.dim, config.dim))
     a1 = _mode_destroy(config.n_max)
     x = -(a1 + a1.T)
     for j, par in enumerate(model.balanced(), start=1):
+        d2 = displacement_factors(config, par.eta_eff)
+        for p in range(1, config.n_modes + 1):
+            coup = par.eta_eff_by_Delta[p - 1] * nu[p - 1]
+            w = 0.5 * coup * embed_factors(config, {**d2, p: x @ d2[p] + d2[p] @ x}, {j: _SPIN_2X2["plus"]})
+            flip += w
+            flip += w.T
+    return flip
+
+
+def _paper_gauged_flip(model):
+    """P^dag F P from the paper's full flip part: its sigma_+- terms plus the kappa term K, then (F + F^T) / 2.
+
+    Returns the symmetrized flip and K.
+    """
+    config, nu = model.config, model.chain.nu
+    a1 = _mode_destroy(config.n_max)
+    x = -(a1 + a1.T)
+    terms, kappa_terms = [], []
+    for j, par in enumerate(model.balanced(), start=1):
         sp, sm = {j: _SPIN_2X2["plus"]}, {j: _SPIN_2X2["minus"]}
         d2 = displacement_factors(config, par.eta_eff)
         d2_dag = dagger_factors(d2)
-        for p in range(1, config.n_modes + 1):
+        for p in range(1, config.n_modes + 1):  # x_p (sigma_-^j Dj^dag2 + sigma_+^j Dj^2), factor by factor
             coup = par.eta_eff_by_Delta[p - 1] * nu[p - 1]
-            flip += coup * embed_factors(config, {**d2_dag, p: x @ d2_dag[p]}, sm)
-            flip += coup * embed_factors(config, {**d2, p: x @ d2[p]}, sp)
-        w = embed_factors(config, d2, sp)
-        flip -= float(np.sum(par.eta_eff_by_Delta * par.eta_eff * nu)) * (w.T - w)
-    return (flip + flip.T) / 2.0
+            terms += [(coup, {**d2_dag, p: x @ d2_dag[p]}, sm), (coup, {**d2, p: x @ d2[p]}, sp)]
+        kappa = float(np.sum(par.eta_eff_by_Delta * par.eta_eff * nu))
+        kappa_terms += [(-kappa, d2_dag, sm), (kappa, d2, sp)]  # - kappa_j (sigma_-^j Dj^dag2 - sigma_+^j Dj^2)
+    flip = kron_terms(config, terms + kappa_terms)
+    return (flip + flip.T) / 2.0, kron_terms(config, kappa_terms)
 
 
 def _three_ion_outer_drives():
@@ -371,6 +391,39 @@ def test_spin_block_assembly_equals_embedded_products(model):
             gauged_balanced_flip(model)
     else:
         assert np.array_equal(gauged_balanced_flip(model), _embedded_gauged_flip(model))
+
+
+@pytest.mark.parametrize("model", [
+    make_single_model(n_max=6, guard=2),
+    make_two_ion_model(phases=(0.4, -1.2), phi_beams=(0.3, 0.8)),
+    _three_ion_outer_drives(),
+], ids=["1ion", "2ions", "3ions-drives-1-3"])
+def test_flip_is_the_hermitian_part_of_the_papers_flip(model):
+    # the kappa term is exactly antisymmetric in the gauge, so the symmetrization cancels it, and the
+    # sigma_- terms are the transposes of sigma_+ ones: the flip is the hermitian part of its sigma_+ half
+    full, kappa = _paper_gauged_flip(model)
+    assert np.abs(kappa).max() > 0.0
+    assert np.array_equal(kappa + kappa.T, np.zeros_like(kappa))
+    assert np.abs(gauged_balanced_flip(model) - full).max() <= 1e-15
+
+
+def test_flip_and_jc_hold_no_dense_temporaries():
+    model = make_two_ion_model(n_max=12)
+    real_bytes = model.config.dim**2 * 8
+    gauged_balanced_flip(model)  # fill the basis caches outside the measurement
+    jc_interaction(model, 0.7)
+    tracemalloc.start()
+    try:
+        gauged_balanced_flip(model)
+        _, flip_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        jc_interaction(model, 0.7)
+        _, jc_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert flip_peak <= 1.5 * real_bytes  # the flip itself plus mode-block temporaries
+    assert jc_peak - base <= 1.5 * 2 * real_bytes  # JC(t), complex, and its row-block hermiticity check
 
 
 def test_gauged_hamiltonian_and_its_check_hold_no_dense_temporaries():

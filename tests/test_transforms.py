@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -58,6 +61,18 @@ def test_balanced_params_strong_field_limit():
 def test_balanced_params_rejects_zero_drive():
     with pytest.raises(NoDriveError):
         balanced_params(drive(0.0, 1.0), [0.1])
+
+
+@pytest.mark.parametrize("omega_r, delta", [(1e-160, 0.9), (0.25, 1e160), (5e-324, 0.9), (5e-324, -0.9)])
+def test_balanced_params_rejects_delta_whose_square_overflows(omega_r, delta):
+    with pytest.raises(NoDriveError, match="squares past the float range"):
+        balanced_params(drive(omega_r, delta), [0.1])
+
+
+def test_balanced_params_keeps_the_largest_delta_that_squares():
+    big = math.sqrt(sys.float_info.max)  # its square is finite, the next float's is not
+    par = balanced_params(drive(1.0, big), [0.1])
+    assert par.Delta == big and np.isfinite(par.eta_eff).all()
 
 
 @pytest.mark.parametrize("nu, omega_r", [

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
+import tempfile
 
 from .config import ConfigError, parse_config
 from .experiments import run_experiment, write_table
@@ -39,6 +41,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_out(table, out_path: str, fmt: str) -> None:
+    """Write the table to out_path so that a write failing part-way leaves an earlier file as it was.
+
+    A new or regular file is written under a temporary name in its directory
+    and then moved into place; a failed write removes the temporary file.  A
+    symlink is followed to the file it names, and the file gets the mode a
+    plain open would leave it: the old file's, or 0o666 less the umask.  A
+    device or a pipe (/dev/stdout, say) has no contents to keep and is written
+    directly.
+    """
+    if os.path.exists(out_path) and not os.path.isfile(out_path):
+        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+            write_table(table, fh, fmt)
+        return
+    path = os.path.realpath(out_path)
+    if os.path.exists(path):
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    else:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=f".{os.path.basename(path)}.")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            write_table(table, fh, fmt)
+        os.chmod(tmp, mode)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -50,7 +84,7 @@ def main(argv=None) -> int:
                 f"config declares experiment {cfg.experiment!r} but the {args.command!r} subcommand was invoked"
             )
         out_path = args.out if args.out is not None else cfg.out_path
-        # checked before the run, but not opened: a failing run leaves no file
+        # checked before the run, but not opened: a failing run leaves no file and keeps an earlier one
         if out_path is not None and (os.path.isdir(out_path) or not os.path.isdir(os.path.dirname(out_path) or ".")):
             raise ConfigError(f"output path {out_path!r} is a directory or lies in no existing directory")
         table = run_experiment(cfg, threads=args.threads)
@@ -58,8 +92,7 @@ def main(argv=None) -> int:
         if out_path is None:
             write_table(table, sys.stdout, fmt)
         else:
-            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-                write_table(table, fh, fmt)
+            _write_out(table, out_path, fmt)
     except (ConfigError, NoDriveError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

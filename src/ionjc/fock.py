@@ -132,7 +132,10 @@ def check_matrix(m: np.ndarray, hermitian: bool = False, unitary: bool = False) 
     Both residuals are their dense formulas bit for bit, taken in blocks: the
     hermiticity one in row blocks of _CHECK_ROWS, the unitarity one of a complex
     matrix in Gram blocks of COLUMN_BLOCK columns, so a check holds no dim x dim
-    temporary beyond a real matrix's one Gram matrix.
+    temporary beyond a real matrix's one Gram matrix.  A propagator built by a
+    plan (propagators._Plan.matrix) is not checked here as a complex matrix: its
+    plan checks the real factor back through this function's real path and the
+    result's column norms.
     """
     if unitary:
         err = _unitary_residual(m)
@@ -155,7 +158,11 @@ class OperatorMatrix:
 
     ``hermitian`` and ``unitary`` are construction tags; a tagged matrix is
     verified against the corresponding tolerance at construction time.  The
-    record has no arithmetic: compose operators through ``.entries``.
+    one exception is a propagator from ``propagators._Plan.matrix`` (every
+    public propagator builder but ``turn_on_propagator``): its plan earns the
+    ``unitary`` tag from its real factor's Gram and the result's column norms,
+    under the same UNITARY_ATOL, and sets the tag without a complex U^dag U.
+    The record has no arithmetic: compose operators through ``.entries``.
     Instances are treated as immutable.
     """
 

@@ -17,7 +17,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .fock import COLUMN_BLOCK, OperatorMatrix, check_matrix, parity_gauge
+from .fock import (COLUMN_BLOCK, UNITARY_ATOL, NumericalValidationError, OperatorMatrix, check_matrix,
+                   parity_gauge)
 from .hamiltonians import (ModelSpec, balanced_offset, free_diagonal, gauged_balanced_flip,
                            gauged_rotating_frame_hamiltonian)
 from .transforms import gauged_balanced_transform, rotating_frame_phases
@@ -89,13 +90,16 @@ class _Plan:
     core is e^{-i d t} X(tau) e^{i d t0}: d is w or a free diagonal plus the
     frame's scalar offset (d = 0 for rwa_jc), and X the banded product of gauged
     sideband exchanges (drive, mode, g), if any.  back is never upcast to complex.
+    back is the only factor that is not unitary by construction, so matrix
+    certifies its result through back's real Gram and the result's column norms.
 
     Every step takes one shape: a (dim, k) block with a vector of k times, or
-    of one time shared by every column.  columns (with matrix its checked
+    of one time shared by every column.  columns (with matrix its certified
     all-columns case) and apply both run _evolve, conj(R_t) P [B] core(t - t0) x,
     in one association order, so their outputs are reproducible bit for bit.
-    columns evolves its start columns in blocks of fock.COLUMN_BLOCK into one
-    preallocated output, so a dense propagator holds (dim, 128) temporaries
+    Each diagonal product is multiplied into the block in place.  columns
+    evolves its start columns in blocks of fock.COLUMN_BLOCK into one
+    preallocated output, so a dense propagator holds two (dim, 128) blocks
     besides itself and back.  apply evolves its (dim, 1) start at blocks of
     k = _BLOCK_BYTES // (16 dim) grid points: O(dim) core work per point, plus
     one real GEMM per block on its interleaved float view where the plan has
@@ -119,12 +123,13 @@ class _Plan:
         g[n] + i s[n-1] e[n-1], s[n] = sin(g tau sqrt(n+1)); the top |e> level has
         no partner under hard truncation and stays invariant.  O(dim) per column.
         x is a (dim, k) block and tau holds one time per column or one for every
-        column; cos_e, cos_g and s hold one row per time.  A plan without
-        exchanges returns x itself.
+        column; cos_e, cos_g and s hold one row per time, and a (dim, 1) x is
+        broadcast to one column per time.  A plan without exchanges returns x itself.
         """
         if not self.exchanges:
             return x
         config = self.model.config
+        x = np.broadcast_to(x, np.broadcast_shapes(x.shape, tau.shape))
         y = x.reshape(config.shape + x.shape[1:])
         root = np.sqrt(np.arange(1, config.n_max, dtype=float))  # sqrt(n + 1), n < n_max - 1
         tau = tau[:, None]
@@ -143,15 +148,15 @@ class _Plan:
         return y.reshape(x.shape)
 
     def _framed(self, x: np.ndarray, t: np.ndarray, left: bool) -> np.ndarray:
-        """x times the diagonal conj(R_t) P (left) or P^dag R_t (right); x and t as in _evolve."""
+        """x multiplied in place by the diagonal conj(R_t) P (left) or P^dag R_t (right); x and t as in _evolve."""
         config = self.model.config
-        y = x.reshape(-1, 2**config.n_spins, x.shape[1])
+        y = x.reshape(-1, 2**config.n_spins, x.shape[1])  # splits the first axis: always a view of x
         if self.frame:
             phases = rotating_frame_phases(self.model.drives, t)
-            y = np.conj(phases) * y if left else phases * y
+            np.multiply(np.conj(phases) if left else phases, y, out=y)
         gauge = parity_gauge(config).reshape(y.shape[:2] + (1,))
-        y = gauge * y if left else gauge.conj() * y
-        return y.reshape(x.shape)
+        np.multiply(gauge if left else gauge.conj(), y, out=y)
+        return x
 
     def _evolve(self, x: np.ndarray, t: np.ndarray, t0: float) -> np.ndarray:
         """conj(R_t) P [B] core(t - t0) x for a (dim, k) start block x; t holds k times or one for every column.
@@ -160,8 +165,10 @@ class _Plan:
         an F-ordered x (a start block of B^T) is transposed by the first product.
         """
         y = np.multiply(np.exp(1j * self.diag * t0)[:, None], x, order="C")
-        y = self._exchange(np.broadcast_to(y, np.broadcast_shapes(y.shape, t.shape)), t - t0)
-        y = np.exp(-1j * np.multiply.outer(self.diag, t)) * y
+        y = self._exchange(y, t - t0)
+        phase = np.exp(-1j * np.multiply.outer(self.diag, t))
+        # in place, unless one start column meets several times and the product widens it
+        y = np.multiply(phase, y, out=y if np.broadcast_shapes(phase.shape, y.shape) == y.shape else None)
         if self.back is not None:
             y = _real_matvec(self.back, y)
         return self._framed(y, t, left=True)
@@ -181,19 +188,47 @@ class _Plan:
         ts = np.array([t], dtype=float)
         for i in range(0, index.size, COLUMN_BLOCK):
             block = index[i:i + COLUMN_BLOCK]
-            start = _unit_columns(config.dim, block) if self.back is None else self.back.T[:, block]
+            if self.back is None:
+                start = _unit_columns(config.dim, block)
+            elif (np.diff(block) == 1).all():  # a run of adjacent columns: a view of back, not a copy
+                start = self.back.T[:, block[0]:block[-1] + 1]
+            else:
+                start = self.back.T[:, block]
             u[:, i:i + COLUMN_BLOCK] = self._evolve(start, ts, t0)
         u *= self._framed(np.ones((config.dim, 1), dtype=complex), np.array([t0], dtype=float), left=False)[cols, 0]
         return u
 
     def matrix(self, t: float, t0: float = 0.0) -> OperatorMatrix:
-        return OperatorMatrix(self.model.config, self.columns(slice(None), t, t0), unitary=True)
+        """U(t, t0) as a unitary-tagged OperatorMatrix, certified without the complex Gram U^dag U.
+
+        The frame, the gauge and the core's phases are unimodular diagonals and
+        each exchange is a product of 2 x 2 rotations, so back is U's one inexact
+        factor and U^dag U - I is back's real residual up to rounding (Higham,
+        Accuracy and Stability of Numerical Algorithms, 2nd ed., on products of
+        orthogonal matrices).  back is checked by check_matrix's real Gram, about
+        a sixth of the complex one, before the output is allocated; the output by
+        its column norms, the diagonal of U^dag U, which costs O(dim^2) and fails
+        on any non-finite entry, a NaN frame phase say.  UNITARY_ATOL bounds both.
+        """
+        config = self.model.config
+        if self.back is not None:
+            check_matrix(self.back, unitary=True)
+        u = self.columns(slice(None), t, t0)
+        parts = u.view(float).reshape(config.dim, config.dim, 2)  # real and imaginary part of each entry
+        err = np.abs(np.einsum("ijk,ijk->j", parts, parts) - 1.0).max()
+        if not err <= UNITARY_ATOL:  # NaN-safe: a NaN residual fails
+            raise NumericalValidationError(
+                f"propagator tagged unitary violates max_j |(U^dag U)_jj - 1| <= {UNITARY_ATOL} (got {err:.3e})"
+            )
+        record = OperatorMatrix(config, u)  # the shape check only: the tag is earned above
+        object.__setattr__(record, "unitary", True)
+        return record
 
     def apply(
         self, psi0: np.ndarray, times: Iterable[float], t0: float = 0.0
     ) -> Iterator[tuple[float, np.ndarray]]:
         """Yield (t, U(t, t0) psi0) along a time grid without forming U, one (dim, k) block of states at a time."""
-        x = self._framed(psi0[:, None], np.array([t0], dtype=float), left=False)
+        x = self._framed(psi0[:, None].copy(), np.array([t0], dtype=float), left=False)
         if self.back is not None:
             x = _real_matvec(self.back.T, x)
         times, size = iter(times), max(1, _BLOCK_BYTES // (16 * self.model.config.dim))

@@ -523,6 +523,43 @@ def test_cli_bad_output_path_exits_2_before_the_run(tmp_path, capsys, monkeypatc
     assert not out.parent.exists() if where == "missing-directory" else out.is_dir() and not any(out.iterdir())
 
 
+def test_cli_failed_write_keeps_the_previous_output(tmp_path, capsys, monkeypatch):
+    # the table is written beside --out under a temporary name and moved into place only when complete
+    path = write_config(tmp_path, minimal_modes_config())
+    out = tmp_path / "out" / "modes.csv"
+    out.parent.mkdir()
+    assert main(["modes", "--config", path, "--out", str(out)]) == 0
+    before = out.read_bytes()
+
+    def one_line_then_fail(table, stream, fmt="csv"):
+        stream.write("# generated: partial\n")
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr("ionjc.cli.write_table", one_line_then_fail)
+    assert main(["modes", "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("internal error: OSError")
+    assert out.read_bytes() == before
+    assert [p.name for p in out.parent.iterdir()] == ["modes.csv"]
+
+
+def test_cli_output_keeps_its_link_and_mode(tmp_path, capsys):
+    # the replacing write follows a symlink to its file and gives the file the mode a plain open would
+    path = write_config(tmp_path, minimal_modes_config())
+    target, link = tmp_path / "modes.csv", tmp_path / "link.csv"
+    umask = os.umask(0o022)
+    try:
+        assert main(["modes", "--config", path, "--out", str(target)]) == 0
+        assert target.stat().st_mode & 0o777 == 0o644
+        target.chmod(0o640)
+        link.symlink_to(target.name)
+        target.write_text("old\n")
+        assert main(["modes", "--config", path, "--out", str(link)]) == 0
+    finally:
+        os.umask(umask)
+    assert link.is_symlink() and target.read_text().startswith("# generated:")
+    assert target.stat().st_mode & 0o777 == 0o640
+
+
 def test_cli_exit_code_experiment_mismatch(tmp_path, capsys):
     path = write_config(tmp_path, minimal_modes_config())
     assert main(["resonance", "--config", path]) == 2

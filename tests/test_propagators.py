@@ -5,7 +5,8 @@ import pytest
 
 from conftest import make_single_model, make_two_ion_model
 from ionjc import fock, propagators
-from ionjc.config import parse_config
+from ionjc.cli import main
+from ionjc.config import parse_config, serialize_config
 from ionjc.experiments import _sweep_point, run_sweep_rabi
 from ionjc.fock import (
     NumericalValidationError,
@@ -38,7 +39,8 @@ from ionjc.propagators import (
     standard_rwa_propagator,
     turn_on_propagator,
 )
-from ionjc.transforms import NoDriveError, balanced_transform, gauged_balanced_transform, rotating_frame_diagonal
+from ionjc.transforms import (NoDriveError, balanced_transform, gauged_balanced_transform, rotating_frame_diagonal,
+                              rotating_frame_phases)
 
 
 def _gauge_models():
@@ -533,6 +535,78 @@ def test_non_orthogonal_transform_rejected_by_plan_and_sweep(monkeypatch):
         _plan(make_two_ion_model(n_max=6, guard=2), "pipeline_rwa", [(1, 1)])
     with pytest.raises(NumericalValidationError, match="unitary"):
         run_sweep_rabi(_two_ion_sweep_config())
+
+
+def test_non_orthogonal_eigenbasis_rejected_by_oracle_and_sweep(tmp_path, capsys, monkeypatch):
+    # a dense propagator is certified through its plan's real factor: a V' off by 1e-9 fails V'^T V' = I
+    cfg = _two_ion_sweep_config()
+    dim, eigh = cfg.model.config.dim, np.linalg.eigh
+
+    def scaled_eigh(h):
+        w, v = eigh(h)
+        return w, (1.0 + 1e-9) * v if len(h) == dim else v  # the plans' full-space eigh only
+
+    monkeypatch.setattr(np.linalg, "eigh", scaled_eigh)
+    with pytest.raises(NumericalValidationError, match=r"\|\|U\^dag U - I\|\|_max"):
+        exact_propagator(cfg.model, 3.0)
+    path = tmp_path / "sweep.json"
+    path.write_text(serialize_config(cfg), encoding="utf-8")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep-rabi", "--config", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("numerical validation failed: matrix tagged unitary")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["exact", "pipeline_exact", "pipeline_rwa", "standard_rwa"])
+def test_non_finite_frame_phase_rejected_by_column_norms(method, monkeypatch):
+    # a NaN frame phase leaves every real factor orthogonal; the output's column norms catch it
+    # (rwa_jc is the one method without the frame)
+    model = make_two_ion_model(n_max=6, guard=2)
+
+    def nan_phases(drives, t):
+        phases = rotating_frame_phases(drives, t)
+        phases[0] = np.nan
+        return phases
+
+    monkeypatch.setattr(propagators, "rotating_frame_phases", nan_phases)
+    with pytest.raises(NumericalValidationError, match=r"max_j \|\(U\^dag U\)_jj - 1\|"):
+        _method_propagator(model, method, [(1, 1)], 2.5, 0.5)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_certified_propagators_pass_the_dense_unitarity_check_at_dim_576(method):
+    # the complex U^dag U that the plan's certificate replaced still holds at the benchmark's size
+    model = make_two_ion_model(n_max=12, guard=4, phases=(0.4, -1.2), phi_beams=(0.3, 0.8))
+    u = _method_propagator(model, method, [(1, 1)], 9.4, 1.7)
+    assert u.unitary and fock._unitary_residual(u.entries) <= fock.UNITARY_ATOL
+
+
+def test_sweep_checks_only_real_matrices(monkeypatch):
+    # the sweep's unitarity checks run on the plans' real factors, never on a complex dim x dim Gram
+    checked, residual = [], fock._unitary_residual
+
+    def recorded_residual(m):
+        checked.append(m.dtype)
+        return residual(m)
+
+    monkeypatch.setattr(fock, "_unitary_residual", recorded_residual)
+    run_sweep_rabi(_two_ion_sweep_config(), threads=2)
+    assert checked and all(dtype == np.float64 for dtype in checked)
+
+
+def test_exact_columns_hold_two_column_blocks():
+    # each block's core phase, frame and gauge are multiplied in place and a run of start columns is a view
+    # of V': at dim 576 the temporaries are two (dim, 128) complex blocks, under half the complex output
+    model = make_two_ion_model(n_max=12, guard=4, phases=(0.4, -1.2), phi_beams=(0.3, 0.8))
+    plan = _plan(model, "exact")
+    plan.columns(slice(None), 200.0)  # fill the basis caches outside the measurement
+    tracemalloc.start()
+    try:
+        u = plan.columns(slice(None), 200.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - u.nbytes <= 0.5 * u.nbytes
 
 
 @pytest.mark.parametrize("model_name", ["single_model", "two_ion_model"])

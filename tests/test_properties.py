@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import make_single_model  # noqa: E402
-from ionjc import propagators  # noqa: E402
+from ionjc import fock, propagators  # noqa: E402
 from ionjc.chain import LaserDrive  # noqa: E402
 from ionjc.config import ConfigError, parse_config, serialize_config  # noqa: E402
 from ionjc.fock import check_matrix, coherent_state  # noqa: E402
@@ -57,6 +57,16 @@ def test_group_law_on_random_models(method, model, t0, t1, t2):
     u10 = _method_propagator(model, method, pairs, t1, t0)
     u20 = _method_propagator(model, method, pairs, t2, t0)
     assert np.abs(check_matrix(u21.entries @ u10.entries, unitary=True) - u20.entries).max() <= 1e-10
+
+
+@pytest.mark.parametrize("method", METHODS)
+@settings(max_examples=20, deadline=None)
+@given(model=MODELS, t0=TIMES, t=TIMES)
+def test_certified_propagators_pass_the_dense_unitarity_check(method, model, t0, t):
+    # a plan certifies its unitary tag through its real factor and the column norms; the complex
+    # U^dag U check that this replaced still holds on every random model
+    u = _method_propagator(model, method, [(1, 1)], t, t0)
+    assert u.unitary and fock._unitary_residual(u.entries) <= fock.UNITARY_ATOL
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -133,12 +133,16 @@ def parse_config(source) -> ExperimentConfig:
         raise ConfigError(f"$.chain.N: N exceeds supported range 1..{MAX_IONS}")
 
     if units == "si":
-        mu_si = _require(chain_raw, "mu", "$.chain", float) * AMU_SI
+        mu_amu = _require(chain_raw, "mu", "$.chain", float)
         nu1_si = _require(chain_raw, "nu1", "$.chain", float)
-        if mu_si <= 0 or nu1_si <= 0:
+        if mu_amu <= 0 or nu1_si <= 0:
             raise ConfigError("$.chain: mu and nu1 must be positive")
         freq_scale = nu1_si  # divide SI angular frequencies by this
-        k_scale = np.sqrt(HBAR_SI / (2.0 * mu_si * nu1_si))  # k_L -> dimensionless prefactor
+        mass_freq = 2.0 * (mu_amu * AMU_SI) * nu1_si  # 2 mu nu1 in SI; 0 or inf where it leaves double range
+        k_scale = np.sqrt(HBAR_SI / mass_freq) if mass_freq > 0.0 else np.inf  # k_L -> dimensionless prefactor
+        if not 0.0 < k_scale < np.inf:
+            raise ConfigError(f"$.chain: mu = {mu_amu!r} amu and nu1 = {nu1_si!r} rad/s put the length scale "
+                              f"sqrt(hbar / (2 mu nu1)) at {float(k_scale)!r} m; it must be finite and non-zero")
         mu, nu1 = 0.5, 1.0  # so sqrt(2 mu nu1) = 1 after conversion
     else:
         mu = _typed(chain_raw.get("mu", 0.5), float, "$.chain.mu")

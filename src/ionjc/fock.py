@@ -36,9 +36,8 @@ import numpy as np
 UNITARY_ATOL = 1e-12
 HERMITIAN_ATOL = 1e-10
 DENSE_MATRIX_BYTES = 2**30  # largest single dense complex dim x dim matrix a configuration may need
-_CHECK_ROWS = 32  # rows per block of the hermiticity residual: a few (32, dim) temporaries, not dim x dim
-# columns per block of a dense propagator, of its unitarity Gram matrix and of the guarded overlap:
-# (dim, 128) temporaries instead of dim x dim ones; narrower blocks cost level-3 BLAS speed
+# width of every blocked loop: (dim, 128) column blocks of a dense propagator and of the guarded overlap,
+# 128 x 128 tiles of the hermiticity residual, instead of dim x dim temporaries; narrower blocks cost BLAS speed
 COLUMN_BLOCK = 128
 
 
@@ -102,40 +101,31 @@ def guard_mask(config: HilbertConfig) -> np.ndarray:
 def _unitary_residual(m: np.ndarray) -> float:
     """max|U^dag U - I| bit for bit, with 1 subtracted on the Gram matrix's diagonal in place of a dense identity.
 
-    A real m keeps its one m.T @ m, which numpy runs as a symmetric rank-k
-    update; a complex m takes its Gram matrix in row blocks of COLUMN_BLOCK,
-    m[:, i:i+b]^dag m, so its largest temporary is (b, dim), not dim x dim.
+    A real m's .conj() is m itself, so its Gram matrix is one m.T @ m, which
+    numpy runs as a symmetric rank-k update.
     """
-    if not np.iscomplexobj(m):
-        gram = m.T @ m
-        gram[np.diag_indices_from(gram)] -= 1.0
-        return np.abs(gram).max()
-    residuals = []
-    for i in range(0, m.shape[1], COLUMN_BLOCK):
-        gram = m[:, i:i + COLUMN_BLOCK].conj().T @ m
-        rows = np.arange(len(gram))
-        gram[rows, i + rows] -= 1.0
-        residuals.append(np.abs(gram).max())
-    return np.max(residuals)  # keeps a NaN block residual, as the dense formula would
+    gram = m.conj().T @ m
+    gram[np.diag_indices_from(gram)] -= 1.0
+    return np.abs(gram).max()
 
 
 def _hermitian_residual(m: np.ndarray) -> float:
-    """max|H - H^dag| bit for bit, taken over blocks of _CHECK_ROWS rows instead of one dense difference."""
-    # np.max, unlike the builtin max, keeps a NaN block residual, as the dense formula would
-    return np.max([np.abs(m[i:i + _CHECK_ROWS] - m[:, i:i + _CHECK_ROWS].conj().T).max()
-                   for i in range(0, m.shape[0], _CHECK_ROWS)])
+    """max|H - H^dag| bit for bit, over the COLUMN_BLOCK x COLUMN_BLOCK tiles on and above the diagonal.
+
+    |H_ij - conj(H_ji)| is symmetric in i and j, so the tiles below the diagonal
+    repeat those above; a tile and its mirror stay in cache together.
+    """
+    n, b = len(m), COLUMN_BLOCK
+    # np.max, unlike the builtin max, keeps a NaN tile residual, as the dense formula would
+    return np.max([np.abs(m[i:i + b, j:j + b] - m[j:j + b, i:i + b].conj().T).max()
+                   for i in range(0, n, b) for j in range(i, n, b)])
 
 
 def check_matrix(m: np.ndarray, hermitian: bool = False, unitary: bool = False) -> np.ndarray:
     """Verify a real or complex square matrix against the tolerance of each tag it carries; return it.
 
-    Both residuals are their dense formulas bit for bit, taken in blocks: the
-    hermiticity one in row blocks of _CHECK_ROWS, the unitarity one of a complex
-    matrix in Gram blocks of COLUMN_BLOCK columns, so a check holds no dim x dim
-    temporary beyond a real matrix's one Gram matrix.  A propagator built by a
-    plan (propagators._Plan.matrix) is not checked here as a complex matrix: its
-    plan checks the real factor back through this function's real path and the
-    result's column norms.
+    Both residuals are their dense formulas bit for bit; the hermiticity one is
+    taken in tiles, the unitarity one holds the dim x dim Gram matrix.
     """
     if unitary:
         err = _unitary_residual(m)
@@ -156,12 +146,9 @@ def check_matrix(m: np.ndarray, hermitian: bool = False, unitary: bool = False) 
 class OperatorMatrix:
     """A checked result: a dense complex square matrix with its Hilbert-space metadata.
 
-    ``hermitian`` and ``unitary`` are construction tags; a tagged matrix is
-    verified against the corresponding tolerance at construction time.  The
-    one exception is a propagator from ``propagators._Plan.matrix`` (every
-    public propagator builder but ``turn_on_propagator``): its plan earns the
-    ``unitary`` tag from its real factor's Gram and the result's column norms,
-    under the same UNITARY_ATOL, and sets the tag without a complex U^dag U.
+    ``hermitian`` and ``unitary`` are construction tags, each verified by
+    ``check_matrix`` at construction, except that a dense propagator earns its
+    ``unitary`` tag from its plan's certificate (``propagators._certified``).
     The record has no arithmetic: compose operators through ``.entries``.
     Instances are treated as immutable.
     """

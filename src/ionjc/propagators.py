@@ -17,8 +17,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .fock import (COLUMN_BLOCK, UNITARY_ATOL, NumericalValidationError, OperatorMatrix, check_matrix,
-                   parity_gauge)
+from .fock import (COLUMN_BLOCK, UNITARY_ATOL, HilbertConfig, NumericalValidationError, OperatorMatrix,
+                   check_matrix, parity_gauge)
 from .hamiltonians import (ModelSpec, balanced_offset, free_diagonal, gauged_balanced_flip,
                            gauged_rotating_frame_hamiltonian)
 from .transforms import gauged_balanced_transform, rotating_frame_phases
@@ -78,6 +78,27 @@ def _unit_columns(dim: int, index: np.ndarray) -> np.ndarray:
     return out
 
 
+def _certified(config: HilbertConfig, u: np.ndarray) -> OperatorMatrix:
+    """A plan's dense propagator u as a unitary-tagged OperatorMatrix, its real factor back checked before u was built.
+
+    The frame, the gauge and the core's phases are unimodular diagonals and
+    each exchange is a product of 2 x 2 rotations, so back is u's one inexact
+    factor and U^dag U - I is back's real residual up to rounding (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., on products of
+    orthogonal matrices).  What is left is u's column norms, the diagonal of
+    U^dag U: O(dim^2), and they fail on any non-finite entry, a NaN frame phase say.
+    """
+    parts = u.view(float).reshape(config.dim, config.dim, 2)  # real and imaginary part of each entry
+    err = np.abs(np.einsum("ijk,ijk->j", parts, parts) - 1.0).max()
+    if not err <= UNITARY_ATOL:  # NaN-safe: a NaN residual fails
+        raise NumericalValidationError(
+            f"propagator tagged unitary violates max_j |(U^dag U)_jj - 1| <= {UNITARY_ATOL} (got {err:.3e})"
+        )
+    record = OperatorMatrix(config, u)  # the shape check only: the tag is earned above
+    object.__setattr__(record, "unitary", True)
+    return record
+
+
 @dataclass(frozen=True, eq=False)
 class _Plan:
     """U(t, t0) = conj(R_t) P [B] core(tau) [B^T] P^dag R_t0 in the parity gauge.
@@ -90,8 +111,8 @@ class _Plan:
     core is e^{-i d t} X(tau) e^{i d t0}: d is w or a free diagonal plus the
     frame's scalar offset (d = 0 for rwa_jc), and X the banded product of gauged
     sideband exchanges (drive, mode, g), if any.  back is never upcast to complex.
-    back is the only factor that is not unitary by construction, so matrix
-    certifies its result through back's real Gram and the result's column norms.
+    back is the only factor that is not unitary by construction, so a dense
+    propagator is certified through back's real Gram and its column norms.
 
     Every step takes one shape: a (dim, k) block with a vector of k times, or
     of one time shared by every column.  columns (with matrix its certified
@@ -199,30 +220,14 @@ class _Plan:
         return u
 
     def matrix(self, t: float, t0: float = 0.0) -> OperatorMatrix:
-        """U(t, t0) as a unitary-tagged OperatorMatrix, certified without the complex Gram U^dag U.
+        """U(t, t0) as a unitary-tagged OperatorMatrix.
 
-        The frame, the gauge and the core's phases are unimodular diagonals and
-        each exchange is a product of 2 x 2 rotations, so back is U's one inexact
-        factor and U^dag U - I is back's real residual up to rounding (Higham,
-        Accuracy and Stability of Numerical Algorithms, 2nd ed., on products of
-        orthogonal matrices).  back is checked by check_matrix's real Gram, about
-        a sixth of the complex one, before the output is allocated; the output by
-        its column norms, the diagonal of U^dag U, which costs O(dim^2) and fails
-        on any non-finite entry, a NaN frame phase say.  UNITARY_ATOL bounds both.
+        back is checked by check_matrix's real Gram, about a sixth of the
+        complex one, before the output is allocated; the output by _certified.
         """
-        config = self.model.config
         if self.back is not None:
             check_matrix(self.back, unitary=True)
-        u = self.columns(slice(None), t, t0)
-        parts = u.view(float).reshape(config.dim, config.dim, 2)  # real and imaginary part of each entry
-        err = np.abs(np.einsum("ijk,ijk->j", parts, parts) - 1.0).max()
-        if not err <= UNITARY_ATOL:  # NaN-safe: a NaN residual fails
-            raise NumericalValidationError(
-                f"propagator tagged unitary violates max_j |(U^dag U)_jj - 1| <= {UNITARY_ATOL} (got {err:.3e})"
-            )
-        record = OperatorMatrix(config, u)  # the shape check only: the tag is earned above
-        object.__setattr__(record, "unitary", True)
-        return record
+        return _certified(self.model.config, self.columns(slice(None), t, t0))
 
     def apply(
         self, psi0: np.ndarray, times: Iterable[float], t0: float = 0.0
@@ -331,14 +336,16 @@ def turn_on_propagator(model: ModelSpec, t: float, t0: float) -> OperatorMatrix:
 
     Composes the driven evolution over [0, t] with free evolution as
     exp(i H_free t0); with t0 negative this is ordinary forward free evolution
-    over [t0, 0].
+    over [t0, 0].  Certified like exact_propagator(model, t, 0), its columns
+    scaled in place by the unimodular free phases before _certified.
     """
     if not t0 < 0.0 < t:
         raise ValueError("turn-on propagator needs t0 < 0 < t; use exact_propagator otherwise")
-    free = np.exp(1j * free_diagonal(model, [model.omega_ge] * model.config.n_spins) * t0)
-    u = _plan(model, "exact").columns(slice(None), t, 0.0)
-    u *= free  # U(t, 0) exp(i H_free t0), scaled in place and checked once, as returned
-    return OperatorMatrix(model.config, u, unitary=True)
+    plan = _plan(model, "exact")
+    check_matrix(plan.back, unitary=True)
+    u = plan.columns(slice(None), t, 0.0)
+    u *= np.exp(1j * free_diagonal(model, [model.omega_ge] * model.config.n_spins) * t0)
+    return _certified(model.config, u)
 
 
 def evolve_states(

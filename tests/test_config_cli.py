@@ -184,6 +184,18 @@ def test_si_units_conversion():
     assert cfg.model.drives[0].detuning == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("mu, nu1", [(40.0, 1e-300), (1e-300, 1e6), (1e300, 1e300)],
+                         ids=["2-mu-nu1-underflows", "mu-underflows", "2-mu-nu1-overflows"])
+def test_si_scale_out_of_double_range_exits_2(tmp_path, capsys, mu, nu1):
+    # 2 mu nu1 in SI leaves double range: at 0 the length scale sqrt(hbar / (2 mu nu1)) would divide by zero,
+    # at inf it is 0 and every k_L would read 0
+    cfg = minimal_modes_config(units="si", chain={"N": 1, "mu": mu, "nu1": nu1},
+                               drives=[{"ion": 1, "Omega_R": 1.0, "delta": 1.0, "k_L": 1.0}])
+    assert main(["modes", "--config", write_config(tmp_path, cfg)]) == 2
+    assert re.fullmatch(r"config error: \$\.chain: .*length scale.* must be finite and non-zero\n",
+                        capsys.readouterr().err)
+
+
 def test_modes_table_values():
     table = run_modes(parse_config(minimal_modes_config()))
     assert table.columns[:2] == ["mode", "nu_over_nu1"]

@@ -258,9 +258,8 @@ def _nearly_unitary(rng, n, dtype):
 
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_check_residuals_equal_dense_formulas(dtype):
-    # the blocked hermiticity residual and the in-place unitarity residual are the dense formulas bit for bit;
-    # 70 rows end in a partial block of the hermiticity loop, 300 columns span three Gram blocks of 128
-    # (the complex case) and end in a partial one
+    # the tiled hermiticity residual and the in-place unitarity residual are the dense formulas bit for bit;
+    # 300 rows span three tile rows of 128 of the hermiticity loop and end in a partial one
     rng = np.random.default_rng(5)
     for n in (1, 31, 32, 70, 300):
         u = _nearly_unitary(rng, n, dtype)
@@ -268,19 +267,28 @@ def test_check_residuals_equal_dense_formulas(dtype):
         for m in (u, z, z + z.conj().T, u + u.conj().T + 1e-12 * z):
             assert fock._unitary_residual(m) == np.abs(m.conj().T @ m - np.eye(n)).max()
             assert fock._hermitian_residual(m) == np.abs(m - m.conj().T).max()
-    # past the tolerance both still raise, also when the only defect sits in the last row block
+    # past the tolerance both still raise
     u = _nearly_unitary(rng, 70, dtype)
     check_matrix(u, unitary=True)
     bad = u.copy()
     bad[69, 69] *= 1.0 + 1e-9
     with pytest.raises(NumericalValidationError, match="unitary"):
         check_matrix(bad, unitary=True)
-    # a norm defect of the last column shows only on the diagonal of the last, partial Gram block
+    # a norm defect of the last column shows only on the Gram matrix's last diagonal entry
     u300 = _nearly_unitary(rng, 300, dtype)
     check_matrix(u300, unitary=True)
+    h300 = u300 + u300.conj().T
     u300[:, -1] *= 1.0 + 1e-9
     with pytest.raises(NumericalValidationError, match="unitary"):
         check_matrix(u300, unitary=True)
+    # an asymmetry only in the last, partial diagonal tile of the hermiticity loop, then one below the
+    # diagonal, which only the mirror tile above it reads
+    check_matrix(h300, hermitian=True)
+    for i, j in ((299, 260), (299, 3)):
+        bad = h300.copy()
+        bad[i, j] += 1e-9
+        with pytest.raises(NumericalValidationError, match="hermitian"):
+            check_matrix(bad, hermitian=True)
     h = u + u.conj().T
     check_matrix(h, hermitian=True)
     h[69, 3] += 1e-9

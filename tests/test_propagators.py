@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -493,21 +494,30 @@ def test_dense_propagator_and_sweep_point_hold_column_blocks():
     assert point_peak <= 6 * real_bytes  # one oracle build beside one guarded column block
 
 
-def test_turn_on_propagator_checks_its_result_once(monkeypatch):
-    # the free phases scale the plan's columns in place, and only the returned matrix is checked unitary
+def test_turn_on_propagator_is_certified_through_its_plan(monkeypatch):
+    # the free phases scale the plan's columns in place; the plan's real eigenbasis is the one matrix checked
+    # by the dense Gram formula, and the result is tagged by its column norms, with no complex U^dag U
     model = make_single_model(Omega_R=0.3, delta=0.7, n_max=16, guard=4)
     free = np.exp(1j * free_diagonal(model, [model.omega_ge]) * -3.4)
     expected = exact_propagator(model, 1.7, 0.0).entries * free[None, :]
     checked, residual = [], fock._unitary_residual
 
     def recorded_residual(m):
-        checked.append(m)
+        checked.append(m.dtype)
         return residual(m)
 
     monkeypatch.setattr(fock, "_unitary_residual", recorded_residual)
     u = turn_on_propagator(model, 1.7, -3.4)
-    assert len(checked) == 1 and checked[0] is u.entries
+    assert checked == [np.float64] and u.unitary
     assert (u.entries == expected).all()
+
+
+def test_turn_on_propagator_rejects_an_infinite_start():
+    # t0 = -inf passes the t0 < 0 < t guard; its free phases are NaN, which the column norms reject.
+    # The invalid-value warnings of 0 * inf are silenced here, as they are outside warnings-as-errors
+    model = make_single_model(Omega_R=0.3, delta=0.7, n_max=16, guard=4)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalValidationError, match=r"\(U\^dag U\)_jj"):
+        turn_on_propagator(model, 1.7, -np.inf)
 
 
 def test_sweep_scores_columns_like_dense_propagators():
@@ -547,8 +557,9 @@ def test_non_orthogonal_eigenbasis_rejected_by_oracle_and_sweep(tmp_path, capsys
         return w, (1.0 + 1e-9) * v if len(h) == dim else v  # the plans' full-space eigh only
 
     monkeypatch.setattr(np.linalg, "eigh", scaled_eigh)
-    with pytest.raises(NumericalValidationError, match=r"\|\|U\^dag U - I\|\|_max"):
-        exact_propagator(cfg.model, 3.0)
+    for build in (lambda: exact_propagator(cfg.model, 3.0), lambda: turn_on_propagator(cfg.model, 3.0, -1.0)):
+        with pytest.raises(NumericalValidationError, match=r"\|\|U\^dag U - I\|\|_max"):
+            build()
     path = tmp_path / "sweep.json"
     path.write_text(serialize_config(cfg), encoding="utf-8")
     out = tmp_path / "sweep.csv"
@@ -557,10 +568,10 @@ def test_non_orthogonal_eigenbasis_rejected_by_oracle_and_sweep(tmp_path, capsys
     assert not out.exists()
 
 
-@pytest.mark.parametrize("method", ["exact", "pipeline_exact", "pipeline_rwa", "standard_rwa"])
+@pytest.mark.parametrize("method", ["exact", "pipeline_exact", "pipeline_rwa", "standard_rwa", "turn_on"])
 def test_non_finite_frame_phase_rejected_by_column_norms(method, monkeypatch):
     # a NaN frame phase leaves every real factor orthogonal; the output's column norms catch it
-    # (rwa_jc is the one method without the frame)
+    # (rwa_jc is the one method without the frame; turn_on is turn_on_propagator, certified like exact)
     model = make_two_ion_model(n_max=6, guard=2)
 
     def nan_phases(drives, t):
@@ -570,7 +581,10 @@ def test_non_finite_frame_phase_rejected_by_column_norms(method, monkeypatch):
 
     monkeypatch.setattr(propagators, "rotating_frame_phases", nan_phases)
     with pytest.raises(NumericalValidationError, match=r"max_j \|\(U\^dag U\)_jj - 1\|"):
-        _method_propagator(model, method, [(1, 1)], 2.5, 0.5)
+        if method == "turn_on":
+            turn_on_propagator(model, 2.5, -0.5)
+        else:
+            _method_propagator(model, method, [(1, 1)], 2.5, 0.5)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -581,17 +595,37 @@ def test_certified_propagators_pass_the_dense_unitarity_check_at_dim_576(method)
     assert u.unitary and fock._unitary_residual(u.entries) <= fock.UNITARY_ATOL
 
 
-def test_sweep_checks_only_real_matrices(monkeypatch):
-    # the sweep's unitarity checks run on the plans' real factors, never on a complex dim x dim Gram
+def _small_cli_configs():
+    """One small config per CLI experiment, evolve once per method: two ions, two drives, dim 144."""
+    base = {"chain": {"N": 2}, "hilbert": {"n_max": 6, "guard": 2},
+            "drives": [{"ion": 1, "Omega_R": 0.2, "delta": 0.9, "k_L": 0.1, "phase": 0.4},
+                       {"ion": 2, "Omega_R": 0.15, "delta": 1.4, "k_L": 0.05}]}
+    configs = {"sweep-rabi": json.loads(serialize_config(_two_ion_sweep_config())),
+               "modes": {"experiment": "modes", **base}, "resonance": {"experiment": "resonance", **base}}
+    for method in METHODS:
+        configs[f"evolve-{method}"] = {"experiment": "evolve", **base, "evolve": {
+            "t_stop": 5.0, "steps": 4, "method": method, "resonant_drive": 1, "resonant_mode": 1,
+            "initial_state": {"fock": [0, 0], "spins": ["g", "g"]}}}
+    return configs
+
+
+def test_sweep_checks_only_real_matrices(tmp_path, monkeypatch):
+    # the unitarity checks of every CLI run, the sweep's and each other experiment's, take the plans' real
+    # factors, never a complex dim x dim Gram: no CLI path reaches the dense complex formula
     checked, residual = [], fock._unitary_residual
 
     def recorded_residual(m):
-        checked.append(m.dtype)
+        checked.append((name, m.dtype))
         return residual(m)
 
     monkeypatch.setattr(fock, "_unitary_residual", recorded_residual)
-    run_sweep_rabi(_two_ion_sweep_config(), threads=2)
-    assert checked and all(dtype == np.float64 for dtype in checked)
+    for name, raw in _small_cli_configs().items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main([raw["experiment"], "--config", str(path), "--out", str(tmp_path / f"{name}.csv"),
+                     "--threads", "2"]) == 0
+    assert {name for name, _ in checked} >= {"sweep-rabi", "evolve-pipeline_exact", "evolve-pipeline_rwa"}
+    assert all(dtype == np.float64 for _, dtype in checked), checked
 
 
 def test_exact_columns_hold_two_column_blocks():

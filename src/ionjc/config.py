@@ -117,6 +117,13 @@ def _load(source) -> dict:
     return raw
 
 
+def _converted(value: float, path: str) -> float:
+    """A value after unit conversion, rejected with its field's path where the conversion left the float range."""
+    if not np.isfinite(value):
+        raise ConfigError(f"{path}: converts to {float(value)!r} in units of nu1; it must stay finite")
+    return value
+
+
 def parse_config(source) -> ExperimentConfig:
     """Parse and validate a config file path or already-loaded mapping."""
     raw = _load(source)
@@ -139,7 +146,7 @@ def parse_config(source) -> ExperimentConfig:
             raise ConfigError("$.chain: mu and nu1 must be positive")
         freq_scale = nu1_si  # divide SI angular frequencies by this
         mass_freq = 2.0 * (mu_amu * AMU_SI) * nu1_si  # 2 mu nu1 in SI; 0 or inf where it leaves double range
-        k_scale = np.sqrt(HBAR_SI / mass_freq) if mass_freq > 0.0 else np.inf  # k_L -> dimensionless prefactor
+        k_scale = float(np.sqrt(HBAR_SI / mass_freq)) if mass_freq > 0.0 else np.inf  # k_L -> dimensionless prefactor
         if not 0.0 < k_scale < np.inf:
             raise ConfigError(f"$.chain: mu = {mu_amu!r} amu and nu1 = {nu1_si!r} rad/s put the length scale "
                               f"sqrt(hbar / (2 mu nu1)) at {float(k_scale)!r} m; it must be finite and non-zero")
@@ -156,7 +163,7 @@ def parse_config(source) -> ExperimentConfig:
     n_max = _typed(hilbert.get("n_max", 40 if n_ions == 1 else 12), int, "$.hilbert.n_max")
     guard = _typed(hilbert.get("guard", 10 if n_ions == 1 else 4), int, "$.hilbert.guard")
 
-    omega_ge = _typed(raw.get("omega_ge", 0.0), float, "$.omega_ge") / freq_scale
+    omega_ge = _converted(_typed(raw.get("omega_ge", 0.0), float, "$.omega_ge") / freq_scale, "$.omega_ge")
 
     drives_raw = _require(raw, "drives", "$", list)
     if not drives_raw:
@@ -166,16 +173,17 @@ def parse_config(source) -> ExperimentConfig:
         path = f"$.drives[{i}]"
         d = _typed(d, dict, path)
         ion = _require(d, "ion", path, int)
-        omega_r = _require(d, "Omega_R", path, float) / freq_scale
+        omega_r = _converted(_require(d, "Omega_R", path, float) / freq_scale, f"{path}.Omega_R")
         if "delta" in d and "omega_L" in d:
             raise ConfigError(f"{path}: give either delta or omega_L, not both")
         if "delta" in d:
-            omega_l = omega_ge - _typed(d["delta"], float, f"{path}.delta") / freq_scale
+            delta = _converted(_typed(d["delta"], float, f"{path}.delta") / freq_scale, f"{path}.delta")
+            omega_l = _converted(omega_ge - delta, f"{path}.delta")
         elif "omega_L" in d:
-            omega_l = _typed(d["omega_L"], float, f"{path}.omega_L") / freq_scale
+            omega_l = _converted(_typed(d["omega_L"], float, f"{path}.omega_L") / freq_scale, f"{path}.omega_L")
         else:
             raise ConfigError(f"{path}: needs delta or omega_L")
-        k_l = _require(d, "k_L", path, float) * k_scale
+        k_l = _converted(_require(d, "k_L", path, float) * k_scale, f"{path}.k_L")
         phi = _typed(d.get("phi_beam", 0.0), float, f"{path}.phi_beam")
         phase = _typed(d.get("phase", 0.0), float, f"{path}.phase")
         try:

@@ -277,6 +277,21 @@ def _displacement_1mode(n_max: int, alpha: complex) -> np.ndarray:
     return d.real
 
 
+@lru_cache(maxsize=None)
+def quadrature_basis(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues xi and real orthogonal eigenvectors X of the truncated quadrature a + a^dag on one mode.
+
+    Every displacement with an imaginary argument is a function of this one
+    generator, D(i y) = exp(i y (a + a^dag)) = X diag(e^{i y xi}) X^T, so it is
+    diagonal in the basis X on the truncated space too.  Cached read-only.
+    """
+    a = _mode_destroy(n_max)
+    xi, x = np.linalg.eigh(a + a.T)
+    for m in (xi, x):
+        m.setflags(write=False)
+    return xi, x
+
+
 def displacement(config: HilbertConfig, mode: int, alpha: complex) -> OperatorMatrix:
     """Displacement operator D(alpha) = exp(alpha a_dag - alpha* a) on one mode.
 

@@ -80,6 +80,17 @@ def free_diagonal(model: ModelSpec, spin_freqs: Sequence[float]) -> np.ndarray:
     return diag
 
 
+def free_axes(model: ModelSpec, spin_freqs: Sequence[float], offset: float = 0.0) -> tuple[np.ndarray, ...]:
+    """free_diagonal plus a scalar offset as one row per axis of config.shape: d = sum_a rows[a][n_a].
+
+    Mode p's row is nu_p n (mode 1's carries the offset) and ion j's is
+    (w_j / 2) (+1, -1), so e^{-i d t} is a product of per-axis phases.
+    """
+    n = np.arange(model.config.n_max, dtype=float)
+    modes = [nu * n + (offset if p == 0 else 0.0) for p, nu in enumerate(model.chain.nu)]
+    return tuple(modes) + tuple(0.5 * w * np.array([1.0, -1.0]) for w in spin_freqs)
+
+
 def gauged_rotating_frame_hamiltonian(model: ModelSpec) -> np.ndarray:
     """P^dag H P of rotating_frame_hamiltonian in the parity gauge P, real: D_p(i eta_jp) becomes D_p(eta_jp)."""
     config = model.config

@@ -19,9 +19,9 @@ import numpy as np
 
 from .fock import (COLUMN_BLOCK, UNITARY_ATOL, HilbertConfig, NumericalValidationError, OperatorMatrix,
                    check_matrix, parity_gauge)
-from .hamiltonians import (ModelSpec, balanced_offset, free_diagonal, gauged_balanced_flip,
+from .hamiltonians import (ModelSpec, balanced_offset, free_axes, free_diagonal, gauged_balanced_flip,
                            gauged_rotating_frame_hamiltonian)
-from .transforms import gauged_balanced_transform, rotating_frame_phases
+from .transforms import FactoredTransform, factored_balanced_transform, rotating_frame_phases
 
 # the methods that take resonant (drive, mode) pairs; rwa_jc is the bare
 # interaction-picture closed form, useful for inspecting the undressed sideband exchange
@@ -79,11 +79,12 @@ def _unit_columns(dim: int, index: np.ndarray) -> np.ndarray:
 
 
 def _certified(config: HilbertConfig, u: np.ndarray) -> OperatorMatrix:
-    """A plan's dense propagator u as a unitary-tagged OperatorMatrix, its real factor back checked before u was built.
+    """A plan's dense propagator u as a unitary-tagged OperatorMatrix, its real factors checked before u was built.
 
-    The frame, the gauge and the core's phases are unimodular diagonals and
-    each exchange is a product of 2 x 2 rotations, so back is u's one inexact
-    factor and U^dag U - I is back's real residual up to rounding (Higham,
+    The frame, the gauge and the core's phases are unimodular diagonals, each
+    exchange is a product of 2 x 2 rotations and T's factors were certified
+    with the plan, so the eigenbasis V' is u's one other inexact factor and
+    U^dag U - I is their real residuals up to rounding (Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., on products of
     orthogonal matrices).  What is left is u's column norms, the diagonal of
     U^dag U: O(dim^2), and they fail on any non-finite entry, a NaN frame phase say.
@@ -99,53 +100,70 @@ def _certified(config: HilbertConfig, u: np.ndarray) -> OperatorMatrix:
     return record
 
 
+def _axis_phases(rows: Sequence[np.ndarray], t: np.ndarray, sign: float) -> np.ndarray:
+    """exp(sign i d t) at k times t for d = sum_a rows[a][n_a] over a run of axes of config.shape: (size, k).
+
+    One exponential per row entry and time, joined by outer products in the layout's C order; no rows give (1, k) ones.
+    """
+    phase = np.ones((1, t.size), dtype=complex)
+    for row in rows:
+        phase = (phase[:, None, :] * np.exp(sign * 1j * np.multiply.outer(row, t))).reshape(-1, t.size)
+    return phase
+
+
 @dataclass(frozen=True, eq=False)
 class _Plan:
-    """U(t, t0) = conj(R_t) P [B] core(tau) [B^T] P^dag R_t0 in the parity gauge.
+    """U(t, t0) = conj(R_t) [T^dag] [P V'] core(tau) [V'^T P^dag] [T] R_t0.
 
-    tau = t - t0; R is the rotating frame (left out when frame is False) and P
-    the parity gauge (fock.parity_gauge), in which the model's Hamiltonians and
-    the balanced transform T are assembled real.  back is the real B: V' for
-    exact, T'^T V' for pipeline_exact and T'^T for pipeline_rwa, with T' =
-    P^dag T P and V' diag(w) V'^T the eigendecomposition of P^dag H P.  The
-    core is e^{-i d t} X(tau) e^{i d t0}: d is w or a free diagonal plus the
-    frame's scalar offset (d = 0 for rwa_jc), and X the banded product of gauged
-    sideband exchanges (drive, mode, g), if any.  back is never upcast to complex.
-    back is the only factor that is not unitary by construction, so a dense
-    propagator is certified through back's real Gram and its column norms.
+    tau = t - t0 and R is the rotating frame (left out when frame is False).
+    The eigen plans diagonalise a Hamiltonian where it is real, in the parity
+    gauge P (fock.parity_gauge): basis is the real eigenbasis V' of P^dag H P,
+    H the rotating-frame Hamiltonian for exact and the balanced one for
+    pipeline_exact, and diag its eigenvalues w (plus the frame's scalar offset
+    for pipeline_exact).  Their core is e^{-i w t} e^{i w t0}.  The closed
+    forms need no gauge: their core is e^{-i d t} X(tau) e^{i d t0}, d a free
+    diagonal plus the frame's scalar offset kept as one row per axis (axes,
+    hamiltonians.free_axes; none for rwa_jc, whose d is 0), and X the banded
+    product of sideband exchanges (drive, mode, g).  Both pipeline plans hold
+    the balanced transform T as its factors (transforms.FactoredTransform),
+    certified when the plan is built, and never as a dim x dim matrix.  basis
+    is never upcast to complex, and it is the only factor neither unitary by
+    construction nor certified at build, so a dense propagator is certified
+    through basis's real Gram and its column norms.
 
     Every step takes one shape: a (dim, k) block with a vector of k times, or
     of one time shared by every column.  columns (with matrix its certified
-    all-columns case) and apply both run _evolve, conj(R_t) P [B] core(t - t0) x,
-    in one association order, so their outputs are reproducible bit for bit.
-    Each diagonal product is multiplied into the block in place.  columns
-    evolves its start columns in blocks of fock.COLUMN_BLOCK into one
-    preallocated output, so a dense propagator holds two (dim, 128) blocks
-    besides itself and back.  apply evolves its (dim, 1) start at blocks of
-    k = _BLOCK_BYTES // (16 dim) grid points: O(dim) core work per point, plus
+    all-columns case) and apply both run _evolve, conj(R_t) [T^dag] [P V']
+    core(t - t0) x, in one association order, so their outputs are
+    reproducible bit for bit.  Each diagonal product is multiplied into the
+    block in place.  columns evolves its start columns [V'^T P^dag] [T]
+    I[:, cols] in blocks of fock.COLUMN_BLOCK into one preallocated output, so
+    a dense propagator holds two (dim, 128) blocks besides itself and basis.
+    apply evolves its (dim, 1) start at blocks of k = _BLOCK_BYTES // (16 dim)
+    grid points: per point O(dim) core work and O(dim n_max) for T^dag, plus
     one real GEMM per block on its interleaved float view where the plan has
-    back; the frame and the gauge enter through the 2^n_spins spin phases of
-    each point and a diagonal.
+    basis; the frame enters through the 2^n_spins spin phases of each point.
     """
 
     model: ModelSpec
-    diag: np.ndarray
-    back: np.ndarray | None = None
+    diag: np.ndarray | None = None
+    axes: tuple[np.ndarray, ...] = ()
+    basis: np.ndarray | None = None
+    transform: FactoredTransform | None = None
     exchanges: tuple[tuple[int, int, float], ...] = ()
     frame: bool = True
 
     def _exchange(self, x: np.ndarray, tau: np.ndarray) -> np.ndarray:
-        """Apply prod exp(i g tau (a_mode sigma_+^drive + a_mode^dag sigma_-^drive)) to the columns of x.
+        """Apply prod exp(g tau (a_mode sigma_+^drive - a_mode^dag sigma_-^drive)) to the columns of x.
 
-        That is the exchange exp(g tau (a sigma_+ - a^dag sigma_-)) in the parity
-        gauge: P^dag (a sigma_+ - a^dag sigma_-) P = i (a sigma_+ + a^dag sigma_-).
-        Each factor exchanges |n, e> with |n+1, g> on its (mode, drive) axes:
-        e[n] <- cos(g tau sqrt(n+1)) e[n] + i s[n] g[n+1], g[n] <- cos(g tau sqrt(n))
-        g[n] + i s[n-1] e[n-1], s[n] = sin(g tau sqrt(n+1)); the top |e> level has
-        no partner under hard truncation and stays invariant.  O(dim) per column.
-        x is a (dim, k) block and tau holds one time per column or one for every
-        column; cos_e, cos_g and s hold one row per time, and a (dim, 1) x is
-        broadcast to one column per time.  A plan without exchanges returns x itself.
+        Each factor is a real rotation of |n, e> and |n+1, g> on its (mode,
+        drive) axes: e[n] <- cos(g tau sqrt(n+1)) e[n] + s[n] g[n+1], g[n] <-
+        cos(g tau sqrt(n)) g[n] - s[n-1] e[n-1], s[n] = sin(g tau sqrt(n+1));
+        the top |e> level has no partner under hard truncation and stays
+        invariant.  O(dim) per column.  x is a (dim, k) block and tau holds one
+        time per column or one for every column; cos_e, cos_g and s hold one row
+        per time, and a (dim, 1) x is broadcast to one column per time.  A plan
+        without exchanges returns x itself.
         """
         if not self.exchanges:
             return x
@@ -158,44 +176,84 @@ class _Plan:
             upper = g * tau * root
             cos, one = np.cos(upper), np.ones((len(tau), 1))
             cos_e, cos_g = np.concatenate([cos, one], axis=-1), np.concatenate([one, cos], axis=-1)
-            s = 1j * (np.sin(upper) / root * root)  # (sin / sqrt(n+1)) times a's sqrt(n+1), rounded like f(n) a
+            s = np.sin(upper) / root * root  # (sin / sqrt(n+1)) times a's sqrt(n+1), rounded like f(n) a
             out = np.empty_like(y)  # views v (input) and w (output) end in the (column, mode, spin) axes
             v, w = (np.moveaxis(a, (k - 1, config.n_modes + j - 1), (-2, -1)) for a in (y, out))
-            w[..., 0] = cos_e * v[..., 0]
-            w[..., :-1, 0] += s * v[..., 1:, 1]
-            w[..., 1] = cos_g * v[..., 1]
-            w[..., 1:, 1] += s * v[..., :-1, 0]
+            np.multiply(cos_e, v[..., 0], out=w[..., 0])
+            np.multiply(cos_g, v[..., 1], out=w[..., 1])
+            partner = np.multiply(s, v[..., 1:, 1])  # one temporary for both partner terms
+            w[..., :-1, 0] += partner
+            w[..., 1:, 1] -= np.multiply(s, v[..., :-1, 0], out=partner)
             y = out
         return y.reshape(x.shape)
 
     def _framed(self, x: np.ndarray, t: np.ndarray, left: bool) -> np.ndarray:
-        """x multiplied in place by the diagonal conj(R_t) P (left) or P^dag R_t (right); x and t as in _evolve."""
+        """x multiplied in place by the diagonal conj(R_t) [P] (left) or [P^dag] R_t (right); x and t as in _evolve.
+
+        The gauge sits at the frame for exact alone; pipeline_exact's sits between V' and T.
+        """
         config = self.model.config
         y = x.reshape(-1, 2**config.n_spins, x.shape[1])  # splits the first axis: always a view of x
         if self.frame:
             phases = rotating_frame_phases(self.model.drives, t)
             np.multiply(np.conj(phases) if left else phases, y, out=y)
-        gauge = parity_gauge(config).reshape(y.shape[:2] + (1,))
-        np.multiply(gauge if left else gauge.conj(), y, out=y)
+        if self.basis is not None and self.transform is None:
+            gauge = parity_gauge(config).reshape(y.shape[:2] + (1,))
+            np.multiply(gauge if left else gauge.conj(), y, out=y)
         return x
 
+    def _start(self, x: np.ndarray) -> np.ndarray:
+        """[V'^T P^dag] [T] x for a C-ordered (dim, k) block x, after the right frame: the core's start block."""
+        if self.transform is not None:
+            x = self.transform.apply(x, overwrite=True)
+            if self.basis is not None:
+                x *= parity_gauge(self.model.config).conj()[:, None]
+        if self.basis is not None:
+            x = _real_matvec(self.basis.T, x)
+        return x
+
+    def _phased(self, x: np.ndarray, t: np.ndarray, sign: float, copy: bool = False) -> np.ndarray:
+        """x times e^{sign i d t}, the core's diagonal at x's times t; x and t as in _evolve.
+
+        The eigenvalues w are exponentiated entry by entry.  A free d is
+        exponentiated axis by axis (n_modes n_max + 2 n_spins exponentials per
+        time instead of dim) and multiplied in as its mode and its spin part.
+        In place unless copy asks for a new C-ordered block or one start column
+        meets several times and the product widens it.
+        """
+        config = self.model.config
+        spins = 2**config.n_spins
+        if self.diag is not None:
+            factors = [np.exp(sign * 1j * np.multiply.outer(self.diag, t)).reshape(-1, spins, t.size)]
+        else:  # no rows (rwa_jc) give factors of ones
+            factors = [_axis_phases(self.axes[:config.n_modes], t, sign)[:, None, :],
+                       _axis_phases(self.axes[config.n_modes:], t, sign)]
+        y = x.reshape(-1, spins, x.shape[1])  # splits the first axis: a view of x in either order
+        for f in factors:
+            if copy or np.broadcast_shapes(f.shape, y.shape) != y.shape:
+                y, copy = np.multiply(f, y, order="C"), False
+            else:
+                np.multiply(f, y, out=y)
+        return y.reshape(-1, y.shape[-1])
+
     def _evolve(self, x: np.ndarray, t: np.ndarray, t0: float) -> np.ndarray:
-        """conj(R_t) P [B] core(t - t0) x for a (dim, k) start block x; t holds k times or one for every column.
+        """conj(R_t) [T^dag] [P V'] core(t - t0) x for a (dim, k) start block x; t: k times or one for every column.
 
         A (dim, 1) x with k times gives one column per time.  The core's output is C-ordered:
-        an F-ordered x (a start block of B^T) is transposed by the first product.
+        an F-ordered x (a start block of V'^T) is transposed by the first product.
         """
-        y = np.multiply(np.exp(1j * self.diag * t0)[:, None], x, order="C")
-        y = self._exchange(y, t - t0)
-        phase = np.exp(-1j * np.multiply.outer(self.diag, t))
-        # in place, unless one start column meets several times and the product widens it
-        y = np.multiply(phase, y, out=y if np.broadcast_shapes(phase.shape, y.shape) == y.shape else None)
-        if self.back is not None:
-            y = _real_matvec(self.back, y)
+        y = self._phased(x, np.array([t0], dtype=float), 1.0, copy=True)
+        y = self._phased(self._exchange(y, t - t0), t, -1.0)
+        if self.basis is not None:
+            y = _real_matvec(self.basis, y)
+        if self.transform is not None:
+            if self.basis is not None:
+                y *= parity_gauge(self.model.config)[:, None]
+            y = self.transform.apply(y, adjoint=True, overwrite=True)
         return self._framed(y, t, left=True)
 
     def columns(self, cols: slice | np.ndarray, t: float, t0: float = 0.0) -> np.ndarray:
-        """U(t, t0)[:, cols], unchecked: the start B^T[:, cols] (or I[:, cols]) through _evolve and the right frame.
+        """U(t, t0)[:, cols], unchecked: the start [V'^T P^dag] [T] I[:, cols] through _evolve and the right frame.
 
         The (dim, k) output is allocated once and filled COLUMN_BLOCK columns at
         a time, each block's start taken and evolved on its own, so every
@@ -209,12 +267,12 @@ class _Plan:
         ts = np.array([t], dtype=float)
         for i in range(0, index.size, COLUMN_BLOCK):
             block = index[i:i + COLUMN_BLOCK]
-            if self.back is None:
-                start = _unit_columns(config.dim, block)
-            elif (np.diff(block) == 1).all():  # a run of adjacent columns: a view of back, not a copy
-                start = self.back.T[:, block[0]:block[-1] + 1]
+            if self.basis is None or self.transform is not None:
+                start = self._start(_unit_columns(config.dim, block))
+            elif (np.diff(block) == 1).all():  # a run of adjacent columns: a view of V'^T, not a copy
+                start = self.basis.T[:, block[0]:block[-1] + 1]
             else:
-                start = self.back.T[:, block]
+                start = self.basis.T[:, block]
             u[:, i:i + COLUMN_BLOCK] = self._evolve(start, ts, t0)
         u *= self._framed(np.ones((config.dim, 1), dtype=complex), np.array([t0], dtype=float), left=False)[cols, 0]
         return u
@@ -222,20 +280,18 @@ class _Plan:
     def matrix(self, t: float, t0: float = 0.0) -> OperatorMatrix:
         """U(t, t0) as a unitary-tagged OperatorMatrix.
 
-        back is checked by check_matrix's real Gram, about a sixth of the
+        basis is checked by check_matrix's real Gram, about a sixth of the
         complex one, before the output is allocated; the output by _certified.
         """
-        if self.back is not None:
-            check_matrix(self.back, unitary=True)
+        if self.basis is not None:
+            check_matrix(self.basis, unitary=True)
         return _certified(self.model.config, self.columns(slice(None), t, t0))
 
     def apply(
         self, psi0: np.ndarray, times: Iterable[float], t0: float = 0.0
     ) -> Iterator[tuple[float, np.ndarray]]:
         """Yield (t, U(t, t0) psi0) along a time grid without forming U, one (dim, k) block of states at a time."""
-        x = self._framed(psi0[:, None].copy(), np.array([t0], dtype=float), left=False)
-        if self.back is not None:
-            x = _real_matvec(self.back.T, x)
+        x = self._start(self._framed(psi0[:, None].copy(), np.array([t0], dtype=float), left=False))
         times, size = iter(times), max(1, _BLOCK_BYTES // (16 * self.model.config.dim))
         while block := list(itertools.islice(times, size)):
             ts = np.array(block, dtype=float)
@@ -249,29 +305,30 @@ def _plan(model: ModelSpec, method: str, resonant_pairs=None) -> _Plan:
     config = model.config
     if method == "exact":
         w, v = np.linalg.eigh(check_matrix(gauged_rotating_frame_hamiltonian(model), hermitian=True))
-        return _Plan(model, diag=w, back=v)
+        return _Plan(model, diag=w, basis=v)
     pairs = _normalize_pairs(model, resonant_pairs) if method in RWA_METHODS else None
     if method in ("pipeline_exact", "pipeline_rwa"):
-        # the balanced frame, once for both pipeline plans: the checked T' and the delta_eff free diagonal d0
+        # the balanced frame, once for both pipeline plans: T as its certified factors and the delta_eff spins
         params = model.balanced()
-        transform = check_matrix(gauged_balanced_transform(config, params), unitary=True)
-        d0 = free_diagonal(model, [par.delta_eff for par in params])
+        transform = factored_balanced_transform(config, params)
+        delta_eff = [par.delta_eff for par in params]
     if method == "pipeline_exact":
         h = gauged_balanced_flip(model)
-        h[np.diag_indices(config.dim)] += d0
+        h[np.diag_indices(config.dim)] += free_diagonal(model, delta_eff)
         w, v = np.linalg.eigh(check_matrix(h, hermitian=True))
-        return _Plan(model, diag=w + balanced_offset(model), back=transform.T @ v)
+        return _Plan(model, diag=w + balanced_offset(model), basis=v, transform=transform)
     if method == "standard_rwa":
         if len(pairs) != 1:
             raise ValueError("standard RWA takes a single resonant pair")
         (j, k), = pairs
         g = float(model.eta_matrix()[j - 1, k - 1] * model.drives[j - 1].Omega_R)
-        return _Plan(model, diag=free_diagonal(model, [d.detuning for d in model.drives]), exchanges=((j, k, g),))
+        return _Plan(model, axes=free_axes(model, [d.detuning for d in model.drives]), exchanges=((j, k, g),))
     exchanges = tuple((j, k, jc_coupling(model, j, k)) for j, k in pairs)
     if method == "rwa_jc":
-        return _Plan(model, diag=np.zeros(config.dim), exchanges=exchanges, frame=False)
+        return _Plan(model, exchanges=exchanges, frame=False)
     # pipeline_rwa needs only the diagonal part of the balanced Hamiltonian
-    return _Plan(model, diag=d0 + balanced_offset(model), back=transform.T, exchanges=exchanges)
+    return _Plan(model, axes=free_axes(model, delta_eff, balanced_offset(model)), transform=transform,
+                 exchanges=exchanges)
 
 
 def exact_propagator(model: ModelSpec, t: float, t0: float = 0.0) -> OperatorMatrix:
@@ -339,10 +396,12 @@ def turn_on_propagator(model: ModelSpec, t: float, t0: float) -> OperatorMatrix:
     over [t0, 0].  Certified like exact_propagator(model, t, 0), its columns
     scaled in place by the unimodular free phases before _certified.
     """
+    if not (np.isfinite(t) and np.isfinite(t0)):  # before any phase: 0 * inf would put NaN in the free phases
+        raise ValueError(f"turn-on propagator needs finite times, got t = {t!r}, t0 = {t0!r}")
     if not t0 < 0.0 < t:
         raise ValueError("turn-on propagator needs t0 < 0 < t; use exact_propagator otherwise")
     plan = _plan(model, "exact")
-    check_matrix(plan.back, unitary=True)
+    check_matrix(plan.basis, unitary=True)
     u = plan.columns(slice(None), t, 0.0)
     u *= np.exp(1j * free_diagonal(model, [model.omega_ge] * model.config.n_spins) * t0)
     return _certified(model.config, u)

@@ -27,10 +27,14 @@ from .fock import (
     _SPIN_2X2,
     HilbertConfig,
     OperatorMatrix,
+    check_matrix,
     dagger_factors,
     displacement_factors,
     embed_factors,
     kron_terms,
+    mode_occupations,
+    quadrature_basis,
+    spin_signs,
     ungauge,
 )
 
@@ -210,16 +214,86 @@ def _ion_product(config: HilbertConfig, ions: Sequence) -> np.ndarray:
     return kron_terms(config, terms)
 
 
+def _mixing_block(theta: float) -> np.ndarray:
+    """R(theta) [[1, 1], [-1, 1]] / sqrt(2), the real orthogonal 2 x 2 spin factor of one ion's balanced transform."""
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    return np.array([[c + s, c - s], [s - c, s + c]]) / np.sqrt(2.0)
+
+
 def gauged_balanced_transform(config: HilbertConfig, params: Sequence[BalancedParams]) -> np.ndarray:
     """P^dag T P of balanced_transform in the parity gauge P, real: D_p(i y) becomes D_p(y) for D and Da."""
     ions = []  # block (r, q) of each ion: coef[r, q] times (Da, Da^dag)[r] times (D^dag, D)[q]
     for par in params:
-        c, s = np.cos(par.theta / 2.0), np.sin(par.theta / 2.0)
-        coef = np.array([[c + s, c - s], [s - c, s + c]]) / np.sqrt(2.0)
+        coef = _mixing_block(par.theta)
         d, da = displacement_factors(config, 0.5 * par.eta), displacement_factors(config, par.alpha.imag)
         rows, cols = (da, dagger_factors(da)), (dagger_factors(d), d)
         ions.append([[(coef[r, q], {p: rows[r][p] @ cols[q][p] for p in d}) for q in range(2)] for r in range(2)])
     return _ion_product(config, ions)
+
+
+@dataclass(frozen=True, eq=False)
+class FactoredTransform:
+    """balanced_transform's T = X L C R X^T, kept as its factors and applied to (dim, k) blocks of columns.
+
+    Every displacement in T is exp(i y (a_p + a_p^dag)) of one quadrature per
+    mode, diagonal in its real eigenbasis X (fock.quadrature_basis).  In the
+    basis (x)_p X, at mode eigenvalues xi, ion j's 2 x 2 block
+    diag(Da, Da^dag) C_j diag(D^dag, D) of balanced_transform is
+    diag(e^{i phi_j}, e^{-i phi_j}) C_j diag(e^{-i chi_j}, e^{i chi_j}), with
+    phi_j = sum_p xi_p Im(alpha_jp), chi_j = sum_p xi_p eta_jp / 2 and C_j the
+    real rotation _mixing_block(theta_j).  So R and L are unimodular diagonals
+    over the basis states and C = (x)_j C_j acts on the spin axes alone.  One
+    application costs 2 n_modes n_max + 2^n_spins real-by-complex
+    multiply-adds per entry, O(dim n_max) per column, against dim for a dense T.
+
+    Construction certifies the factors that are not unitary by construction:
+    X through its n_max x n_max real Gram and each C_j through its 2 x 2 one.
+    """
+
+    config: HilbertConfig
+    basis: np.ndarray  # X, (n_max, n_max) real orthogonal
+    right: np.ndarray  # R, (dim,) unimodular
+    mixing: np.ndarray  # C, (2^n_spins, 2^n_spins) real orthogonal
+    left: np.ndarray  # L, (dim,) unimodular
+
+    def apply(self, x: np.ndarray, adjoint: bool = False, overwrite: bool = False) -> np.ndarray:
+        """T x, or T^dag x = X R^* C^T L^* X^T x, for a (dim, k) block x: a C-ordered complex block.
+
+        Each product is one real GEMM on the interleaved float view, over one
+        mode axis or over the spin axes, written into the other of two (dim, k)
+        buffers in turn; overwrite lets x be one of them.
+        """
+        config, k = self.config, x.shape[1]
+        right, mixing, left = ((self.left.conj(), self.mixing.T, self.right.conj()) if adjoint
+                               else (self.right, self.mixing, self.left))
+        y = np.ascontiguousarray(x, dtype=complex)
+        buffers = (np.empty_like(y), y if overwrite else np.empty_like(y))
+        modes = [(config.n_max**p, config.n_max, -1) for p in range(config.n_modes)]
+        products = [(self.basis.T, shape) for shape in modes] + [(mixing, (-1, len(mixing), 2 * k))]
+        products += [(self.basis, shape) for shape in modes]
+        for i, (m, shape) in enumerate(products):
+            out = buffers[i % 2]
+            np.matmul(m, y.view(float).reshape(shape), out=out.view(float).reshape(shape))
+            y = out
+            if i == config.n_modes - 1:
+                y *= right[:, None]
+            elif i == config.n_modes:
+                y *= left[:, None]
+        return y
+
+
+def factored_balanced_transform(config: HilbertConfig, params: Sequence[BalancedParams]) -> FactoredTransform:
+    """The balanced transform of balanced_transform as a certified FactoredTransform; no dim x dim matrix is formed."""
+    if len(params) != config.n_spins:
+        raise ValueError("need balanced parameters for every spin factor")
+    xi, basis = quadrature_basis(config.n_max)
+    check_matrix(basis, unitary=True)
+    blocks = [check_matrix(_mixing_block(par.theta), unitary=True) for par in params]
+    quad = xi[mode_occupations(config)]  # xi_p of every basis state, (n_modes, dim)
+    signs = spin_signs(config)  # +1 on e, -1 on g, (n_spins, dim)
+    chi = np.einsum("jd,jp,pd->d", signs, 0.5 * np.array([par.eta for par in params]), quad)
+    phi = np.einsum("jd,jp,pd->d", signs, np.array([par.alpha.imag for par in params]), quad)
+    return FactoredTransform(config, basis, np.exp(-1j * chi), reduce(np.kron, blocks), np.exp(1j * phi))
 
 
 def balanced_transform(config: HilbertConfig, params: Sequence[BalancedParams]) -> OperatorMatrix:

@@ -196,6 +196,24 @@ def test_si_scale_out_of_double_range_exits_2(tmp_path, capsys, mu, nu1):
                         capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("units, extra, drive, field", [
+    ("si", {}, {"Omega_R": 1e20, "delta": 1.0, "k_L": 1.0}, "$.drives[0].Omega_R"),
+    ("si", {}, {"Omega_R": 1.0, "delta": 1e20, "k_L": 1.0}, "$.drives[0].delta"),
+    ("si", {}, {"Omega_R": 1.0, "omega_L": 1e20, "k_L": 1.0}, "$.drives[0].omega_L"),
+    ("si", {"omega_ge": 1e20}, {"Omega_R": 1.0, "omega_L": 1.0, "k_L": 1.0}, "$.omega_ge"),
+    ("si", {}, {"Omega_R": 1.0, "delta": 1.0, "k_L": 1e170}, "$.drives[0].k_L"),
+    ("nu1", {"omega_ge": 1.5e308}, {"Omega_R": 1.0, "delta": -1.5e308, "k_L": 0.1}, "$.drives[0].delta"),
+], ids=["Omega_R", "delta", "omega_L", "omega_ge", "k_L", "omega_ge-minus-delta"])
+def test_conversion_out_of_double_range_exits_2(tmp_path, capsys, units, extra, drive, field):
+    # SI nu1 = 1e-290 rad/s divides each frequency past the float range (the length scale stays finite, so k_L
+    # is scaled by 2.8e140); in nu1 units omega_L = omega_ge - delta can overflow alone
+    chain = {"N": 1, "mu": 40.0, "nu1": 1e-290} if units == "si" else {"N": 1}
+    cfg = minimal_modes_config(units=units, chain=chain, drives=[{"ion": 1, **drive}], **extra)
+    assert main(["resonance", "--config", write_config(tmp_path, {**cfg, "experiment": "resonance"})]) == 2
+    assert capsys.readouterr().err == (f"config error: {field}: converts to inf in units of nu1; "
+                                       "it must stay finite\n")
+
+
 def test_modes_table_values():
     table = run_modes(parse_config(minimal_modes_config()))
     assert table.columns[:2] == ["mode", "nu_over_nu1"]

@@ -1,14 +1,16 @@
 import json
 import tracemalloc
+import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from conftest import make_single_model, make_two_ion_model
-from ionjc import fock, propagators
+from ionjc import fock, propagators, transforms
 from ionjc.cli import main
 from ionjc.config import parse_config, serialize_config
-from ionjc.experiments import _sweep_point, run_sweep_rabi
+from ionjc.experiments import _sweep_point, run_evolve, run_sweep_rabi
 from ionjc.fock import (
     NumericalValidationError,
     OperatorMatrix,
@@ -23,6 +25,7 @@ from ionjc.fock import (
     guarded_infidelity,
     guarded_norm,
     parity_gauge,
+    quadrature_basis,
     spin_op,
     spin_signs,
 )
@@ -40,8 +43,8 @@ from ionjc.propagators import (
     standard_rwa_propagator,
     turn_on_propagator,
 )
-from ionjc.transforms import (NoDriveError, balanced_transform, gauged_balanced_transform, rotating_frame_diagonal,
-                              rotating_frame_phases)
+from ionjc.transforms import (NoDriveError, _mixing_block, balanced_transform, gauged_balanced_transform,
+                              rotating_frame_diagonal, rotating_frame_phases)
 
 
 def _gauge_models():
@@ -512,12 +515,15 @@ def test_turn_on_propagator_is_certified_through_its_plan(monkeypatch):
     assert (u.entries == expected).all()
 
 
-def test_turn_on_propagator_rejects_an_infinite_start():
-    # t0 = -inf passes the t0 < 0 < t guard; its free phases are NaN, which the column norms reject.
-    # The invalid-value warnings of 0 * inf are silenced here, as they are outside warnings-as-errors
+@pytest.mark.parametrize("t, t0", [(1.7, -np.inf), (np.inf, -3.4), (1.7, np.nan), (np.nan, -3.4)],
+                         ids=["t0-inf", "t-inf", "t0-nan", "t-nan"])
+def test_turn_on_propagator_rejects_non_finite_times(t, t0):
+    # t0 = -inf passes the t0 < 0 < t guard; the finiteness check runs first, so no numpy warning is raised
     model = make_single_model(Omega_R=0.3, delta=0.7, n_max=16, guard=4)
-    with np.errstate(invalid="ignore"), pytest.raises(NumericalValidationError, match=r"\(U\^dag U\)_jj"):
-        turn_on_propagator(model, 1.7, -np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite times"):
+            turn_on_propagator(model, t, t0)
 
 
 def test_sweep_scores_columns_like_dense_propagators():
@@ -537,14 +543,43 @@ def test_sweep_scores_columns_like_dense_propagators():
         assert abs(row["infidelity_standard_rwa"] - dense_standard) <= 1e-14
 
 
-def test_non_orthogonal_transform_rejected_by_plan_and_sweep(monkeypatch):
-    # the sweep scores unchecked RWA columns: the gauged transform check at plan build guards them
-    monkeypatch.setattr(propagators, "gauged_balanced_transform",
-                        lambda config, params: (1.0 + 1e-9) * gauged_balanced_transform(config, params))
-    with pytest.raises(NumericalValidationError, match="unitary"):
-        _plan(make_two_ion_model(n_max=6, guard=2), "pipeline_rwa", [(1, 1)])
-    with pytest.raises(NumericalValidationError, match="unitary"):
-        run_sweep_rabi(_two_ion_sweep_config())
+def _scaled_quadrature_basis(n_max):
+    xi, x = quadrature_basis(n_max)
+    return xi, (1.0 + 1e-9) * x
+
+
+def test_non_orthogonal_transform_rejected_by_plan_and_sweep(tmp_path, capsys, monkeypatch):
+    # the sweep scores unchecked RWA columns: the factored transform's certificate at plan build guards them,
+    # the real Gram of its quadrature basis X and of each ion's 2 x 2 spin block, each off by 1e-9 here
+    path = tmp_path / "sweep.json"
+    path.write_text(serialize_config(_two_ion_sweep_config()), encoding="utf-8")
+    out = tmp_path / "sweep.csv"
+    for name, scaled in (("quadrature_basis", _scaled_quadrature_basis),
+                         ("_mixing_block", lambda theta: (1.0 + 1e-9) * _mixing_block(theta))):
+        with monkeypatch.context() as patch:
+            patch.setattr(transforms, name, scaled)
+            for method, pairs in (("pipeline_rwa", [(1, 1)]), ("pipeline_exact", None)):
+                with pytest.raises(NumericalValidationError, match="unitary"):
+                    _plan(make_two_ion_model(n_max=6, guard=2), method, pairs)
+            assert main(["sweep-rabi", "--config", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("numerical validation failed: matrix tagged unitary")
+        assert not out.exists()
+
+
+def test_no_plan_builds_the_dense_transform(tmp_path, monkeypatch):
+    # both pipeline plans, the sweep and both pipeline evolves run on the factored transform alone
+    def dense(*args):
+        raise AssertionError("a plan built the dense balanced transform")
+
+    monkeypatch.setattr(transforms, "gauged_balanced_transform", dense)
+    monkeypatch.setattr(transforms, "_ion_product", dense)
+    model = make_two_ion_model(n_max=6, guard=2)
+    _plan(model, "pipeline_rwa", [(1, 1)])
+    _plan(model, "pipeline_exact")
+    run_sweep_rabi(_two_ion_sweep_config())
+    configs = _small_cli_configs()
+    for method in ("pipeline_exact", "pipeline_rwa"):
+        assert len(run_evolve(parse_config(configs[f"evolve-{method}"])).rows) == 4
 
 
 def test_non_orthogonal_eigenbasis_rejected_by_oracle_and_sweep(tmp_path, capsys, monkeypatch):
@@ -643,19 +678,52 @@ def test_exact_columns_hold_two_column_blocks():
     assert peak - u.nbytes <= 0.5 * u.nbytes
 
 
+@pytest.mark.parametrize("points_per_block", [8, None], ids=["8-point-blocks", "default-blocks"])
+def test_pipeline_rwa_plan_and_apply_hold_no_dense_matrix(monkeypatch, points_per_block):
+    # at dim 576 the plan holds the transform's factors, not a dim x dim T': the plan and a 300-point apply peak
+    # below half a real dim x dim matrix besides the state blocks, two (dim, k) blocks at most, k points each
+    model = make_two_ion_model(n_max=12, guard=4, phases=(0.4, -1.2), phi_beams=(0.3, 0.8))
+    config = model.config
+    psi0, times = basis_state(config, [1, 0], ["g", "g"]), np.linspace(0.0, 200.0, 300)
+    if points_per_block is not None:
+        monkeypatch.setattr(propagators, "_BLOCK_BYTES", points_per_block * 16 * config.dim)
+    k = min(len(times), propagators._BLOCK_BYTES // (16 * config.dim))
+    list(_plan(model, "pipeline_rwa", [(1, 1)]).apply(psi0, times))  # fill the basis caches outside the measurement
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in _plan(model, "pipeline_rwa", [(1, 1)]).apply(psi0, times)) == len(times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - 2 * 16 * config.dim * k <= 0.5 * 8 * config.dim**2
+
+
 @pytest.mark.parametrize("model_name", ["single_model", "two_ion_model"])
 def test_pipeline_plans_are_the_balanced_frame(request, model_name):
-    # both pipeline plans, assembled here from the balanced-frame builders in the documented order
+    # both pipeline plans against the dense balanced frame: the transform T = P T' P^dag of the gauged builder,
+    # the delta_eff free diagonal plus the offset, and the eigenbasis of the gauged balanced Hamiltonian
     model = request.getfixturevalue(model_name)
-    params = model.balanced()
-    transform = gauged_balanced_transform(model.config, params)
+    config, params = model.config, model.balanced()
+    transform = balanced_transform(config, params).entries
     d0 = free_diagonal(model, [par.delta_eff for par in params])
+    eye = np.eye(config.dim, dtype=complex)
     rwa = _plan(model, "pipeline_rwa", [(1, 1)])
-    assert np.array_equal(rwa.diag, d0 + balanced_offset(model))
-    assert np.array_equal(rwa.back, transform.T)
+    assert rwa.basis is None and rwa.diag is None
+    assert np.abs(rwa.transform.apply(eye) - transform).max() <= 1e-13
+    assert np.abs(rwa.transform.apply(eye, adjoint=True) - transform.conj().T).max() <= 1e-13
+    d = reduce(np.add, np.ix_(*rwa.axes)).ravel()  # sum_a axes[a][n_a] over the layout
+    assert np.abs(d - (d0 + balanced_offset(model))).max() <= 1e-14 * np.abs(d0).max()
     h = gauged_balanced_flip(model)
-    h[np.diag_indices(model.config.dim)] += d0
+    h[np.diag_indices(config.dim)] += d0
     w, v = np.linalg.eigh(h)
     exact = _plan(model, "pipeline_exact")
     assert np.array_equal(exact.diag, w + balanced_offset(model))
-    assert np.array_equal(exact.back, transform.T @ v)
+    assert np.array_equal(exact.basis, v)
+    # U = conj(R_t) T^dag P V' e^{-i w tau} V'^T P^dag T R_t0, every factor dense
+    t, t0 = 9.4, 1.7
+    gauge = parity_gauge(config)
+    eigen = (gauge[:, None] * v) * np.exp(-1j * (w + balanced_offset(model)) * (t - t0)) @ (v.T * gauge.conj())
+    dense = transform.conj().T @ eigen @ transform
+    dense = np.conj(rotating_frame_diagonal(config, model.drives, t))[:, None] * dense
+    dense = dense * rotating_frame_diagonal(config, model.drives, t0)[None, :]
+    assert np.abs(exact.matrix(t, t0).entries - dense).max() <= 1e-12

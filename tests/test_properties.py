@@ -1,4 +1,4 @@
-"""Property tests over random one-ion models, random drives and random configs."""
+"""Property tests over random models, random drives and random configs."""
 
 import json
 
@@ -11,11 +11,13 @@ from hypothesis import strategies as st  # noqa: E402
 
 from conftest import make_single_model  # noqa: E402
 from ionjc import fock, propagators  # noqa: E402
-from ionjc.chain import LaserDrive  # noqa: E402
+from ionjc.chain import ChainModel, LaserDrive  # noqa: E402
 from ionjc.config import ConfigError, parse_config, serialize_config  # noqa: E402
-from ionjc.fock import check_matrix, coherent_state  # noqa: E402
+from ionjc.fock import HilbertConfig, check_matrix, coherent_state, parity_gauge  # noqa: E402
+from ionjc.hamiltonians import ModelSpec  # noqa: E402
 from ionjc.propagators import METHODS, evolve_states  # noqa: E402
-from ionjc.transforms import balanced_params  # noqa: E402
+from ionjc.transforms import (balanced_params, factored_balanced_transform,  # noqa: E402
+                              gauged_balanced_transform)
 from test_propagators import _method_propagator  # noqa: E402
 
 MODELS = st.builds(
@@ -83,6 +85,32 @@ def test_evolve_states_on_random_grids(method, model, t0, times, columns):
     for t, psi in states:
         u = _method_propagator(model, method, pairs, t, t0)
         assert np.abs(psi - u.entries @ psi0).max() <= 1e-10
+
+
+@st.composite
+def balanced_models(draw):
+    """1 to 3 ions, n_max 2 to 8 (2 to 4 with 3 ions, dim <= 512), a drive on each of a random set of ions."""
+    n_ions = draw(st.integers(1, 3))
+    n_max = draw(st.integers(2, 8 if n_ions < 3 else 4))
+    ions = sorted(draw(st.lists(st.integers(1, n_ions), min_size=1, max_size=n_ions, unique=True)))
+    drives = tuple(LaserDrive(ion=ion, Omega_R=draw(st.floats(0.05, 2.0)), omega_L=-draw(st.floats(-3.0, 3.0)),
+                              k_L=draw(st.floats(0.01, 0.5)), phi_beam=draw(st.floats(-1.5, 1.5)),
+                              phase=draw(st.floats(-np.pi, np.pi))) for ion in ions)
+    config = HilbertConfig(n_modes=n_ions, n_max=n_max, n_spins=len(drives), guard=0)
+    return ModelSpec(chain=ChainModel.build(n_ions), drives=drives, config=config)
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=balanced_models())
+def test_factored_transform_is_the_dense_transform(model):
+    # T' = P^dag T P and T'^T = P^dag T^dag P through the factors, on the identity's columns, against the dense builder
+    config, params = model.config, model.balanced()
+    dense = gauged_balanced_transform(config, params)
+    factored = factored_balanced_transform(config, params)
+    gauge = parity_gauge(config)
+    for adjoint, want in ((False, dense), (True, dense.T)):
+        got = gauge.conj()[:, None] * factored.apply(np.diag(gauge), adjoint=adjoint)
+        assert np.abs(got - want).max() <= 1e-13
 
 
 @st.composite

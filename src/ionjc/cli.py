@@ -42,14 +42,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write_out(table, out_path: str, fmt: str) -> None:
-    """Write the table to out_path so that a write failing part-way leaves an earlier file as it was.
+    """Write the table to out_path so that a run or a write failing part-way leaves an earlier file as it was.
 
-    A new or regular file is written under a temporary name in its directory
-    and then moved into place; a failed write removes the temporary file.  A
-    symlink is followed to the file it names, and the file gets the mode a
-    plain open would leave it: the old file's, or 0o666 less the umask.  A
-    device or a pipe (/dev/stdout, say) has no contents to keep and is written
-    directly.
+    An evolve table computes its rows while it is written, so a failing run
+    also stops the write part-way.  A new or regular file is written under a
+    temporary name in its directory and then moved into place; a failed write
+    removes the temporary file.  A symlink is followed to the file it names,
+    and the file gets the mode a plain open would leave it: the old file's, or
+    0o666 less the umask.  A device or a pipe (/dev/stdout, say) has no
+    contents to keep and is written directly.
     """
     if os.path.exists(out_path) and not os.path.isfile(out_path):
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:

@@ -20,7 +20,7 @@ import numpy as np
 from .chain import ChainModel, LaserDrive
 from .fock import DENSE_MATRIX_BYTES, HilbertConfig, basis_state, coherent_state, population_above_guard
 from .hamiltonians import ModelSpec
-from .propagators import METHODS, RWA_METHODS
+from .propagators import METHODS, RWA_METHODS, phase_rate_bound, sweep_point_models
 
 HBAR_SI = 1.054571817e-34
 AMU_SI = 1.66053906892e-27
@@ -28,6 +28,8 @@ AMU_SI = 1.66053906892e-27
 EXPERIMENTS = ("modes", "resonance", "sweep-rabi", "evolve")
 MAX_IONS = 10
 MAX_GRID_POINTS = DENSE_MATRIX_BYTES // 1024  # 2**20 sweep or time points: 1 KiB of output row each
+# largest rounding error eps W t, in rad, that a run's phases may carry: W bounds their rates, t the largest time
+PHASE_ERROR_BOUND = 1e-6
 
 
 class ConfigError(ValueError):
@@ -122,6 +124,14 @@ def _converted(value: float, path: str) -> float:
     if not np.isfinite(value):
         raise ConfigError(f"{path}: converts to {float(value)!r} in units of nu1; it must stay finite")
     return value
+
+
+def _check_phases(rate: float, t: float, path: str) -> None:
+    """Reject, naming the field, a run whose phases W t round off by more than PHASE_ERROR_BOUND rad."""
+    error = np.finfo(float).eps * rate * t
+    if not error <= PHASE_ERROR_BOUND:  # NaN-safe
+        raise ConfigError(f"{path}: the phases reach W t = {rate * t:.3e} rad (rate bound W = {rate:.3e}, "
+                          f"time t = {t:.3e}); their rounding eps W t = {error:.1e} exceeds {PHASE_ERROR_BOUND:g}")
 
 
 def parse_config(source) -> ExperimentConfig:
@@ -252,6 +262,12 @@ def _parse_sweep(raw, model, freq_scale) -> SweepSpec:
     eta_k = model.eta_matrix()[drive - 1, mode - 1]
     if eta_k == 0.0:
         raise ConfigError("$.sweep: the swept drive does not couple to the target mode (eta = 0)")
+    pair = [(drive, mode)]
+    for i, omega_r in enumerate(grid):  # both models run the exact oracle and their closed form to the pulse time
+        balanced, standard, _, t_pulse = sweep_point_models(model, drive, mode, float(omega_r))
+        rate = max(phase_rate_bound(balanced, "exact"), phase_rate_bound(balanced, "pipeline_rwa", pair),
+                   phase_rate_bound(standard, "exact"), phase_rate_bound(standard, "standard_rwa", pair))
+        _check_phases(rate, t_pulse, f"$.sweep.grid[{i}]")
     return SweepSpec(grid=grid, drive=drive, mode=mode)
 
 
@@ -282,6 +298,10 @@ def _parse_evolve(raw, model, freq_scale) -> EvolveSpec:
         if not 1 <= ion <= len(model.drives) or not 1 <= mode <= model.chain.N:
             raise ConfigError("$.evolve: resonant pair out of range")
         pair = (ion, mode)
+    # the run's t0 is 0, so its largest |t - t0| is its largest |t|, at one end of the increasing grid
+    t_max, end = max((abs(float(times[-1])), "t_stop"), (abs(float(times[0])), "t_start"))
+    _check_phases(phase_rate_bound(model, method, None if pair is None else [pair]), t_max,
+                  "$.evolve.times" if "times" in e else f"$.evolve.{end}")
 
     st = _require(e, "initial_state", "$.evolve", dict)
     spins = tuple(_typed(s, str, "$.evolve.initial_state.spins[*]")

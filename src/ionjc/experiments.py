@@ -1,34 +1,46 @@
 """Named experiments: mode tables, resonance reports, Rabi sweeps, time evolution.
 
-Each experiment returns a Table whose rows are plain Python values; writers
-emit CSV (header row, '#'-prefixed comments, full-precision decimals) or the
-JSON equivalent.  Re-running with the same configuration byte-reproduces the
-output except for the timestamp comment.
+Each experiment returns a Table of plain Python values or float blocks;
+writers emit CSV (header row, '#'-prefixed comments, full-precision decimals)
+or the JSON equivalent, one block of rows at a time.  Re-running with the same
+configuration byte-reproduces the output except for the timestamp comment.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as _dt
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import IO
+from typing import IO, Callable, Iterable
 
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
 from .fock import guard_mask, guarded_infidelity, mode_occupations, spin_signs
 from .hamiltonians import resonance_offsets
-from .propagators import _plan, evolve_states, exact_propagator, jc_coupling
-from .transforms import corrected_detuning
+from .propagators import _plan, exact_propagator, sweep_point_models
 
 
-@dataclass
 class Table:
-    columns: list[str]
-    rows: list[tuple]
-    comments: list[str] = field(default_factory=list)
+    """Columns, '#' comments and rows, held as blocks: lists of row tuples, or 2-D float arrays of all-float rows.
+
+    blocks, when given, is called anew for every pass over the rows and
+    returns an iterable of blocks; an evolve table computes each block as it
+    is reached, so a writer holds one block at a time.  rows lists every row
+    as a tuple of Python values.
+    """
+
+    def __init__(self, columns: list[str], rows: Iterable[tuple] = (), comments: Iterable[str] = (),
+                 blocks: Callable[[], Iterable] | None = None):
+        self.columns, self.comments = list(columns), list(comments)
+        rows = list(rows)
+        self.blocks = blocks if blocks is not None else lambda: [rows]
+
+    @property
+    def rows(self) -> list[tuple]:
+        return [tuple(row) for block in self.blocks()
+                for row in (block.tolist() if isinstance(block, np.ndarray) else block)]
 
 
 def _fmt(value) -> str:
@@ -43,28 +55,47 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv_lines(block) -> str:
+    """One block's CSV lines, each ending in a newline: a float array through repr, other rows through _fmt."""
+    if isinstance(block, np.ndarray):
+        return "".join([",".join(map(repr, row)) + "\n" for row in block.tolist()])
+    return "".join([",".join(map(_fmt, row)) + "\n" for row in block])
+
+
+def _json_rows(block) -> list[str]:
+    """One block's rows as json.dump(indent=2) writes them two levels deep; NaN and infinities as json spells them."""
+    if isinstance(block, np.ndarray) and np.isfinite(block).all():
+        return ["    [\n      " + ",\n      ".join(map(repr, row)) + "\n    ]" for row in block.tolist()]
+    rows = block.tolist() if isinstance(block, np.ndarray) else block
+    return ["    " + json.dumps([None if v is None else (v.item() if isinstance(v, np.generic) else v) for v in row],
+                                indent=2).replace("\n", "\n    ") for row in rows]
+
+
 def write_table(table: Table, stream: IO[str], fmt: str = "csv") -> None:
-    """Write a table as CSV or JSON; the timestamp lands in a '#' comment."""
+    """Write a table as CSV or JSON, one block of rows at a time; the timestamp lands in a '#' comment.
+
+    The JSON text is json.dump(doc, indent=2, sort_keys=True) of the whole
+    table, byte for byte, with "rows" written last as the blocks arrive.
+    """
+    if fmt not in ("csv", "json"):
+        raise ValueError("format must be 'csv' or 'json'")
     now = _dt.datetime.now(_dt.timezone.utc).isoformat()
     if fmt == "csv":
-        stream.write(f"# generated: {now}\n")
-        for comment in table.comments:
-            stream.write(f"# {comment}\n")
-        stream.write(",".join(table.columns) + "\n")
-        for row in table.rows:
-            stream.write(",".join(_fmt(v) for v in row) + "\n")
-    elif fmt == "json":
-        doc = {
-            "comments": list(table.comments),
-            "columns": list(table.columns),
-            "rows": [[None if v is None else (v.item() if isinstance(v, np.generic) else v) for v in row]
-                     for row in table.rows],
-        }
-        doc["generated"] = now
-        json.dump(doc, stream, indent=2, sort_keys=True)
-        stream.write("\n")
-    else:
-        raise ValueError("format must be 'csv' or 'json'")
+        stream.write("".join(f"# {line}\n" for line in [f"generated: {now}"] + table.comments)
+                     + ",".join(table.columns) + "\n")
+        for block in table.blocks():
+            stream.write(_csv_lines(block))
+        return
+    head = json.dumps({"columns": table.columns, "comments": table.comments, "generated": now},
+                      indent=2, sort_keys=True)
+    stream.write(head[:-2] + ',\n  "rows": [')
+    sep = "\n"
+    for block in table.blocks():
+        rows = _json_rows(block)
+        if rows:
+            stream.write(sep + ",\n".join(rows))
+            sep = ",\n"
+    stream.write(("]" if sep == "\n" else "\n  ]") + "\n}\n")
 
 
 def run_modes(cfg: ExperimentConfig) -> Table:
@@ -99,16 +130,10 @@ def _sweep_point(cfg: ExperimentConfig, omega_r: float) -> tuple:
     model = cfg.model
     drive_idx, mode = cfg.sweep.drive, cfg.sweep.mode
     nu_k = float(model.chain.nu[mode - 1])
-    omega_ge = model.omega_ge
-
-    # corrected resonance: delta_eff = nu_k, else the closest achievable (delta = 0)
-    required = corrected_detuning(nu_k, omega_r)
+    balanced_model, standard_model, required, t_pulse = sweep_point_models(model, drive_idx, mode, omega_r)
     reachable = required is not None
     delta = required if reachable else 0.0
-    balanced_model = model.with_drive(drive_idx, Omega_R=omega_r, omega_L=omega_ge - delta)
     par = balanced_model.balanced()[drive_idx - 1]
-    g = jc_coupling(balanced_model, drive_idx, mode)
-    t_pulse = np.pi / (2.0 * abs(g))
 
     # each approximation is scored from its guarded columns against the dense oracle; their
     # unitarity rests on the plan's checked transform and cores that are unitary by construction.
@@ -116,9 +141,7 @@ def _sweep_point(cfg: ExperimentConfig, omega_r: float) -> tuple:
     keep, pair = guard_mask(model.config), [(drive_idx, mode)]
     infid_balanced = guarded_infidelity(_plan(balanced_model, "pipeline_rwa", pair).columns(keep, t_pulse),
                                         exact_propagator(balanced_model, t_pulse))
-
-    # conventional comparator sits on the uncorrected resonance delta = nu_k
-    standard_model = model.with_drive(drive_idx, Omega_R=omega_r, omega_L=omega_ge - nu_k)
+    # the conventional comparator sits on the uncorrected resonance delta = nu_k
     infid_standard = guarded_infidelity(_plan(standard_model, "standard_rwa", pair).columns(keep, t_pulse),
                                         exact_propagator(standard_model, t_pulse))
 
@@ -146,6 +169,8 @@ def run_sweep_rabi(cfg: ExperimentConfig, threads: int = 1) -> Table:
     if cfg.sweep is None:
         raise ConfigError("sweep-rabi experiment needs a sweep section")
     grid = [float(v) for v in cfg.sweep.grid]
+    from concurrent.futures import ThreadPoolExecutor  # imported here: no other experiment starts threads
+
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     with ThreadPoolExecutor(max_workers=min(threads, len(grid), cpus)) as pool:
         rows = list(pool.map(lambda om: _sweep_point(cfg, om), grid))
@@ -166,14 +191,23 @@ def initial_state(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def run_evolve(cfg: ExperimentConfig) -> Table:
-    """Population and overlap time series under the selected propagator."""
+    """Population and overlap time series under the selected propagator, computed a block of times at a time.
+
+    The plan (its eigh or its certified transform) is built here; the rows of
+    each block of states Y come as the table is written: pop_e and nbar as one
+    GEMM of their observable rows on |Y|^2, the overlap as |psi0^H Y|^2 over
+    psi0's support.  The rotating frame multiplies a state by one phase per
+    spin configuration, which |Y|^2 cannot see; nor can the overlap where
+    psi0 lies in one spin configuration, as every parsed start state does, so
+    such a run evolves without the frame.
+    """
     if cfg.evolve is None:
         raise ConfigError("evolve experiment needs an evolve section")
     model = cfg.model
     config = model.config
     psi0 = initial_state(cfg)
-    occ = mode_occupations(config).astype(float)
-    excited = (spin_signs(config) > 0).astype(float)
+    # excited-state indicator of each ion, then the occupation of each mode: one row per observable
+    observables = np.concatenate([(spin_signs(config) > 0).astype(float), mode_occupations(config).astype(float)])
     columns = (
         ["t"]
         + [f"pop_e_ion{d.ion}" for d in model.drives]
@@ -181,14 +215,22 @@ def run_evolve(cfg: ExperimentConfig) -> Table:
         + ["overlap_initial"]
     )
     pairs = [cfg.evolve.resonant_pair] if cfg.evolve.resonant_pair else None
-    rows = []
-    for t, psi in evolve_states(model, psi0, cfg.evolve.times, method=cfg.evolve.method,
-                                resonant_pairs=pairs):
-        weights = np.abs(psi) ** 2
-        row = [float(t)] + (excited @ weights).tolist() + (occ @ weights).tolist()
-        row.append(float(abs(np.vdot(psi0, psi)) ** 2))
-        rows.append(tuple(row))
-    return Table(columns, rows, comments=[f"method: {cfg.evolve.method}"])
+    plan = _plan(model, cfg.evolve.method, pairs)
+    if np.count_nonzero(np.abs(psi0.reshape(-1, 2**config.n_spins)).max(axis=0)) == 1:
+        plan = dataclasses.replace(plan, frame=False)
+    support = np.flatnonzero(psi0)
+    bra = psi0[support].conj()
+
+    def blocks():
+        for ts, states in plan.apply(psi0, cfg.evolve.times):
+            rows = np.empty((ts.size, len(columns)))
+            rows[:, 0] = ts
+            rows[:, -1] = np.abs(bra @ states[support]) ** 2
+            squares = np.square(states.view(float), out=states.view(float))  # |Y|^2 as re^2 and im^2 side by side
+            rows[:, 1:-1] = (observables @ squares).reshape(len(observables), ts.size, 2).sum(axis=2).T
+            yield rows
+
+    return Table(columns, comments=[f"method: {cfg.evolve.method}"], blocks=blocks)
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> Table:

@@ -12,6 +12,7 @@ including phase.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -21,15 +22,15 @@ from .fock import (COLUMN_BLOCK, UNITARY_ATOL, HilbertConfig, NumericalValidatio
                    check_matrix, parity_gauge)
 from .hamiltonians import (ModelSpec, balanced_offset, free_axes, free_diagonal, gauged_balanced_flip,
                            gauged_rotating_frame_hamiltonian)
-from .transforms import FactoredTransform, factored_balanced_transform, rotating_frame_phases
+from .transforms import FactoredTransform, corrected_detuning, factored_balanced_transform, rotating_frame_phases
 
 # the methods that take resonant (drive, mode) pairs; rwa_jc is the bare
 # interaction-picture closed form, useful for inspecting the undressed sideband exchange
 RWA_METHODS = ("pipeline_rwa", "standard_rwa", "rwa_jc")
 METHODS = ("exact", "pipeline_exact") + RWA_METHODS
 
-# bytes of one block of complex states in _Plan.apply: 4 MiB holds 163 states at
-# dim 1600, enough columns for level-3 BLAS while a block stays a few MiB
+# most bytes of one eigen plan's block of complex states in _Plan.apply (its COLUMN_BLOCK columns fit up to
+# dim 2048), and four times a closed form's whole workspace (see _Plan.block)
 _BLOCK_BYTES = 4 << 20
 
 
@@ -61,21 +62,54 @@ def jc_coupling(model: ModelSpec, drive: int, mode: int) -> float:
     return float(par.eta_eff_by_Delta[mode - 1] * model.chain.nu[mode - 1])
 
 
-def _real_matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+def sweep_point_models(model: ModelSpec, drive: int, mode: int,
+                       omega_r: float) -> tuple[ModelSpec, ModelSpec, float | None, float]:
+    """The two models of one Rabi-sweep point at Rabi frequency omega_r on (drive, mode), and its pulse time.
+
+    Returns the balanced model, whose drive sits on the corrected resonance
+    delta_eff = nu_k, or at the closest achievable delta = 0 where 2 omega_r >
+    nu_k; the standard model, on the uncorrected resonance delta = nu_k; the
+    corrected |delta|, None where it is unreachable; and the balanced pi-pulse
+    time pi / (2 |g|), g the balanced sideband coupling (infinite where g underflows to 0).
+    """
+    nu_k = float(model.chain.nu[mode - 1])
+    required = corrected_detuning(nu_k, omega_r)
+    delta = required if required is not None else 0.0
+    balanced_model = model.with_drive(drive, Omega_R=omega_r, omega_L=model.omega_ge - delta)
+    standard_model = model.with_drive(drive, Omega_R=omega_r, omega_L=model.omega_ge - nu_k)
+    g = jc_coupling(balanced_model, drive, mode)
+    return balanced_model, standard_model, required, np.pi / (2.0 * abs(g)) if g else np.inf
+
+
+def _real_matvec(m: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """m @ x for a real matrix m and a complex block x, without a complex copy of m.
 
     One real GEMM on the interleaved float view of x, (dim, 2k) with the real and
     imaginary part of each column side by side; x is copied only if not C-contiguous.
+    out, a C-ordered complex block of x's shape, receives the product when given.
     """
     x = np.ascontiguousarray(x)
-    return (m @ x.view(float).reshape(len(x), -1)).view(complex).reshape(x.shape)
+    if out is None:
+        return (m @ x.view(float).reshape(len(x), -1)).view(complex).reshape(x.shape)
+    np.matmul(m, x.view(float).reshape(len(x), -1), out=out.view(float).reshape(len(x), -1))
+    return out
 
 
-def _unit_columns(dim: int, index: np.ndarray) -> np.ndarray:
-    """The identity's columns I[:, index], C-ordered, built without the dim x dim identity."""
-    out = np.zeros((dim, index.size), dtype=complex)
+def _unit_columns(out: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The identity's columns I[:, index] written into the C-ordered (dim, index.size) block out, no identity formed."""
+    out[...] = 0.0
     out[index, np.arange(index.size)] = 1.0
     return out
+
+
+def _blocks(work: np.ndarray, dim: int, k: int) -> list[np.ndarray]:
+    """Each flat buffer (row) of a workspace as a C-ordered (dim, k) block; a narrower block takes each buffer's start."""
+    return [flat[:dim * k].reshape(dim, k) for flat in work]
+
+
+def _spare(work: Sequence[np.ndarray], *busy: np.ndarray) -> np.ndarray | None:
+    """The first block of work that is none of busy, or None without a workspace."""
+    return next((b for b in work if all(b is not x for x in busy)), None)
 
 
 def _certified(config: HilbertConfig, u: np.ndarray) -> OperatorMatrix:
@@ -134,15 +168,18 @@ class _Plan:
     Every step takes one shape: a (dim, k) block with a vector of k times, or
     of one time shared by every column.  columns (with matrix its certified
     all-columns case) and apply both run _evolve, conj(R_t) [T^dag] [P V']
-    core(t - t0) x, in one association order, so their outputs are
-    reproducible bit for bit.  Each diagonal product is multiplied into the
-    block in place.  columns evolves its start columns [V'^T P^dag] [T]
-    I[:, cols] in blocks of fock.COLUMN_BLOCK into one preallocated output, so
-    a dense propagator holds two (dim, 128) blocks besides itself and basis.
-    apply evolves its (dim, 1) start at blocks of k = _BLOCK_BYTES // (16 dim)
-    grid points: per point O(dim) core work and O(dim n_max) for T^dag, plus
-    one real GEMM per block on its interleaved float view where the plan has
-    basis; the frame enters through the 2^n_spins spin phases of each point.
+    e^{-i d t} X(t - t0) on a start that carries e^{i d t0}, in one association
+    order, so their outputs are reproducible bit for bit.  Each call allocates
+    one workspace, _buffers flat buffers that every block reuses as (dim, k)
+    blocks: each product is written into a block that does not hold its input,
+    and each diagonal is multiplied into its block in place.  columns evolves
+    its start columns [V'^T P^dag] [T] I[:, cols] COLUMN_BLOCK at a time into
+    one preallocated output, so an eigen plan's dense propagator holds two
+    (dim, 128) blocks besides itself and basis.  apply forms its (dim, 1) start
+    once and evolves the grid in blocks of block points: per point O(dim) core
+    work and O(dim n_max) for T^dag, plus one real GEMM per block on its
+    interleaved float view where the plan has basis; the frame enters through
+    the 2^n_spins spin phases of each point.
     """
 
     model: ModelSpec
@@ -153,39 +190,71 @@ class _Plan:
     exchanges: tuple[tuple[int, int, float], ...] = ()
     frame: bool = True
 
-    def _exchange(self, x: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    def _buffers(self, kept: bool) -> int:
+        """Blocks in a workspace: two that the products write in turn, and one more for the exchanges' partner terms.
+
+        With kept, the core's start lies outside the workspace (apply's), so a
+        lone exchange writes its partner terms into the second block.
+        """
+        return 2 + (len(self.exchanges) > (1 if kept else 0))
+
+    @property
+    def block(self) -> int:
+        """Grid points per block of apply.
+
+        An eigen plan streams its dense V' through one GEMM per block, so a
+        block spreads V' over COLUMN_BLOCK columns, as columns' blocks do, or
+        over fewer where that would take more than _BLOCK_BYTES.  A closed form
+        has no dense factor to spread and makes a dozen passes over each block,
+        so its whole workspace takes a quarter of _BLOCK_BYTES, 1 MiB, and
+        stays in a core's cache between the passes.
+        """
+        config = self.model.config
+        if self.basis is not None:
+            return max(1, min(COLUMN_BLOCK, _BLOCK_BYTES // (16 * config.dim)))
+        return max(1, _BLOCK_BYTES // (64 * config.dim * self._buffers(kept=True)))
+
+    def _workspace(self, k: int, kept: bool) -> np.ndarray:
+        """One call's workspace: _buffers(kept) flat buffers of dim k complex entries, see _blocks."""
+        return np.empty((self._buffers(kept), self.model.config.dim * k), dtype=complex)
+
+    def _exchange(self, x: np.ndarray, tau: np.ndarray, work: list[np.ndarray]) -> np.ndarray:
         """Apply prod exp(g tau (a_mode sigma_+^drive - a_mode^dag sigma_-^drive)) to the columns of x.
 
         Each factor is a real rotation of |n, e> and |n+1, g> on its (mode,
         drive) axes: e[n] <- cos(g tau sqrt(n+1)) e[n] + s[n] g[n+1], g[n] <-
         cos(g tau sqrt(n)) g[n] - s[n-1] e[n-1], s[n] = sin(g tau sqrt(n+1));
         the top |e> level has no partner under hard truncation and stays
-        invariant.  O(dim) per column.  x is a (dim, k) block and tau holds one
-        time per column or one for every column; cos_e, cos_g and s hold one row
-        per time, and a (dim, 1) x is broadcast to one column per time.  A plan
-        without exchanges returns x itself.
+        invariant.  O(dim) per column.  x is a (dim, k) block, or a (dim, 1) one
+        broadcast to one column per time, and tau holds one time per column or
+        one for every column; cos_e, cos_g and s hold one column per time.
+        Each factor writes into a block of work that does not hold its input,
+        its partner terms into another, and runs its six half-block passes on
+        the (pre, n, mid, 2, post, k) view that splits out its mode and its spin
+        axis and keeps the column axis innermost, so that every pass runs over
+        contiguous columns.  A plan without exchanges returns x itself.
         """
-        if not self.exchanges:
-            return x
         config = self.model.config
-        x = np.broadcast_to(x, np.broadcast_shapes(x.shape, tau.shape))
-        y = x.reshape(config.shape + x.shape[1:])
-        root = np.sqrt(np.arange(1, config.n_max, dtype=float))  # sqrt(n + 1), n < n_max - 1
-        tau = tau[:, None]
+        n = config.n_max
+        root = np.sqrt(np.arange(1, n, dtype=float))[:, None]  # sqrt(n + 1), n < n_max - 1
+        one = np.ones((1, tau.size))
         for j, k, g in self.exchanges:
-            upper = g * tau * root
-            cos, one = np.cos(upper), np.ones((len(tau), 1))
-            cos_e, cos_g = np.concatenate([cos, one], axis=-1), np.concatenate([one, cos], axis=-1)
+            out, scratch = [b for b in work if b is not x][:2]
+            upper = np.multiply.outer(root[:, 0], g * tau)  # g tau sqrt(n + 1), one column per time
+            cos = np.cos(upper)
+            cos_e, cos_g = np.concatenate([cos, one]), np.concatenate([one, cos])
             s = np.sin(upper) / root * root  # (sin / sqrt(n+1)) times a's sqrt(n+1), rounded like f(n) a
-            out = np.empty_like(y)  # views v (input) and w (output) end in the (column, mode, spin) axes
-            v, w = (np.moveaxis(a, (k - 1, config.n_modes + j - 1), (-2, -1)) for a in (y, out))
-            np.multiply(cos_e, v[..., 0], out=w[..., 0])
-            np.multiply(cos_g, v[..., 1], out=w[..., 1])
-            partner = np.multiply(s, v[..., 1:, 1])  # one temporary for both partner terms
-            w[..., :-1, 0] += partner
-            w[..., 1:, 1] -= np.multiply(s, v[..., :-1, 0], out=partner)
-            y = out
-        return y.reshape(x.shape)
+            cos_e, cos_g, s = (c[:, None, None, :] for c in (cos_e, cos_g, s))  # against (pre, n, mid, post, k)
+            shape = (n**(k - 1), n, n**(config.n_modes - k) * 2**(j - 1), 2, 2**(config.n_spins - j))
+            v, w = x.reshape(shape + x.shape[1:]), out.reshape(shape + out.shape[1:])  # a (dim, 1) x broadcasts
+            np.multiply(cos_e, v[:, :, :, 0], out=w[:, :, :, 0])
+            np.multiply(cos_g, v[:, :, :, 1], out=w[:, :, :, 1])
+            half = w[:, 1:, :, 1].shape
+            partner = scratch.reshape(-1)[:math.prod(half)].reshape(half)  # one buffer for both partner terms
+            w[:, :-1, :, 0] += np.multiply(s, v[:, 1:, :, 1], out=partner)
+            w[:, 1:, :, 1] -= np.multiply(s, v[:, :-1, :, 0], out=partner)
+            x = out
+        return x
 
     def _framed(self, x: np.ndarray, t: np.ndarray, left: bool) -> np.ndarray:
         """x multiplied in place by the diagonal conj(R_t) [P] (left) or [P^dag] R_t (right); x and t as in _evolve.
@@ -202,79 +271,96 @@ class _Plan:
             np.multiply(gauge if left else gauge.conj(), y, out=y)
         return x
 
-    def _start(self, x: np.ndarray) -> np.ndarray:
-        """[V'^T P^dag] [T] x for a C-ordered (dim, k) block x, after the right frame: the core's start block."""
+    def _start(self, x: np.ndarray, work: Sequence[np.ndarray] = ()) -> np.ndarray:
+        """[V'^T P^dag] [T] x for a C-ordered (dim, k) block x, after the right frame: the core's start block.
+
+        x is overwritten, and each product is written into a block of work where one is given.
+        """
         if self.transform is not None:
-            x = self.transform.apply(x, overwrite=True)
+            x = self.transform.apply(x, overwrite=True, work=_spare(work, x))
             if self.basis is not None:
                 x *= parity_gauge(self.model.config).conj()[:, None]
         if self.basis is not None:
-            x = _real_matvec(self.basis.T, x)
+            x = _real_matvec(self.basis.T, x, out=_spare(work, x))
         return x
 
-    def _phased(self, x: np.ndarray, t: np.ndarray, sign: float, copy: bool = False) -> np.ndarray:
+    def _phased(self, x: np.ndarray, t: np.ndarray, sign: float, out: np.ndarray | None = None,
+                scratch: np.ndarray | None = None) -> np.ndarray:
         """x times e^{sign i d t}, the core's diagonal at x's times t; x and t as in _evolve.
 
         The eigenvalues w are exponentiated entry by entry.  A free d is
         exponentiated axis by axis (n_modes n_max + 2 n_spins exponentials per
         time instead of dim) and multiplied in as its mode and its spin part.
-        In place unless copy asks for a new C-ordered block or one start column
-        meets several times and the product widens it.
+        In place, unless out is given: a C-ordered (dim, k) block that receives
+        the product where x is to be kept or one start column meets k times.
+        An eigen plan then forms its (dim, k) phases in out, and their w t in
+        scratch, another block, when one is given.
         """
         config = self.model.config
         spins = 2**config.n_spins
         if self.diag is not None:
-            factors = [np.exp(sign * 1j * np.multiply.outer(self.diag, t)).reshape(-1, spins, t.size)]
+            if out is not None and t.size > 1:  # the phases fill a (dim, k) block themselves: out, w t in scratch
+                wt = np.multiply.outer(self.diag, t, out=scratch.reshape(-1).view(float)[:out.size].reshape(out.shape))
+                phase = np.multiply(sign * 1j, wt, out=out)
+            else:
+                phase = sign * 1j * np.multiply.outer(self.diag, t)
+            factors = [np.exp(phase, out=phase).reshape(-1, spins, t.size)]
         else:  # no rows (rwa_jc) give factors of ones
             factors = [_axis_phases(self.axes[:config.n_modes], t, sign)[:, None, :],
                        _axis_phases(self.axes[config.n_modes:], t, sign)]
         y = x.reshape(-1, spins, x.shape[1])  # splits the first axis: a view of x in either order
-        for f in factors:
-            if copy or np.broadcast_shapes(f.shape, y.shape) != y.shape:
-                y, copy = np.multiply(f, y, order="C"), False
-            else:
-                np.multiply(f, y, out=y)
-        return y.reshape(-1, y.shape[-1])
+        dest = y if out is None else out.reshape(-1, spins, out.shape[1])
+        for f in factors:  # the first product moves into out, the rest multiply in place
+            np.multiply(f, y, out=dest)
+            y = dest
+        return x if out is None else out
 
-    def _evolve(self, x: np.ndarray, t: np.ndarray, t0: float) -> np.ndarray:
-        """conj(R_t) [T^dag] [P V'] core(t - t0) x for a (dim, k) start block x; t: k times or one for every column.
+    def _evolve(self, x: np.ndarray, t: np.ndarray, t0: float, work: list[np.ndarray]) -> np.ndarray:
+        """conj(R_t) [T^dag] [P V'] e^{-i d t} X(t - t0) x, x the core's start times e^{i d t0}; t: k times or one.
 
-        A (dim, 1) x with k times gives one column per time.  The core's output is C-ordered:
-        an F-ordered x (a start block of V'^T) is transposed by the first product.
+        x is a (dim, k) block, or a (dim, 1) one that meets k times; it is kept
+        unless it is a block of work, and the result is one of work's (dim, k)
+        blocks.  The core's output is C-ordered.
         """
-        y = self._phased(x, np.array([t0], dtype=float), 1.0, copy=True)
-        y = self._phased(self._exchange(y, t - t0), t, -1.0)
+        y = self._exchange(x, t - t0, work)
+        if any(y is b for b in work):
+            y = self._phased(y, t, -1.0)
+        else:  # the kept start
+            y = self._phased(y, t, -1.0, out=work[0], scratch=work[1])
         if self.basis is not None:
-            y = _real_matvec(self.basis, y)
+            y = _real_matvec(self.basis, y, out=_spare(work, y))
         if self.transform is not None:
             if self.basis is not None:
                 y *= parity_gauge(self.model.config)[:, None]
-            y = self.transform.apply(y, adjoint=True, overwrite=True)
+            y = self.transform.apply(y, adjoint=True, overwrite=True, work=_spare(work, y))
         return self._framed(y, t, left=True)
 
     def columns(self, cols: slice | np.ndarray, t: float, t0: float = 0.0) -> np.ndarray:
         """U(t, t0)[:, cols], unchecked: the start [V'^T P^dag] [T] I[:, cols] through _evolve and the right frame.
 
         The (dim, k) output is allocated once and filled COLUMN_BLOCK columns at
-        a time, each block's start taken and evolved on its own, so every
-        temporary besides the output is (dim, COLUMN_BLOCK).  Every step acts
-        on each column alone, so a column block equals the same columns of
-        matrix, bit for bit.  The right frame is applied to the output in place.
+        a time, each block's start taken and evolved on its own in the call's
+        workspace, so every temporary besides the output is (dim, COLUMN_BLOCK).
+        Every step acts on each column alone, so a column block equals the same
+        columns of matrix, bit for bit.  The right frame is applied to the
+        output in place.
         """
         config = self.model.config
         index = np.arange(config.dim)[cols]
         u = np.empty((config.dim, index.size), dtype=complex)
-        ts = np.array([t], dtype=float)
+        ts, t0s = np.array([t], dtype=float), np.array([t0], dtype=float)
+        work = self._workspace(min(COLUMN_BLOCK, index.size), kept=False)
         for i in range(0, index.size, COLUMN_BLOCK):
             block = index[i:i + COLUMN_BLOCK]
+            blocks = _blocks(work, config.dim, block.size)
             if self.basis is None or self.transform is not None:
-                start = self._start(_unit_columns(config.dim, block))
-            elif (np.diff(block) == 1).all():  # a run of adjacent columns: a view of V'^T, not a copy
-                start = self.basis.T[:, block[0]:block[-1] + 1]
+                start = self._phased(self._start(_unit_columns(blocks[0], block), blocks), t0s, 1.0)
+            elif (np.diff(block) == 1).all():  # a run of adjacent columns: a view of V'^T, phased into the workspace
+                start = self._phased(self.basis.T[:, block[0]:block[-1] + 1], t0s, 1.0, out=blocks[0])
             else:
-                start = self.basis.T[:, block]
-            u[:, i:i + COLUMN_BLOCK] = self._evolve(start, ts, t0)
-        u *= self._framed(np.ones((config.dim, 1), dtype=complex), np.array([t0], dtype=float), left=False)[cols, 0]
+                start = self._phased(self.basis.T[:, block], t0s, 1.0, out=blocks[0])
+            u[:, i:i + COLUMN_BLOCK] = self._evolve(start, ts, t0, blocks)
+        u *= self._framed(np.ones((config.dim, 1), dtype=complex), t0s, left=False)[cols, 0]
         return u
 
     def matrix(self, t: float, t0: float = 0.0) -> OperatorMatrix:
@@ -289,13 +375,24 @@ class _Plan:
 
     def apply(
         self, psi0: np.ndarray, times: Iterable[float], t0: float = 0.0
-    ) -> Iterator[tuple[float, np.ndarray]]:
-        """Yield (t, U(t, t0) psi0) along a time grid without forming U, one (dim, k) block of states at a time."""
-        x = self._start(self._framed(psi0[:, None].copy(), np.array([t0], dtype=float), left=False))
-        times, size = iter(times), max(1, _BLOCK_BYTES // (16 * self.model.config.dim))
-        while block := list(itertools.islice(times, size)):
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield (ts, Y) along a time grid without forming U: ts holds the next k grid times, Y = U(ts, t0) psi0.
+
+        Y is a (dim, k) block with one state per column.  The start
+        e^{i d t0} [V'^T P^dag] [T] R_t0 psi0 is formed once, and the grid is
+        evolved block points at a time in one workspace, allocated at the first
+        block: Y is one of its blocks, valid until the next block is asked for,
+        and the caller may overwrite it.
+        """
+        config = self.model.config
+        t0s = np.array([t0], dtype=float)
+        x = self._phased(self._start(self._framed(psi0[:, None].copy(), t0s, left=False)), t0s, 1.0)
+        times, work = iter(times), None
+        while block := list(itertools.islice(times, self.block)):
             ts = np.array(block, dtype=float)
-            yield from zip(block, self._evolve(x, ts, t0).T.copy())
+            if work is None:
+                work = self._workspace(ts.size, kept=True)
+            yield ts, self._evolve(x, ts, t0, _blocks(work, config.dim, ts.size))
 
 
 def _plan(model: ModelSpec, method: str, resonant_pairs=None) -> _Plan:
@@ -329,6 +426,46 @@ def _plan(model: ModelSpec, method: str, resonant_pairs=None) -> _Plan:
     # pipeline_rwa needs only the diagonal part of the balanced Hamiltonian
     return _Plan(model, axes=free_axes(model, delta_eff, balanced_offset(model)), transform=transform,
                  exchanges=exchanges)
+
+
+def phase_rate_bound(model: ModelSpec, method: str, resonant_pairs=None) -> float:
+    """An upper bound W on the rate of every phase the method's plan multiplies by a time, formed without an eigh.
+
+    An eigen plan's rates are its eigenvalues, so W bounds the spectral radius
+    of its Hamiltonian by the largest free-diagonal entry plus the norm of each
+    drive term; a closed form's rates are its free diagonal and its exchange
+    angles per unit time, g sqrt(n + 1) <= |g| sqrt(n_max - 1).  With
+    top = n_max - 1:
+
+    - exact: top sum_p nu_p + sum_j (|delta_j| / 2 + Omega_j), each drive term
+      Omega_j (sigma_+ D_j^2 + h.c.) having norm Omega_j (D_j is unitary);
+    - pipeline_exact, pipeline_rwa: top sum_p nu_p + sum_j delta_eff_j / 2 +
+      sum_jp (eta_jp^2 / 4 + |alpha_jp|^2 + 2 sqrt(top) |eta_eff_jp / Delta_j|)
+      nu_p: the offset's two constants, and each flip term bounded through
+      ||a_p + a_p^dag|| <= 2 sqrt(top), which also bounds each exchange rate;
+    - standard_rwa: exact's free part plus sqrt(top) |eta_jk Omega_j| per pair;
+    - rwa_jc, which has no free phases: sqrt(top) |g| per pair.
+
+    The methods that need balanced parameters form them once here, so an
+    undriven ion raises NoDriveError as their plan would.
+    """
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}")
+    pairs = _normalize_pairs(model, resonant_pairs) if method in RWA_METHODS else []
+    top, nu, drives = model.config.n_max - 1, model.chain.nu, model.drives
+    free = top * float(nu.sum())
+    if method in ("exact", "standard_rwa"):
+        free += sum(0.5 * abs(d.detuning) for d in drives)
+        if method == "exact":
+            return free + sum(d.Omega_R for d in drives)
+        eta = model.eta_matrix()
+        return free + np.sqrt(top) * sum(abs(eta[j - 1, k - 1] * drives[j - 1].Omega_R) for j, k in pairs)
+    params = model.balanced()
+    if method == "rwa_jc":
+        return np.sqrt(top) * sum(abs(params[j - 1].eta_eff_by_Delta[k - 1] * nu[k - 1]) for j, k in pairs)
+    rates = sum((par.eta**2 / 4 + np.abs(par.alpha)**2 + 2.0 * np.sqrt(top) * np.abs(par.eta_eff_by_Delta)) @ nu
+                for par in params)
+    return free + sum(0.5 * par.delta_eff for par in params) + float(rates)
 
 
 def exact_propagator(model: ModelSpec, t: float, t0: float = 0.0) -> OperatorMatrix:
@@ -418,11 +555,11 @@ def evolve_states(
     """Yield (t, state) along a time grid, reusing one eigendecomposition or closed form.
 
     Equivalent to applying the corresponding propagator at every grid time
-    without forming it.  The grid is evolved in blocks of k = _BLOCK_BYTES //
-    (16 dim) points: O(dim) work per point for the closed-form core, plus one
-    real GEMM per block where the transform or an eigenbasis is applied.
+    without forming it: the per-state view of _Plan.apply's blocks, each state
+    a copy out of its block.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (model.config.dim,):
         raise ValueError("initial state has wrong dimension")
-    yield from _plan(model, method, resonant_pairs).apply(psi0, times, t0)
+    for ts, states in _plan(model, method, resonant_pairs).apply(psi0, times, t0):
+        yield from zip(ts.tolist(), states.T.copy())

@@ -256,18 +256,21 @@ class FactoredTransform:
     mixing: np.ndarray  # C, (2^n_spins, 2^n_spins) real orthogonal
     left: np.ndarray  # L, (dim,) unimodular
 
-    def apply(self, x: np.ndarray, adjoint: bool = False, overwrite: bool = False) -> np.ndarray:
+    def apply(self, x: np.ndarray, adjoint: bool = False, overwrite: bool = False,
+              work: np.ndarray | None = None) -> np.ndarray:
         """T x, or T^dag x = X R^* C^T L^* X^T x, for a (dim, k) block x: a C-ordered complex block.
 
         Each product is one real GEMM on the interleaved float view, over one
         mode axis or over the spin axes, written into the other of two (dim, k)
-        buffers in turn; overwrite lets x be one of them.
+        buffers in turn; overwrite lets x be one of them, and work, a C-ordered
+        complex block of x's shape, is the other.  There are 2 n_modes + 1
+        products, so the result lands in work when it is given.
         """
         config, k = self.config, x.shape[1]
         right, mixing, left = ((self.left.conj(), self.mixing.T, self.right.conj()) if adjoint
                                else (self.right, self.mixing, self.left))
         y = np.ascontiguousarray(x, dtype=complex)
-        buffers = (np.empty_like(y), y if overwrite else np.empty_like(y))
+        buffers = (np.empty_like(y) if work is None else work, y if overwrite else np.empty_like(y))
         modes = [(config.n_max**p, config.n_max, -1) for p in range(config.n_modes)]
         products = [(self.basis.T, shape) for shape in modes] + [(mixing, (-1, len(mixing), 2 * k))]
         products += [(self.basis, shape) for shape in modes]

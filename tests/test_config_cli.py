@@ -14,6 +14,7 @@ from ionjc.config import (
     AMU_SI,
     HBAR_SI,
     MAX_GRID_POINTS,
+    PHASE_ERROR_BOUND,
     ConfigError,
     parse_config,
     serialize_config,
@@ -418,6 +419,27 @@ def test_grid_size_bounded_before_allocation(tmp_path, capsys, path):
 def test_grid_size_bound_is_inclusive():
     assert MAX_GRID_POINTS == 2**20
     assert len(parse_config(evolve_config(steps=MAX_GRID_POINTS)).evolve.times) == MAX_GRID_POINTS
+
+
+@pytest.mark.parametrize("experiment, field", [("evolve", "$.evolve.t_stop"), ("sweep-rabi", "$.sweep.grid[0]")])
+def test_phases_that_lose_every_digit_exit_2(tmp_path, capsys, experiment, field):
+    # an exact evolve to t = 1e300, and an SI sweep whose 1e30-amu ions put its pi pulse at 5.1e16 / nu1: both
+    # exited 0 with rows of rounding noise; eps W t now exceeds PHASE_ERROR_BOUND before anything dim-sized exists
+    if experiment == "evolve":
+        cfg = evolve_config(method="exact", t_stop=1e300)
+    else:
+        nu1 = 2 * np.pi * 1.0e6
+        cfg = {"experiment": "sweep-rabi", "units": "si", "chain": {"N": 1, "mu": 1e30, "nu1": nu1},
+               "hilbert": {"n_max": 8, "guard": 2},
+               "drives": [{"ion": 1, "Omega_R": 0.1 * nu1, "delta": nu1, "k_L": 2 * np.pi / 729e-9}],
+               "sweep": {"points": 2, "start": 0.05 * nu1, "stop": 0.4 * nu1, "scale": "linear"}}
+    out = tmp_path / "out.csv"
+    assert main([experiment, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"config error: {field}: the phases reach W t = ")
+    assert f"exceeds {PHASE_ERROR_BOUND:g}" in err
+    assert not out.exists()
 
 
 def test_write_table_formats(tmp_path):

@@ -386,7 +386,7 @@ def test_evolve_states_matches_propagators(method, pairs, monkeypatch):
     config = model.config
     psi0 = basis_state(config, [1] * config.n_modes, ["g"] * config.n_spins)
     # blocks of 3 times: the 7-point grids span two full blocks and a partial one
-    monkeypatch.setattr(propagators, "_BLOCK_BYTES", 3 * 16 * config.dim)
+    monkeypatch.setattr(propagators._Plan, "block", 3)
     for t0 in (0.0, 1.3):
         times = [t0 + tau for tau in (0.0, 0.8, 2.9, -1.1, 4.4, 0.3, 7.6)]
         states = list(evolve_states(model, psi0, times, method=method, t0=t0, resonant_pairs=pairs))
@@ -691,7 +691,7 @@ def test_pipeline_rwa_plan_and_apply_hold_no_dense_matrix(monkeypatch, points_pe
     list(_plan(model, "pipeline_rwa", [(1, 1)]).apply(psi0, times))  # fill the basis caches outside the measurement
     tracemalloc.start()
     try:
-        assert sum(1 for _ in _plan(model, "pipeline_rwa", [(1, 1)]).apply(psi0, times)) == len(times)
+        assert sum(ts.size for ts, _ in _plan(model, "pipeline_rwa", [(1, 1)]).apply(psi0, times)) == len(times)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,6 +1,7 @@
 """Property tests over random models, random drives and random configs."""
 
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from ionjc.chain import ChainModel, LaserDrive  # noqa: E402
 from ionjc.config import ConfigError, parse_config, serialize_config  # noqa: E402
 from ionjc.fock import HilbertConfig, check_matrix, coherent_state, parity_gauge  # noqa: E402
 from ionjc.hamiltonians import ModelSpec  # noqa: E402
-from ionjc.propagators import METHODS, evolve_states  # noqa: E402
+from ionjc.propagators import METHODS, _plan, evolve_states, phase_rate_bound  # noqa: E402
 from ionjc.transforms import (balanced_params, factored_balanced_transform,  # noqa: E402
                               gauged_balanced_transform)
 from test_propagators import _method_propagator  # noqa: E402
@@ -79,7 +80,7 @@ def test_evolve_states_on_random_grids(method, model, t0, times, columns):
     pairs = [(1, 1)]
     psi0 = coherent_state(model.config, [0.4 - 0.3j], ["e"])
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(propagators, "_BLOCK_BYTES", columns * 16 * model.config.dim)
+        patch.setattr(propagators._Plan, "block", columns)
         states = list(evolve_states(model, psi0, times, method=method, t0=t0, resonant_pairs=pairs))
     assert [t for t, _ in states] == times
     for t, psi in states:
@@ -111,6 +112,21 @@ def test_factored_transform_is_the_dense_transform(model):
     for adjoint, want in ((False, dense), (True, dense.T)):
         got = gauge.conj()[:, None] * factored.apply(np.diag(gauge), adjoint=adjoint)
         assert np.abs(got - want).max() <= 1e-13
+
+
+@pytest.mark.parametrize("method", METHODS)
+@settings(max_examples=25, deadline=None)
+@given(model=balanced_models())
+def test_phase_rate_bound_covers_every_rate(method, model):
+    # W, from the free diagonal and the drive norms, bounds every eigenvalue of an eigen plan's Hamiltonian and
+    # a closed form's free diagonal plus its exchange rates |g| sqrt(n_max - 1)
+    plan = _plan(model, method, [(1, 1)])
+    if plan.diag is not None:
+        rate = np.abs(plan.diag).max()
+    else:
+        free = np.abs(reduce(np.add, np.ix_(*plan.axes))).max() if plan.axes else 0.0
+        rate = free + np.sqrt(model.config.n_max - 1) * sum(abs(g) for _, _, g in plan.exchanges)
+    assert rate <= phase_rate_bound(model, method, [(1, 1)]) * (1.0 + 1e-12)
 
 
 @st.composite

@@ -103,7 +103,7 @@ def _unit_columns(out: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 def _blocks(work: np.ndarray, dim: int, k: int) -> list[np.ndarray]:
-    """Each flat buffer (row) of a workspace as a C-ordered (dim, k) block; a narrower block takes each buffer's start."""
+    """Each flat buffer (row) of a workspace as a C-ordered (dim, k) block; a narrower block takes its start."""
     return [flat[:dim * k].reshape(dim, k) for flat in work]
 
 

@@ -203,7 +203,7 @@ def test_run_memory_does_not_grow_with_the_grid(tmp_path, method):
     # twice the peak at 300 points (one ion, n_max 100: dim 200, where 300 points fill the first block, so both
     # runs hold the same workspace, and the 100,000-point grid itself takes 0.8 MB)
     peaks = []
-    for steps in (300, 100_000):
+    for steps in (300, 300, 100_000):  # the first run fills the basis caches outside the measurement
         path = tmp_path / f"{steps}.json"
         path.write_text(json.dumps({
             "experiment": "evolve", "chain": {"N": 1}, "hilbert": {"n_max": 100, "guard": 2},
@@ -218,7 +218,7 @@ def test_run_memory_does_not_grow_with_the_grid(tmp_path, method):
             tracemalloc.stop()
         with open(tmp_path / "out.csv") as fh:
             assert sum(1 for _ in fh) == steps + 3
-    assert peaks[1] <= 2 * peaks[0], peaks
+    assert peaks[2] <= 2 * peaks[1], peaks
 
 
 def test_evolve_run_does_not_import_concurrent_futures(tmp_path):

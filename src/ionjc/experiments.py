@@ -8,7 +8,6 @@ configuration byte-reproduces the output except for the timestamp comment.
 
 from __future__ import annotations
 
-import dataclasses
 import datetime as _dt
 import json
 import os
@@ -25,20 +24,27 @@ from .propagators import _plan, exact_propagator, sweep_point_models
 class Table:
     """Columns, '#' comments and rows, held as blocks: lists of row tuples, or 2-D float arrays of all-float rows.
 
-    blocks, when given, is called anew for every pass over the rows and
-    returns an iterable of blocks; an evolve table computes each block as it
-    is reached, so a writer holds one block at a time.  rows lists every row
-    as a tuple of Python values.
+    A table takes its rows, or blocks: a callable that returns an iterable of
+    blocks and is called anew for every pass over the rows.  An evolve table
+    computes each block as it is reached, so a writer holds one block at a
+    time.
     """
 
-    def __init__(self, columns: list[str], rows: Iterable[tuple] = (), comments: Iterable[str] = (),
+    def __init__(self, columns: list[str], rows: Iterable[tuple] | None = None, comments: Iterable[str] = (),
                  blocks: Callable[[], Iterable] | None = None):
+        if rows is not None and blocks is not None:
+            raise ValueError("a table takes rows or blocks, not both")
         self.columns, self.comments = list(columns), list(comments)
-        rows = list(rows)
+        rows = [] if rows is None else list(rows)
         self.blocks = blocks if blocks is not None else lambda: [rows]
 
     @property
     def rows(self) -> list[tuple]:
+        """Every row as a tuple of Python values, from one new pass over the blocks.
+
+        On a table of computed blocks each read runs the computation again (an
+        evolve table its whole propagation), so read rows once and keep the list.
+        """
         return [tuple(row) for block in self.blocks()
                 for row in (block.tolist() if isinstance(block, np.ndarray) else block)]
 
@@ -196,10 +202,7 @@ def run_evolve(cfg: ExperimentConfig) -> Table:
     The plan (its eigh or its certified transform) is built here; the rows of
     each block of states Y come as the table is written: pop_e and nbar as one
     GEMM of their observable rows on |Y|^2, the overlap as |psi0^H Y|^2 over
-    psi0's support.  The rotating frame multiplies a state by one phase per
-    spin configuration, which |Y|^2 cannot see; nor can the overlap where
-    psi0 lies in one spin configuration, as every parsed start state does, so
-    such a run evolves without the frame.
+    psi0's support.
     """
     if cfg.evolve is None:
         raise ConfigError("evolve experiment needs an evolve section")
@@ -216,8 +219,6 @@ def run_evolve(cfg: ExperimentConfig) -> Table:
     )
     pairs = [cfg.evolve.resonant_pair] if cfg.evolve.resonant_pair else None
     plan = _plan(model, cfg.evolve.method, pairs)
-    if np.count_nonzero(np.abs(psi0.reshape(-1, 2**config.n_spins)).max(axis=0)) == 1:
-        plan = dataclasses.replace(plan, frame=False)
     support = np.flatnonzero(psi0)
     bra = psi0[support].conj()
 

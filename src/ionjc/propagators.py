@@ -29,9 +29,12 @@ from .transforms import FactoredTransform, corrected_detuning, factored_balanced
 RWA_METHODS = ("pipeline_rwa", "standard_rwa", "rwa_jc")
 METHODS = ("exact", "pipeline_exact") + RWA_METHODS
 
-# most bytes of one eigen plan's block of complex states in _Plan.apply (its COLUMN_BLOCK columns fit up to
-# dim 2048), and four times a closed form's whole workspace (see _Plan.block)
+# most bytes of one eigen plan's block of complex states in _Plan.apply (its COLUMN_BLOCK columns fit up to dim 2048)
 _BLOCK_BYTES = 4 << 20
+# bytes of a closed form's whole workspace in _Plan.apply, which takes the dozen passes over each block: on a
+# 2-core Xeon with 2 MiB of L2 per core, a cold evolve of 300 points at dim 576 ran fastest at 1 MiB, and 9-15%
+# slower with a workspace of 0.5, 2 or 4 MiB
+_CLOSED_FORM_WORKSPACE_BYTES = 1 << 20
 
 
 def _normalize_pairs(model: ModelSpec, resonant_pairs) -> list[tuple[int, int]]:
@@ -107,9 +110,9 @@ def _blocks(work: np.ndarray, dim: int, k: int) -> list[np.ndarray]:
     return [flat[:dim * k].reshape(dim, k) for flat in work]
 
 
-def _spare(work: Sequence[np.ndarray], *busy: np.ndarray) -> np.ndarray | None:
-    """The first block of work that is none of busy, or None without a workspace."""
-    return next((b for b in work if all(b is not x for x in busy)), None)
+def _spare(work: Sequence[np.ndarray], busy: np.ndarray) -> np.ndarray | None:
+    """The first block of work that is not busy, or None without a workspace."""
+    return next((b for b in work if b is not busy), None)
 
 
 def _certified(config: HilbertConfig, u: np.ndarray) -> OperatorMatrix:
@@ -206,13 +209,12 @@ class _Plan:
         block spreads V' over COLUMN_BLOCK columns, as columns' blocks do, or
         over fewer where that would take more than _BLOCK_BYTES.  A closed form
         has no dense factor to spread and makes a dozen passes over each block,
-        so its whole workspace takes a quarter of _BLOCK_BYTES, 1 MiB, and
-        stays in a core's cache between the passes.
+        so its whole workspace takes _CLOSED_FORM_WORKSPACE_BYTES.
         """
         config = self.model.config
         if self.basis is not None:
             return max(1, min(COLUMN_BLOCK, _BLOCK_BYTES // (16 * config.dim)))
-        return max(1, _BLOCK_BYTES // (64 * config.dim * self._buffers(kept=True)))
+        return max(1, _CLOSED_FORM_WORKSPACE_BYTES // (16 * config.dim * self._buffers(kept=True)))
 
     def _workspace(self, k: int, kept: bool) -> np.ndarray:
         """One call's workspace: _buffers(kept) flat buffers of dim k complex entries, see _blocks."""

@@ -681,21 +681,22 @@ def test_exact_columns_hold_two_column_blocks():
 @pytest.mark.parametrize("points_per_block", [8, None], ids=["8-point-blocks", "default-blocks"])
 def test_pipeline_rwa_plan_and_apply_hold_no_dense_matrix(monkeypatch, points_per_block):
     # at dim 576 the plan holds the transform's factors, not a dim x dim T': the plan and a 300-point apply peak
-    # below half a real dim x dim matrix besides the state blocks, two (dim, k) blocks at most, k points each
+    # below half a real dim x dim matrix besides the (dim, k) state blocks of apply's workspace, k the plan's block
     model = make_two_ion_model(n_max=12, guard=4, phases=(0.4, -1.2), phi_beams=(0.3, 0.8))
     config = model.config
     psi0, times = basis_state(config, [1, 0], ["g", "g"]), np.linspace(0.0, 200.0, 300)
     if points_per_block is not None:
-        monkeypatch.setattr(propagators, "_BLOCK_BYTES", points_per_block * 16 * config.dim)
-    k = min(len(times), propagators._BLOCK_BYTES // (16 * config.dim))
-    list(_plan(model, "pipeline_rwa", [(1, 1)]).apply(psi0, times))  # fill the basis caches outside the measurement
+        monkeypatch.setattr(propagators._Plan, "block", points_per_block)
+    plan = _plan(model, "pipeline_rwa", [(1, 1)])
+    states = plan._buffers(kept=True) * 16 * config.dim * min(len(times), plan.block)
+    list(plan.apply(psi0, times))  # fill the basis caches outside the measurement
     tracemalloc.start()
     try:
         assert sum(ts.size for ts, _ in _plan(model, "pipeline_rwa", [(1, 1)]).apply(psi0, times)) == len(times)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - 2 * 16 * config.dim * k <= 0.5 * 8 * config.dim**2
+    assert peak - states <= 0.5 * 8 * config.dim**2, (peak, states)
 
 
 @pytest.mark.parametrize("model_name", ["single_model", "two_ion_model"])

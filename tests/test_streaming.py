@@ -1,6 +1,5 @@
 """The evolve path in blocks: block observables, the streamed writers, the workspace and the run's memory."""
 
-import dataclasses
 import datetime as _dt
 import io
 import json
@@ -111,6 +110,8 @@ def test_streamed_output_of_every_value_kind():
             assert written(write_table, table, fmt) == written(reference_write_table, table, fmt)
     with pytest.raises(ValueError, match="format"):
         write_table(Table(["a"], [(1,)]), io.StringIO(), "xml")
+    with pytest.raises(ValueError, match="rows or blocks"):
+        Table(["a"], [(1,)], blocks=lambda: [])
 
 
 def evolve_config(method, times, n_max=5):
@@ -140,22 +141,6 @@ def test_block_observables_are_the_per_state_formulas(method, times, block):
         assert all(isinstance(v, float) for v in row)
         assert row[0] == t
         assert np.abs(np.array(row) - want).max() <= 1e-14
-
-
-@pytest.mark.parametrize("method", ["exact", "pipeline_rwa"])
-def test_rows_of_a_spin_superposition_keep_the_frame(method):
-    # the frame's phase differs between spin configurations, so a start state over two of them needs it in its
-    # overlap: such a run keeps the frame, and its rows are still the per-state formulas
-    cfg = parse_config(evolve_config(method, [0.0, 0.7, 3.1, 9.0]))
-    config, pairs = cfg.model.config, [(1, 1)]
-    psi0 = (basis_state(config, [1, 0], ["e", "g"]) + basis_state(config, [0, 0], ["g", "g"])) / np.sqrt(2.0)
-    cfg = dataclasses.replace(cfg, evolve=dataclasses.replace(cfg.evolve, psi0=psi0))
-    rows = np.array(run_evolve(cfg).rows)
-    states = [psi for _, psi in evolve_states(cfg.model, psi0, cfg.evolve.times, method=method, resonant_pairs=pairs)]
-    assert np.abs(rows[:, -1] - [abs(np.vdot(psi0, psi)) ** 2 for psi in states]).max() <= 1e-14
-    frameless = dataclasses.replace(_plan(cfg.model, method, pairs), frame=False)
-    overlaps = [np.abs(psi0.conj() @ y) ** 2 for _, y in frameless.apply(psi0, cfg.evolve.times)]
-    assert np.abs(rows[:, -1] - np.concatenate(overlaps)).max() > 1e-3
 
 
 @pytest.mark.parametrize("method", ["exact", "pipeline_rwa"])

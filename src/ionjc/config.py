@@ -30,6 +30,9 @@ MAX_IONS = 10
 MAX_GRID_POINTS = DENSE_MATRIX_BYTES // 1024  # 2**20 sweep or time points: 1 KiB of output row each
 # largest rounding error eps W t, in rad, that a run's phases may carry: W bounds their rates, t the largest time
 PHASE_ERROR_BOUND = 1e-6
+# largest Lamb-Dicke prefactor g = k_L cos(phi_beam) / sqrt(2 mu nu1): sum_p eta_p^2 nu_p = g^2 for every drive, the
+# rate bounds add at most g^2 / 2 per drive, and g^2 <= max / MAX_IONS keeps every bound formed from eta finite
+_LAMB_DICKE_LIMIT = np.sqrt(sys.float_info.max / MAX_IONS)
 
 
 class ConfigError(ValueError):
@@ -128,7 +131,8 @@ def _converted(value: float, path: str) -> float:
 
 def _check_phases(rate: float, t: float, path: str) -> None:
     """Reject, naming the field, a run whose phases W t round off by more than PHASE_ERROR_BOUND rad."""
-    error = np.finfo(float).eps * rate * t
+    rate, t = float(rate), float(t)  # Python floats: a product past the float range reads inf without a warning
+    error = sys.float_info.epsilon * rate * t
     if not error <= PHASE_ERROR_BOUND:  # NaN-safe
         raise ConfigError(f"{path}: the phases reach W t = {rate * t:.3e} rad (rate bound W = {rate:.3e}, "
                           f"time t = {t:.3e}); their rounding eps W t = {error:.1e} exceeds {PHASE_ERROR_BOUND:g}")
@@ -168,6 +172,7 @@ def parse_config(source) -> ExperimentConfig:
             raise ConfigError("$.chain: mu and nu1 must be positive")
         freq_scale = 1.0
         k_scale = 1.0
+    length = np.sqrt(2.0 * mu * nu1)  # g's divisor, 0 or inf where 2 mu nu1 leaves the float range: compare products
 
     hilbert = _typed(raw.get("hilbert", {}), dict, "$.hilbert")
     n_max = _typed(hilbert.get("n_max", 40 if n_ions == 1 else 12), int, "$.hilbert.n_max")
@@ -203,6 +208,9 @@ def parse_config(source) -> ExperimentConfig:
             )
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+        if not abs(k_l * np.cos(phi)) <= _LAMB_DICKE_LIMIT * length:
+            raise ConfigError(f"{path}.k_L: the Lamb-Dicke prefactor k_L cos(phi_beam) / sqrt(2 mu nu1) exceeds "
+                              f"{_LAMB_DICKE_LIMIT:.3e}, past which the rate bounds formed from its square overflow")
 
     try:  # checks n_max, guard and the dense-matrix budget before the chain or any matrix is built
         hconf = HilbertConfig(n_modes=n_ions, n_max=n_max, n_spins=len(drives), guard=guard)

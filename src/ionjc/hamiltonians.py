@@ -12,6 +12,7 @@ The anharmonic part of the Coulomb interaction is not modelled.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -24,8 +25,6 @@ from .fock import (
     _mode_destroy,
     displacement_factors,
     kron_terms,
-    mode_occupations,
-    spin_signs,
     ungauge,
 )
 from .transforms import BalancedParams, balanced_params, corrected_detuning
@@ -71,24 +70,21 @@ class ModelSpec:
         return replace(self, drives=tuple(drives))
 
 
-def free_diagonal(model: ModelSpec, spin_freqs: Sequence[float]) -> np.ndarray:
-    """Diagonal of sum_p nu_p n_p + sum_j (w_j / 2) sigma_z^j, one w_j per spin factor in order."""
-    diag = model.chain.nu @ mode_occupations(model.config)
-    signs = spin_signs(model.config)
-    for j, w in enumerate(spin_freqs):
-        diag = diag + 0.5 * w * signs[j]
-    return diag
-
-
 def free_axes(model: ModelSpec, spin_freqs: Sequence[float], offset: float = 0.0) -> tuple[np.ndarray, ...]:
-    """free_diagonal plus a scalar offset as one row per axis of config.shape: d = sum_a rows[a][n_a].
+    """sum_p nu_p n_p + sum_j (w_j / 2) sigma_z^j plus a scalar offset as one row per axis: d = sum_a rows[a][n_a].
 
     Mode p's row is nu_p n (mode 1's carries the offset) and ion j's is
-    (w_j / 2) (+1, -1), so e^{-i d t} is a product of per-axis phases.
+    (w_j / 2) (+1, -1), one w_j per spin factor in order, so e^{-i d t} is a
+    product of per-axis phases.
     """
     n = np.arange(model.config.n_max, dtype=float)
     modes = [nu * n + (offset if p == 0 else 0.0) for p, nu in enumerate(model.chain.nu)]
     return tuple(modes) + tuple(0.5 * w * np.array([1.0, -1.0]) for w in spin_freqs)
+
+
+def free_diagonal(model: ModelSpec, spin_freqs: Sequence[float]) -> np.ndarray:
+    """Diagonal of sum_p nu_p n_p + sum_j (w_j / 2) sigma_z^j: free_axes' rows summed over the layout."""
+    return reduce(np.add, np.ix_(*free_axes(model, spin_freqs))).ravel()
 
 
 def gauged_rotating_frame_hamiltonian(model: ModelSpec) -> np.ndarray:
@@ -178,7 +174,7 @@ def linearized_hamiltonian(model: ModelSpec) -> IntermediateParts:
     nu = model.chain.nu
     sz, sx = {1: _SPIN_2X2["z"]}, {1: _SPIN_2X2["x"]}
     h0 = kron_terms(config, [(drive.Omega_R, {}, sz), (-0.5 * drive.detuning, {}, sx)])
-    h0[np.diag_indices(config.dim)] += free_diagonal(model, ())
+    h0[np.diag_indices(config.dim)] += free_diagonal(model, [0.0])
     a1 = _mode_destroy(config.n_max)
     flip = kron_terms(config, [(0.5 * eta[p - 1] * nu[p - 1], {p: 1j * (a1 - a1.conj().T)}, sx)
                                for p in range(1, config.n_modes + 1)])
@@ -207,7 +203,7 @@ def mixed_hamiltonian(model: ModelSpec) -> IntermediateParts:
     modes = range(1, config.n_modes + 1)
     h0 = kron_terms(config, [(0.5 * par.delta_eff, {}, sz)]
                     + [(-(par.Delta * root / 2.0) * par.eta[p - 1] * nu[p - 1], {p: x}, sz) for p in modes])
-    h0[np.diag_indices(config.dim)] += free_diagonal(model, ())
+    h0[np.diag_indices(config.dim)] += free_diagonal(model, [0.0])
     flip = kron_terms(config, [(root * par.eta[p - 1] * nu[p - 1], {p: x}, sx) for p in modes])
     return IntermediateParts(
         OperatorMatrix(config, h0, hermitian=True),

@@ -29,8 +29,6 @@ from .transforms import FactoredTransform, corrected_detuning, factored_balanced
 RWA_METHODS = ("pipeline_rwa", "standard_rwa", "rwa_jc")
 METHODS = ("exact", "pipeline_exact") + RWA_METHODS
 
-# most bytes of one eigen plan's block of complex states in _Plan.apply (its COLUMN_BLOCK columns fit up to dim 2048)
-_BLOCK_BYTES = 4 << 20
 # bytes of a closed form's whole workspace in _Plan.apply, which takes the dozen passes over each block: on a
 # 2-core Xeon with 2 MiB of L2 per core, a cold evolve of 300 points at dim 576 ran fastest at 1 MiB, and 9-15%
 # slower with a workspace of 0.5, 2 or 4 MiB
@@ -206,15 +204,13 @@ class _Plan:
         """Grid points per block of apply.
 
         An eigen plan streams its dense V' through one GEMM per block, so a
-        block spreads V' over COLUMN_BLOCK columns, as columns' blocks do, or
-        over fewer where that would take more than _BLOCK_BYTES.  A closed form
-        has no dense factor to spread and makes a dozen passes over each block,
-        so its whole workspace takes _CLOSED_FORM_WORKSPACE_BYTES.
+        block spreads V' over COLUMN_BLOCK columns, as columns' blocks do.  A
+        closed form has no dense factor to spread and makes a dozen passes over
+        each block, so its whole workspace takes _CLOSED_FORM_WORKSPACE_BYTES.
         """
-        config = self.model.config
         if self.basis is not None:
-            return max(1, min(COLUMN_BLOCK, _BLOCK_BYTES // (16 * config.dim)))
-        return max(1, _CLOSED_FORM_WORKSPACE_BYTES // (16 * config.dim * self._buffers(kept=True)))
+            return COLUMN_BLOCK
+        return max(1, _CLOSED_FORM_WORKSPACE_BYTES // (16 * self.model.config.dim * self._buffers(kept=True)))
 
     def _workspace(self, k: int, kept: bool) -> np.ndarray:
         """One call's workspace: _buffers(kept) flat buffers of dim k complex entries, see _blocks."""

@@ -35,7 +35,6 @@ from .fock import (
     mode_occupations,
     quadrature_basis,
     spin_signs,
-    ungauge,
 )
 
 
@@ -66,7 +65,9 @@ class BalancedParams:
         the bounded sideband coupling row, |eta_eff / Delta| <= |eta| / 2.
     kappa_plus, kappa_minus : float
         Closed-block-form weights; kappa_plus^2 + kappa_minus^2 = 1 and
-        kappa_plus kappa_minus = 1 / sqrt(4 + Delta^2).
+        kappa_plus kappa_minus = r = 1 / s, s = sqrt(4 + Delta^2).  The larger
+        is sqrt(1/4 + r/2) + |Delta| / (2 sqrt(s) sqrt(s + 2)) and the smaller r
+        over it, so no difference of square roots cancels at any Delta.
     eps_plus, eps_minus : float
         Displacement fractions; eps_plus - eps_minus = 1 and
         eps_plus + eps_minus = Delta / sqrt(4 + Delta^2).
@@ -110,10 +111,10 @@ def balanced_params(drive: LaserDrive, eta_row: Sequence[float]) -> BalancedPara
     if not math.isfinite(square):
         raise NoDriveError(f"Omega_R = {drive.Omega_R!r} is too small for the detuning {delta!r}: "
                            f"Delta = delta / Omega_R = {big_delta!r} squares past the float range")
-    root = 1.0 / np.sqrt(4.0 + square)
-    sign = 1.0 if big_delta >= 0 else -1.0
-    outer = np.sqrt(0.25 + root / 2.0)
-    inner = np.sqrt(max(0.25 - root / 2.0, 0.0))
+    s = np.sqrt(4.0 + square)
+    root = 1.0 / s
+    larger = np.sqrt(0.25 + root / 2.0) + abs(big_delta) / (2.0 * np.sqrt(s) * np.sqrt(s + 2.0))
+    kappa = (larger, root / larger) if big_delta >= 0 else (root / larger, larger)
     return BalancedParams(
         Delta=big_delta,
         delta_eff=float(np.hypot(2.0 * drive.Omega_R, delta)),
@@ -121,8 +122,8 @@ def balanced_params(drive: LaserDrive, eta_row: Sequence[float]) -> BalancedPara
         eta=eta,
         eta_eff=big_delta * root * eta,
         eta_eff_by_Delta=root * eta,
-        kappa_plus=float(outer + sign * inner),
-        kappa_minus=float(outer - sign * inner),
+        kappa_plus=float(kappa[0]),
+        kappa_minus=float(kappa[1]),
         eps_plus=float(big_delta * root / 2.0 + 0.5),
         eps_minus=float(big_delta * root / 2.0 - 0.5),
         alpha=1j * (big_delta * root / 2.0) * eta,
@@ -220,17 +221,6 @@ def _mixing_block(theta: float) -> np.ndarray:
     return np.array([[c + s, c - s], [s - c, s + c]]) / np.sqrt(2.0)
 
 
-def gauged_balanced_transform(config: HilbertConfig, params: Sequence[BalancedParams]) -> np.ndarray:
-    """P^dag T P of balanced_transform in the parity gauge P, real: D_p(i y) becomes D_p(y) for D and Da."""
-    ions = []  # block (r, q) of each ion: coef[r, q] times (Da, Da^dag)[r] times (D^dag, D)[q]
-    for par in params:
-        coef = _mixing_block(par.theta)
-        d, da = displacement_factors(config, 0.5 * par.eta), displacement_factors(config, par.alpha.imag)
-        rows, cols = (da, dagger_factors(da)), (dagger_factors(d), d)
-        ions.append([[(coef[r, q], {p: rows[r][p] @ cols[q][p] for p in d}) for q in range(2)] for r in range(2)])
-    return _ion_product(config, ions)
-
-
 @dataclass(frozen=True, eq=False)
 class FactoredTransform:
     """balanced_transform's T = X L C R X^T, kept as its factors and applied to (dim, k) blocks of columns.
@@ -300,17 +290,17 @@ def factored_balanced_transform(config: HilbertConfig, params: Sequence[Balanced
 
 
 def balanced_transform(config: HilbertConfig, params: Sequence[BalancedParams]) -> OperatorMatrix:
-    """Product form of the balanced transform, one factor per driven ion.
+    """The balanced transform T as a dense matrix: factored_balanced_transform applied to the identity's columns.
 
-    Each factor is the composition conditional_displacement * mixing_rotation
-    * linearizing_transform for that ion, over its (e, g) spin the 2 x 2 block
-    matrix diag(Da, Da^dag) R(theta) [[1, 1], [-1, 1]] diag(D^dag, D) / sqrt(2)
-    with D = prod_p D_p(i eta_p / 2), Da = prod_p D_p(alpha_p).  Factors of
-    different ions commute, so _ion_product expands their product into one
-    Kronecker term per choice of an entry of each ion's block matrix, which
-    fock.kron_terms assembles.
+    Per driven ion T is the composition conditional_displacement *
+    mixing_rotation * linearizing_transform, over its (e, g) spin the 2 x 2
+    block matrix diag(Da, Da^dag) R(theta) [[1, 1], [-1, 1]] diag(D^dag, D) /
+    sqrt(2) with D = prod_p D_p(i eta_p / 2), Da = prod_p D_p(alpha_p);
+    factors of different ions commute.  That per-ion chain and
+    balanced_transform_closed are its independent dense references.
     """
-    return OperatorMatrix(config, ungauge(config, gauged_balanced_transform(config, params)), unitary=True)
+    transform = factored_balanced_transform(config, params)
+    return OperatorMatrix(config, transform.apply(np.eye(config.dim, dtype=complex), overwrite=True), unitary=True)
 
 
 def balanced_transform_closed(
@@ -320,8 +310,8 @@ def balanced_transform_closed(
 
     Per ion: [[k+ D(i eps- eta), k- D(i eps+ eta)], [-k- D(i eps+ eta)^dag,
     k+ D(i eps- eta)^dag]], built from kappa/eps alone and expanded over the
-    ions by the same _ion_product as the product form, so it stays an
-    independent cross-check of the per-ion blocks.
+    ions by _ion_product, so it stays a dense cross-check of the factors
+    independent of them.
     """
     ions = []
     for par in params:

@@ -1,8 +1,11 @@
 import json
+import math
 import os
 import re
+import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,7 @@ from ionjc.config import (
     AMU_SI,
     HBAR_SI,
     MAX_GRID_POINTS,
+    MAX_IONS,
     PHASE_ERROR_BOUND,
     ConfigError,
     parse_config,
@@ -440,6 +444,42 @@ def test_phases_that_lose_every_digit_exit_2(tmp_path, capsys, experiment, field
     assert err.startswith(f"config error: {field}: the phases reach W t = ")
     assert f"exceeds {PHASE_ERROR_BOUND:g}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("warnings_as_errors", [False, True], ids=["warnings-recorded", "warnings-as-errors"])
+@pytest.mark.parametrize("name, experiment", [("evolve_sideband", "evolve"), ("sweep_rabi", "sweep-rabi")])
+def test_lamb_dicke_prefactor_past_the_float_range_names_k_L(tmp_path, capsys, name, experiment, warnings_as_errors):
+    # k_L = 1e300 is finite, but the rate bound squared its Lamb-Dicke row past the float range: numpy warned
+    # "overflow encountered in square" and the run blamed $.evolve.t_stop or $.sweep.grid[0] (exit 1 with warnings
+    # as errors); the prefactor is now checked against the float range before any bound is formed from it
+    cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    cfg["drives"][0]["k_L"] = 1e300
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error" if warnings_as_errors else "always")
+        assert main([experiment, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error: $.drives[0].k_L: the Lamb-Dicke prefactor ")
+    assert not out.exists()
+
+
+def test_lamb_dicke_prefactor_at_its_limit_keeps_the_rate_bound_finite(tmp_path, capsys):
+    # two drives just below the limit: the rate bound adds both squares and stays finite, so the time is blamed,
+    # and eps W t past the float range reads inf without a numpy overflow warning
+    cfg = evolve_config(method="pipeline_rwa", t_stop=1e30)
+    cfg["chain"] = {"N": 2}
+    cfg["hilbert"] = {"n_max": 6, "guard": 2}
+    k_l = 0.999 * math.sqrt(sys.float_info.max / MAX_IONS)
+    cfg["drives"] = [{"ion": j, "Omega_R": 0.25, "delta": 0.5, "k_L": k_l} for j in (1, 2)]
+    cfg["evolve"]["initial_state"] = {"fock": [1, 0], "spins": ["g", "g"]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: $.evolve.t_stop: the phases reach W t = ")
+    assert "rate bound W = inf" not in err
 
 
 def test_write_table_formats(tmp_path):

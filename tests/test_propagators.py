@@ -43,7 +43,7 @@ from ionjc.propagators import (
     standard_rwa_propagator,
     turn_on_propagator,
 )
-from ionjc.transforms import (NoDriveError, _mixing_block, balanced_transform, gauged_balanced_transform,
+from ionjc.transforms import (NoDriveError, _mixing_block, balanced_transform, balanced_transform_closed,
                               rotating_frame_diagonal, rotating_frame_phases)
 
 
@@ -571,7 +571,7 @@ def test_no_plan_builds_the_dense_transform(tmp_path, monkeypatch):
     def dense(*args):
         raise AssertionError("a plan built the dense balanced transform")
 
-    monkeypatch.setattr(transforms, "gauged_balanced_transform", dense)
+    monkeypatch.setattr(transforms, "balanced_transform", dense)
     monkeypatch.setattr(transforms, "_ion_product", dense)
     model = make_two_ion_model(n_max=6, guard=2)
     _plan(model, "pipeline_rwa", [(1, 1)])
@@ -701,11 +701,11 @@ def test_pipeline_rwa_plan_and_apply_hold_no_dense_matrix(monkeypatch, points_pe
 
 @pytest.mark.parametrize("model_name", ["single_model", "two_ion_model"])
 def test_pipeline_plans_are_the_balanced_frame(request, model_name):
-    # both pipeline plans against the dense balanced frame: the transform T = P T' P^dag of the gauged builder,
-    # the delta_eff free diagonal plus the offset, and the eigenbasis of the gauged balanced Hamiltonian
+    # both pipeline plans against the dense balanced frame: the transform T of the closed block form, the
+    # delta_eff free diagonal plus the offset, and the eigenbasis of the gauged balanced Hamiltonian
     model = request.getfixturevalue(model_name)
     config, params = model.config, model.balanced()
-    transform = balanced_transform(config, params).entries
+    transform = balanced_transform_closed(config, params).entries
     d0 = free_diagonal(model, [par.delta_eff for par in params])
     eye = np.eye(config.dim, dtype=complex)
     rwa = _plan(model, "pipeline_rwa", [(1, 1)])

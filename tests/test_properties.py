@@ -14,11 +14,11 @@ from conftest import make_single_model  # noqa: E402
 from ionjc import fock, propagators  # noqa: E402
 from ionjc.chain import ChainModel, LaserDrive  # noqa: E402
 from ionjc.config import ConfigError, parse_config, serialize_config  # noqa: E402
-from ionjc.fock import HilbertConfig, check_matrix, coherent_state, parity_gauge  # noqa: E402
+from ionjc.fock import HilbertConfig, check_matrix, coherent_state  # noqa: E402
 from ionjc.hamiltonians import ModelSpec  # noqa: E402
 from ionjc.propagators import METHODS, _plan, evolve_states, phase_rate_bound  # noqa: E402
-from ionjc.transforms import (balanced_params, factored_balanced_transform,  # noqa: E402
-                              gauged_balanced_transform)
+from ionjc.transforms import (balanced_params, balanced_transform_closed,  # noqa: E402
+                              factored_balanced_transform)
 from test_propagators import _method_propagator  # noqa: E402
 
 MODELS = st.builds(
@@ -104,14 +104,13 @@ def balanced_models(draw):
 @settings(max_examples=40, deadline=None)
 @given(model=balanced_models())
 def test_factored_transform_is_the_dense_transform(model):
-    # T' = P^dag T P and T'^T = P^dag T^dag P through the factors, on the identity's columns, against the dense builder
+    # T and T^dag through the factors, on the identity's columns, against the closed block form
     config, params = model.config, model.balanced()
-    dense = gauged_balanced_transform(config, params)
+    dense = balanced_transform_closed(config, params).entries
     factored = factored_balanced_transform(config, params)
-    gauge = parity_gauge(config)
-    for adjoint, want in ((False, dense), (True, dense.T)):
-        got = gauge.conj()[:, None] * factored.apply(np.diag(gauge), adjoint=adjoint)
-        assert np.abs(got - want).max() <= 1e-13
+    eye = np.eye(config.dim, dtype=complex)
+    for adjoint, want in ((False, dense), (True, dense.conj().T)):
+        assert np.abs(factored.apply(eye, adjoint=adjoint) - want).max() <= 1e-13
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -216,6 +216,17 @@ def test_balanced_transform_product_vs_closed_form():
     assert np.abs(prod.entries - closed.entries).max() <= 1e-10
 
 
+@pytest.mark.parametrize("big_delta", [0.0, 1e-9, -1e-9, 1e-6, 1e-4, 1e9])
+def test_closed_form_equals_factor_chain_at_every_delta(big_delta):
+    # kappa+- as a difference of square roots lost half their digits as Delta -> 0 (1.7e-10 off the chain at
+    # Delta = 1e-9) and kappa- all of them above |Delta| ~ 1e8; the larger plus r over the larger loses none
+    cfg = HilbertConfig(n_modes=1, n_max=12, guard=2)
+    par = balanced_params(drive(0.3, 0.3 * big_delta), [0.1])
+    chain = (conditional_displacement(cfg, par.alpha, 1).entries @ mixing_rotation(cfg, par.theta, 1).entries
+             @ linearizing_transform(cfg, par.eta, 1).entries)
+    assert np.abs(balanced_transform_closed(cfg, [par]).entries - chain).max() <= 1e-13
+
+
 @pytest.mark.parametrize("n_ions, n_max", [(2, 6), (3, 5)], ids=["2-ions", "3-ions"])
 def test_balanced_transform_blocks_equal_dense_factor_product(n_ions, n_max):
     # two modes: the ion expansion of both forms against the dense product of the per-ion builders

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands mirror the experiments (modes, resonance, sweep-rabi, evolve);
-each takes a JSON config plus output overrides.  Exit codes: 0 success, 2
+The command names the experiment (modes, resonance, sweep-rabi, evolve),
+which takes a JSON config plus output overrides.  Exit codes: 0 success, 2
 configuration error (including an undriven ion), 3 numerical-validation
 failure, 1 any other failure (numpy errors, MemoryError), on one stderr line.
 """
@@ -14,7 +14,7 @@ import stat
 import sys
 import tempfile
 
-from .config import ConfigError, parse_config
+from .config import EXPERIMENTS, ConfigError, parse_config
 from .experiments import run_experiment, write_table
 from .fock import NumericalValidationError
 from .transforms import NoDriveError
@@ -25,19 +25,15 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ionjc",
         description="Trapped-ion Jaynes-Cummings experiments on truncated Fock spaces.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("modes", "normal-mode table of the ion chain"),
-        ("resonance", "corrected sideband-resonance report"),
-        ("sweep-rabi", "Rabi-frequency sweep comparing both RWA flavours to the exact oracle"),
-        ("evolve", "state-evolution time series"),
-    ):
-        p = sub.add_parser(name, help=doc)
-        p.add_argument("--config", required=True, help="path to the JSON experiment config")
-        p.add_argument("--out", default=None, help="output path (default: config output.path or stdout)")
-        p.add_argument("--format", default=None, choices=("csv", "json"), help="output format")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for sweeps, at most one per grid point and per CPU core (default: 1)")
+    parser.add_argument("command", choices=EXPERIMENTS, help=(
+        "the experiment: modes (normal-mode table of the ion chain), resonance (corrected sideband-resonance "
+        "report), sweep-rabi (Rabi-frequency sweep comparing both RWA flavours to the exact oracle) or evolve "
+        "(state-evolution time series)"))
+    parser.add_argument("--config", required=True, help="path to the JSON experiment config")
+    parser.add_argument("--out", default=None, help="output path (default: config output.path or stdout)")
+    parser.add_argument("--format", default=None, choices=("csv", "json"), help="output format")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker threads for sweeps, at most one per grid point and per CPU core (default: 1)")
     return parser
 
 

@@ -11,6 +11,7 @@ the identity.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +22,7 @@ from .chain import ChainModel, LaserDrive
 from .fock import DENSE_MATRIX_BYTES, HilbertConfig, basis_state, coherent_state, population_above_guard
 from .hamiltonians import ModelSpec
 from .propagators import METHODS, RWA_METHODS, phase_rate_bound, sweep_point_models
+from .transforms import NoDriveError, balanced_params
 
 HBAR_SI = 1.054571817e-34
 AMU_SI = 1.66053906892e-27
@@ -138,6 +140,26 @@ def _check_phases(rate: float, t: float, path: str) -> None:
                           f"time t = {t:.3e}); their rounding eps W t = {error:.1e} exceeds {PHASE_ERROR_BOUND:g}")
 
 
+def _check_balanced(model: ModelSpec, swept: int | None = None) -> None:
+    """Form the balanced parameters of every drive but the swept one, rejecting one that has none with its path.
+
+    A drive has none at Omega_R = 0, at an Omega_R too small for its detuning,
+    and where its corrected detuning hypot(2 Omega_R, delta) leaves the float
+    range; each sweep point sets the swept drive's Omega_R and detuning.
+    """
+    eta = model.eta_matrix()
+    for i, drive in enumerate(model.drives):
+        if i + 1 == swept:
+            continue
+        if not math.isfinite(math.hypot(2.0 * drive.Omega_R, drive.detuning)):  # Python floats: no warning
+            raise ConfigError(f"$.drives[{i}]: the corrected detuning hypot(2 Omega_R, delta) of Omega_R = "
+                              f"{drive.Omega_R!r} and delta = {drive.detuning!r} leaves the float range")
+        try:
+            balanced_params(drive, eta[i])
+        except NoDriveError as exc:
+            raise ConfigError(f"$.drives[{i}]: {exc}") from exc
+
+
 def parse_config(source) -> ExperimentConfig:
     """Parse and validate a config file path or already-loaded mapping."""
     raw = _load(source)
@@ -223,6 +245,8 @@ def parse_config(source) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"$: {exc}") from exc
 
+    if experiment == "resonance":
+        _check_balanced(model)
     sweep = _parse_sweep(raw, model, freq_scale) if experiment == "sweep-rabi" else None
     evolve = _parse_evolve(raw, model, freq_scale) if experiment == "evolve" else None
 
@@ -270,9 +294,13 @@ def _parse_sweep(raw, model, freq_scale) -> SweepSpec:
     eta_k = model.eta_matrix()[drive - 1, mode - 1]
     if eta_k == 0.0:
         raise ConfigError("$.sweep: the swept drive does not couple to the target mode (eta = 0)")
+    _check_balanced(model, swept=drive)
     pair = [(drive, mode)]
     for i, omega_r in enumerate(grid):  # both models run the exact oracle and their closed form to the pulse time
-        balanced, standard, _, t_pulse = sweep_point_models(model, drive, mode, float(omega_r))
+        try:
+            balanced, standard, _, t_pulse = sweep_point_models(model, drive, mode, float(omega_r))
+        except NoDriveError as exc:
+            raise ConfigError(f"$.sweep.grid[{i}]: {exc}") from exc
         rate = max(phase_rate_bound(balanced, "exact"), phase_rate_bound(balanced, "pipeline_rwa", pair),
                    phase_rate_bound(standard, "exact"), phase_rate_bound(standard, "standard_rwa", pair))
         _check_phases(rate, t_pulse, f"$.sweep.grid[{i}]")
@@ -306,6 +334,8 @@ def _parse_evolve(raw, model, freq_scale) -> EvolveSpec:
         if not 1 <= ion <= len(model.drives) or not 1 <= mode <= model.chain.N:
             raise ConfigError("$.evolve: resonant pair out of range")
         pair = (ion, mode)
+    if method not in ("exact", "standard_rwa"):  # the methods in the balanced frame
+        _check_balanced(model)
     # the run's t0 is 0, so its largest |t - t0| is its largest |t|, at one end of the increasing grid
     t_max, end = max((abs(float(times[-1])), "t_stop"), (abs(float(times[0])), "t_start"))
     _check_phases(phase_rate_bound(model, method, None if pair is None else [pair]), t_max,

@@ -435,7 +435,10 @@ def coherent_state(config: HilbertConfig, alphas: Sequence[complex], spins: Sequ
     cols = []
     for al in alphas:
         col = np.zeros(config.n_max, dtype=complex)
-        col[0] = math.exp(-abs(al) ** 2 / 2.0)
+        try:
+            col[0] = math.exp(-abs(al) ** 2 / 2.0)
+        except OverflowError:  # |alpha|^2 past the float range: the weight underflows, as past |alpha| = 38.6
+            col[0] = 0.0
         for n in range(1, config.n_max):
             col[n] = col[n - 1] * al / math.sqrt(n)
         cols.append(col)

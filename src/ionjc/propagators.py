@@ -82,16 +82,14 @@ def sweep_point_models(model: ModelSpec, drive: int, mode: int,
     return balanced_model, standard_model, required, np.pi / (2.0 * abs(g)) if g else np.inf
 
 
-def _real_matvec(m: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """m @ x for a real matrix m and a complex block x, without a complex copy of m.
+def _real_matvec(m: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """m @ x for a real matrix m and a complex block x, written into out, without a complex copy of m.
 
     One real GEMM on the interleaved float view of x, (dim, 2k) with the real and
-    imaginary part of each column side by side; x is copied only if not C-contiguous.
-    out, a C-ordered complex block of x's shape, receives the product when given.
+    imaginary part of each column side by side; x is copied only if not C-contiguous,
+    and out is a C-ordered complex block of x's shape.
     """
     x = np.ascontiguousarray(x)
-    if out is None:
-        return (m @ x.view(float).reshape(len(x), -1)).view(complex).reshape(x.shape)
     np.matmul(m, x.view(float).reshape(len(x), -1), out=out.view(float).reshape(len(x), -1))
     return out
 
@@ -108,8 +106,8 @@ def _blocks(work: np.ndarray, dim: int, k: int) -> list[np.ndarray]:
     return [flat[:dim * k].reshape(dim, k) for flat in work]
 
 
-def _spare(work: Sequence[np.ndarray], busy: np.ndarray) -> np.ndarray | None:
-    """The first block of work that is not busy, or None without a workspace."""
+def _spare(work: Sequence[np.ndarray], busy: np.ndarray) -> np.ndarray:
+    """The first block of work that is not busy."""
     return next((b for b in work if b is not busy), None)
 
 
@@ -155,7 +153,8 @@ class _Plan:
     gauge P (fock.parity_gauge): basis is the real eigenbasis V' of P^dag H P,
     H the rotating-frame Hamiltonian for exact and the balanced one for
     pipeline_exact, and diag its eigenvalues w (plus the frame's scalar offset
-    for pipeline_exact).  Their core is e^{-i w t} e^{i w t0}.  The closed
+    for pipeline_exact).  Their core is e^{-i w t} e^{i w t0}, and in both the
+    gauge sits beside V': P^dag right before V'^T, P right after V'.  The closed
     forms need no gauge: their core is e^{-i d t} X(tau) e^{i d t0}, d a free
     diagonal plus the frame's scalar offset kept as one row per axis (axes,
     hamiltonians.free_axes; none for rwa_jc, whose d is 0), and X the banded
@@ -166,21 +165,24 @@ class _Plan:
     construction nor certified at build, so a dense propagator is certified
     through basis's real Gram and its column norms.
 
-    Every step takes one shape: a (dim, k) block with a vector of k times, or
-    of one time shared by every column.  columns (with matrix its certified
-    all-columns case) and apply both run _evolve, conj(R_t) [T^dag] [P V']
-    e^{-i d t} X(t - t0) on a start that carries e^{i d t0}, in one association
-    order, so their outputs are reproducible bit for bit.  Each call allocates
-    one workspace, _buffers flat buffers that every block reuses as (dim, k)
-    blocks: each product is written into a block that does not hold its input,
-    and each diagonal is multiplied into its block in place.  columns evolves
-    its start columns [V'^T P^dag] [T] I[:, cols] COLUMN_BLOCK at a time into
-    one preallocated output, so an eigen plan's dense propagator holds two
-    (dim, 128) blocks besides itself and basis.  apply forms its (dim, 1) start
-    once and evolves the grid in blocks of block points: per point O(dim) core
-    work and O(dim n_max) for T^dag, plus one real GEMM per block on its
-    interleaved float view where the plan has basis; the frame enters through
-    the 2^n_spins spin phases of each point.
+    Every step has one calling convention: a C-ordered (dim, k) block of the
+    call's workspace goes in, with a vector of k times or one time shared by
+    every column, and the result comes out in a block of the same workspace.
+    Each call allocates one workspace, _buffers flat buffers that every block
+    reuses as (dim, k) blocks: each product is written into a block that does
+    not hold its input, and each diagonal is multiplied into its block in
+    place.  columns (with matrix its certified all-columns case) and apply both
+    run _evolve, conj(R_t) [T^dag] [P V'] e^{-i d t} X(t - t0) on a start that
+    carries e^{i d t0}, in one association order, so their outputs are
+    reproducible bit for bit.  columns evolves its start columns
+    [V'^T P^dag] [T] I[:, cols] COLUMN_BLOCK at a time into one preallocated
+    output, so an eigen plan's dense propagator holds two (dim, 128) blocks
+    besides itself and basis.  apply forms its (dim, 1) start once, in a
+    one-column workspace of its own, and keeps it while it evolves the grid in
+    blocks of block points: per point O(dim) core work and O(dim n_max) for
+    T^dag, plus one real GEMM per block on its interleaved float view where the
+    plan has basis; the frame enters through the 2^n_spins spin phases of each
+    point.
     """
 
     model: ModelSpec
@@ -255,63 +257,53 @@ class _Plan:
         return x
 
     def _framed(self, x: np.ndarray, t: np.ndarray, left: bool) -> np.ndarray:
-        """x multiplied in place by the diagonal conj(R_t) [P] (left) or [P^dag] R_t (right); x and t as in _evolve.
-
-        The gauge sits at the frame for exact alone; pipeline_exact's sits between V' and T.
-        """
-        config = self.model.config
-        y = x.reshape(-1, 2**config.n_spins, x.shape[1])  # splits the first axis: always a view of x
+        """x multiplied in place by the frame's diagonal conj(R_t) (left) or R_t (right); x and t as in _evolve."""
         if self.frame:
+            y = x.reshape(-1, 2**self.model.config.n_spins, x.shape[1])  # splits the first axis: a view of x
             phases = rotating_frame_phases(self.model.drives, t)
             np.multiply(np.conj(phases) if left else phases, y, out=y)
-        if self.basis is not None and self.transform is None:
-            gauge = parity_gauge(config).reshape(y.shape[:2] + (1,))
-            np.multiply(gauge if left else gauge.conj(), y, out=y)
         return x
 
-    def _start(self, x: np.ndarray, work: Sequence[np.ndarray] = ()) -> np.ndarray:
-        """[V'^T P^dag] [T] x for a C-ordered (dim, k) block x, after the right frame: the core's start block.
+    def _start(self, x: np.ndarray, work: Sequence[np.ndarray]) -> np.ndarray:
+        """[V'^T P^dag] [T] x for a (dim, k) block x of work, after the right frame: the core's start, in a work block.
 
-        x is overwritten, and each product is written into a block of work where one is given.
+        x is overwritten, and each product is written into a block of work that does not hold its input.
         """
         if self.transform is not None:
-            x = self.transform.apply(x, overwrite=True, work=_spare(work, x))
-            if self.basis is not None:
-                x *= parity_gauge(self.model.config).conj()[:, None]
+            x = self.transform.apply(x, _spare(work, x))
         if self.basis is not None:
-            x = _real_matvec(self.basis.T, x, out=_spare(work, x))
+            x *= parity_gauge(self.model.config).conj()[:, None]
+            x = _real_matvec(self.basis.T, x, _spare(work, x))
         return x
 
-    def _phased(self, x: np.ndarray, t: np.ndarray, sign: float, out: np.ndarray | None = None,
-                scratch: np.ndarray | None = None) -> np.ndarray:
-        """x times e^{sign i d t}, the core's diagonal at x's times t; x and t as in _evolve.
+    def _phased(self, x: np.ndarray, t: np.ndarray, sign: float, work: Sequence[np.ndarray]) -> np.ndarray:
+        """x times e^{sign i d t}, the core's diagonal at x's times t, in a block of work; x and t as in _evolve.
 
         The eigenvalues w are exponentiated entry by entry.  A free d is
         exponentiated axis by axis (n_modes n_max + 2 n_spins exponentials per
         time instead of dim) and multiplied in as its mode and its spin part.
-        In place, unless out is given: a C-ordered (dim, k) block that receives
-        the product where x is to be kept or one start column meets k times.
-        An eigen plan then forms its (dim, k) phases in out, and their w t in
-        scratch, another block, when one is given.
+        A block of work is multiplied in place.  apply's kept start, which meets
+        k times, is multiplied into work[0], where an eigen plan first forms its
+        (dim, k) phases, their w t in work[1].
         """
         config = self.model.config
         spins = 2**config.n_spins
-        if self.diag is not None:
-            if out is not None and t.size > 1:  # the phases fill a (dim, k) block themselves: out, w t in scratch
-                wt = np.multiply.outer(self.diag, t, out=scratch.reshape(-1).view(float)[:out.size].reshape(out.shape))
-                phase = np.multiply(sign * 1j, wt, out=out)
-            else:
-                phase = sign * 1j * np.multiply.outer(self.diag, t)
-            factors = [np.exp(phase, out=phase).reshape(-1, spins, t.size)]
-        else:  # no rows (rwa_jc) give factors of ones
+        out = x if any(x is b for b in work) else work[0]
+        if self.diag is None:  # no rows (rwa_jc) give factors of ones
             factors = [_axis_phases(self.axes[:config.n_modes], t, sign)[:, None, :],
                        _axis_phases(self.axes[config.n_modes:], t, sign)]
-        y = x.reshape(-1, spins, x.shape[1])  # splits the first axis: a view of x in either order
-        dest = y if out is None else out.reshape(-1, spins, out.shape[1])
+        else:
+            if out is x:  # in place, at the one time of a start or a column block: (dim, 1) phases
+                phase = sign * 1j * np.multiply.outer(self.diag, t)
+            else:
+                wt = np.multiply.outer(self.diag, t, out=work[1].reshape(-1).view(float)[:out.size].reshape(out.shape))
+                phase = np.multiply(sign * 1j, wt, out=out)
+            factors = [np.exp(phase, out=phase).reshape(-1, spins, t.size)]
+        y, dest = x.reshape(-1, spins, x.shape[1]), out.reshape(-1, spins, out.shape[1])  # views: split first axes
         for f in factors:  # the first product moves into out, the rest multiply in place
             np.multiply(f, y, out=dest)
             y = dest
-        return x if out is None else out
+        return out
 
     def _evolve(self, x: np.ndarray, t: np.ndarray, t0: float, work: list[np.ndarray]) -> np.ndarray:
         """conj(R_t) [T^dag] [P V'] e^{-i d t} X(t - t0) x, x the core's start times e^{i d t0}; t: k times or one.
@@ -320,17 +312,12 @@ class _Plan:
         unless it is a block of work, and the result is one of work's (dim, k)
         blocks.  The core's output is C-ordered.
         """
-        y = self._exchange(x, t - t0, work)
-        if any(y is b for b in work):
-            y = self._phased(y, t, -1.0)
-        else:  # the kept start
-            y = self._phased(y, t, -1.0, out=work[0], scratch=work[1])
+        y = self._phased(self._exchange(x, t - t0, work), t, -1.0, work)
         if self.basis is not None:
-            y = _real_matvec(self.basis, y, out=_spare(work, y))
+            y = _real_matvec(self.basis, y, _spare(work, y))
+            y *= parity_gauge(self.model.config)[:, None]
         if self.transform is not None:
-            if self.basis is not None:
-                y *= parity_gauge(self.model.config)[:, None]
-            y = self.transform.apply(y, adjoint=True, overwrite=True, work=_spare(work, y))
+            y = self.transform.apply(y, _spare(work, y), adjoint=True)
         return self._framed(y, t, left=True)
 
     def columns(self, cols: slice | np.ndarray, t: float, t0: float = 0.0) -> np.ndarray:
@@ -352,12 +339,11 @@ class _Plan:
             block = index[i:i + COLUMN_BLOCK]
             blocks = _blocks(work, config.dim, block.size)
             if self.basis is None or self.transform is not None:
-                start = self._phased(self._start(_unit_columns(blocks[0], block), blocks), t0s, 1.0)
-            elif (np.diff(block) == 1).all():  # a run of adjacent columns: a view of V'^T, phased into the workspace
-                start = self._phased(self.basis.T[:, block[0]:block[-1] + 1], t0s, 1.0, out=blocks[0])
-            else:
-                start = self._phased(self.basis.T[:, block], t0s, 1.0, out=blocks[0])
-            u[:, i:i + COLUMN_BLOCK] = self._evolve(start, ts, t0, blocks)
+                start = self._start(_unit_columns(blocks[0], block), blocks)
+            else:  # exact: V'^T's columns, a view where they are adjacent, times their conjugate gauge
+                view = slice(block[0], block[-1] + 1) if (np.diff(block) == 1).all() else block
+                start = np.multiply(self.basis.T[:, view], parity_gauge(config).conj()[block], out=blocks[0])
+            u[:, i:i + COLUMN_BLOCK] = self._evolve(self._phased(start, t0s, 1.0, blocks), ts, t0, blocks)
         u *= self._framed(np.ones((config.dim, 1), dtype=complex), t0s, left=False)[cols, 0]
         return u
 
@@ -384,7 +370,9 @@ class _Plan:
         """
         config = self.model.config
         t0s = np.array([t0], dtype=float)
-        x = self._phased(self._start(self._framed(psi0[:, None].copy(), t0s, left=False)), t0s, 1.0)
+        start = _blocks(self._workspace(1, kept=False), config.dim, 1)
+        start[0][:, 0] = psi0
+        x = self._phased(self._start(self._framed(start[0], t0s, left=False), start), t0s, 1.0, start)
         times, work = iter(times), None
         while block := list(itertools.islice(times, self.block)):
             ts = np.array(block, dtype=float)

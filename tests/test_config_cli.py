@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from ionjc import experiments
-from ionjc.cli import main
+from ionjc.cli import _build_parser, main
 from ionjc.config import (
     AMU_SI,
+    EXPERIMENTS,
     HBAR_SI,
     MAX_GRID_POINTS,
     MAX_IONS,
@@ -582,7 +583,8 @@ def test_cli_unreadable_config_exits_2_with_its_path(tmp_path, capsys, content):
     ("sweep_rabi", ("sweep", "start"), 1e-160),
 ])
 def test_cli_rabi_frequency_too_small_for_the_detuning_exits_2(tmp_path, capsys, name, keys, value):
-    # Delta = delta / Omega_R whose square leaves the float range: an undriven ion, not an overflow
+    # Delta = delta / Omega_R whose square leaves the float range: an undriven ion, not an overflow, named by the
+    # drive, or by the sweep point that sets its Omega_R
     cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
     node = cfg
     for key in keys[:-1]:
@@ -592,7 +594,67 @@ def test_cli_rabi_frequency_too_small_for_the_detuning_exits_2(tmp_path, capsys,
     assert main([cfg["experiment"], "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
-    assert err.startswith("config error: Omega_R = ") and "squares past the float range" in err
+    field = "$.sweep.grid[0]" if keys[0] == "sweep" else f"$.drives[{keys[1]}]"
+    assert err.startswith(f"config error: {field}: Omega_R = ") and "squares past the float range" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("warnings_as_errors", [False, True], ids=["warnings-recorded", "warnings-as-errors"])
+@pytest.mark.parametrize("name, keys, value, field, message", [
+    ("evolve_sideband", ("drives", 0, "delta"), 1e308, "$.drives[0]", "Omega_R = 0.25 is too small"),
+    ("evolve_sideband", ("drives", 0, "Omega_R"), 0, "$.drives[0]", "balanced parameters are undefined"),
+    ("resonance", ("drives", 0, "Omega_R"), 0, "$.drives[0]", "balanced parameters are undefined"),
+    ("sweep_rabi", ("sweep", "grid"), [1e-300, 0.1], "$.sweep.grid[0]", "Omega_R = 1e-300 is too small"),
+])
+def test_drive_without_balanced_parameters_names_its_field(tmp_path, capsys, name, keys, value, field, message,
+                                                           warnings_as_errors):
+    # NoDriveError from the balanced parameters reached cli.main without a path: the parser now forms them for
+    # every drive that its method, the resonance report or a sweep point needs (the resonance at run time before)
+    cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    node = cfg
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error" if warnings_as_errors else "always")
+        assert main([cfg["experiment"], "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"config error: {field}: {message}")
+    assert not out.exists()
+
+
+def test_sweep_checks_the_drives_it_keeps_not_the_swept_one():
+    # each sweep point sets the swept drive's Omega_R and detuning, so only a drive the sweep keeps is named
+    cfg = {"experiment": "sweep-rabi", "chain": {"N": 2}, "hilbert": {"n_max": 6, "guard": 2},
+           "drives": [{"ion": 1, "Omega_R": 0.0, "delta": 1.0, "k_L": 0.05},
+                      {"ion": 2, "Omega_R": 0.1, "delta": 1.4, "k_L": 0.05}],
+           "sweep": {"points": 2, "start": 0.05, "stop": 0.1, "drive": 1, "mode": 1}}
+    assert parse_config(cfg).sweep.drive == 1
+    cfg["drives"][1]["Omega_R"] = 0.0
+    with pytest.raises(ConfigError, match=r"^\$\.drives\[1\]: balanced parameters are undefined at Omega_R = 0"):
+        parse_config(cfg)
+
+
+@pytest.mark.parametrize("warnings_as_errors", [False, True], ids=["warnings-recorded", "warnings-as-errors"])
+@pytest.mark.parametrize("omega_r, delta", [(1e308, 0.8660254037844386), (8e307, 1.7e308)])
+def test_corrected_detuning_past_the_float_range_names_its_drive(tmp_path, capsys, omega_r, delta,
+                                                                 warnings_as_errors):
+    # delta_eff = hypot(2 Omega_R, delta) = inf made the rate bound W = inf, and the run blamed $.evolve.t_stop;
+    # with 2 Omega_R finite, numpy's hypot warned of the overflow
+    cfg = json.loads((CONFIG_DIR / "evolve_sideband.json").read_text())
+    cfg["drives"][0].update(Omega_R=omega_r, delta=delta)
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error" if warnings_as_errors else "always")
+        assert main(["evolve", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error: $.drives[0]: the corrected detuning hypot(2 Omega_R, delta) of ")
+    assert err.rstrip().endswith("leaves the float range")
     assert not out.exists()
 
 
@@ -711,6 +773,55 @@ def test_cli_threads_come_from_the_flag_only(tmp_path, capsys, monkeypatch):
     assert main(["sweep-rabi", "--config", path, "--threads", "0", "--out", str(bad)]) == 2
     assert "config error: thread count must be >= 1" in capsys.readouterr().err
     assert not bad.exists()
+
+
+@pytest.mark.parametrize("command", EXPERIMENTS)
+def test_every_command_takes_the_four_options(command):
+    parser = _build_parser()
+    args = parser.parse_args([command, "--config", "c.json", "--out", "o.csv", "--format", "json", "--threads", "3"])
+    assert (args.command, args.config, args.out, args.format, args.threads) == (command, "c.json", "o.csv", "json", 3)
+    args = parser.parse_args([command, "--config", "c.json"])
+    assert (args.out, args.format, args.threads) == (None, None, 1)
+
+
+def test_bad_command_exits_2_and_help_lists_the_experiments(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bogus", "--config", "c.json"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert "{" + ",".join(EXPERIMENTS) + "}" in capsys.readouterr().out
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_cli_writes_a_pipe_in_place(tmp_path, capsys):
+    # an output path that exists and is not a regular file, a FIFO here, is written directly: its reader gets the
+    # table a regular file gets, and no temporary file is left beside it
+    path = write_config(tmp_path, minimal_modes_config())
+    regular = tmp_path / "modes.csv"
+    assert main(["modes", "--config", path, "--out", str(regular)]) == 0
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text(encoding="utf-8")), daemon=True)
+    reader.start()
+    assert main(["modes", "--config", path, "--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert strip_timestamp(received[0]) == strip_timestamp(regular.read_text(encoding="utf-8"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "modes.csv", "pipe"]
+
+
+def test_coherent_amplitude_past_the_float_range_exits_2(tmp_path, capsys):
+    # |alpha|^2 of alpha = -1e300 raised OverflowError in coherent_state, an exit 1; its weight underflows to 0
+    # like that of any |alpha| above about 38.6, and the parser rejects the zero state
+    cfg = evolve_config(initial_state={"coherent": [-1e300], "spins": ["g"]})
+    assert main(["evolve", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error: $.evolve.initial_state: coherent amplitudes ") and "zero state" in err
 
 
 def strip_timestamp(text: str) -> str:

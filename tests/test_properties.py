@@ -1,7 +1,11 @@
 """Property tests over random models, random drives and random configs."""
 
+import contextlib
+import copy
+import io
 import json
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from conftest import make_single_model  # noqa: E402
 from ionjc import fock, propagators  # noqa: E402
+from ionjc.cli import main  # noqa: E402
 from ionjc.chain import ChainModel, LaserDrive  # noqa: E402
 from ionjc.config import ConfigError, parse_config, serialize_config  # noqa: E402
 from ionjc.fock import HilbertConfig, check_matrix, coherent_state  # noqa: E402
@@ -110,7 +115,7 @@ def test_factored_transform_is_the_dense_transform(model):
     factored = factored_balanced_transform(config, params)
     eye = np.eye(config.dim, dtype=complex)
     for adjoint, want in ((False, dense), (True, dense.conj().T)):
-        assert np.abs(factored.apply(eye, adjoint=adjoint) - want).max() <= 1e-13
+        assert np.abs(factored.apply(eye.copy(), np.empty_like(eye), adjoint=adjoint) - want).max() <= 1e-13
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -185,3 +190,73 @@ def test_serialize_then_parse_is_identity(raw):
     text = serialize_config(cfg)
     again = parse_config(json.loads(text))
     assert serialize_config(again) == text
+
+
+def _small(cfg: dict) -> dict:
+    """A shipped config cut to n_max <= 16, steps <= 50 and points <= 4, its coherent start inside the guard band."""
+    if "hilbert" in cfg:
+        cfg["hilbert"] = {"n_max": min(cfg["hilbert"]["n_max"], 16), "guard": min(cfg["hilbert"]["guard"], 4)}
+    if "evolve" in cfg:
+        cfg["evolve"]["steps"] = min(cfg["evolve"]["steps"], 50)
+        if "coherent" in cfg["evolve"]["initial_state"]:
+            cfg["evolve"]["initial_state"]["coherent"] = [1.0]
+    if "sweep" in cfg:
+        cfg["sweep"]["points"] = min(cfg["sweep"]["points"], 4)
+    return cfg
+
+
+SMALL_CONFIGS = {path.stem: _small(json.loads(path.read_text()))
+                 for path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))}
+# every leaf of a mutated config gets one of these: zero, negative, huge, tiny and subnormal numbers, an integer past
+# the float digits, and each json kind that is not a number
+LEAF_VALUES = (0, -1, 1e300, -1e300, 1e-300, 5e-324, 1e6, 10**20, True, "x", None, [], {})
+
+
+def _leaves(node, path=()):
+    """The key paths of a json value's leaves: its scalars and its empty containers."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        if isinstance(value, (dict, list)) and value:
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+@st.composite
+def mutated_configs(draw):
+    """A small shipped config with one or two of its leaves replaced from LEAF_VALUES."""
+    name = draw(st.sampled_from(sorted(SMALL_CONFIGS)))
+    cfg = copy.deepcopy(SMALL_CONFIGS[name])
+    for path in draw(st.lists(st.sampled_from(list(_leaves(cfg))), min_size=1, max_size=2, unique=True)):
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = copy.deepcopy(draw(st.sampled_from(LEAF_VALUES)))
+    return name, cfg
+
+
+def _cli(tmp: Path, cfg: dict, experiment: str) -> tuple[int, str]:
+    """cli.main's exit code and stderr on cfg, written to tmp, with its output in tmp."""
+    path = tmp / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([experiment, "--config", str(path), "--out", str(tmp / "out.csv")])
+    return code, err.getvalue()
+
+
+def test_small_shipped_configs_run(tmp_path):
+    # the mutations start from configs that run, so they reach past the parser
+    for name, cfg in SMALL_CONFIGS.items():
+        (tmp_path / name).mkdir()
+        assert _cli(tmp_path / name, cfg, cfg["experiment"]) == (0, ""), name
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=mutated_configs())
+def test_cli_exit_code_contract_on_mutated_configs(tmp_path_factory, case):
+    # 0 or 3, or 2 with one stderr line, and never 1 (an internal error, a numpy warning under filterwarnings =
+    # error among them): every input the parser lets through runs, and every one it rejects is named on one line
+    name, cfg = case
+    code, err = _cli(tmp_path_factory.mktemp("contract"), cfg, SMALL_CONFIGS[name]["experiment"])
+    assert code in (0, 2, 3), err
+    assert (code == 0) == (err == "") and len(err.splitlines()) == (code != 0), err

@@ -21,7 +21,7 @@ import numpy as np
 from .chain import ChainModel, LaserDrive
 from .fock import DENSE_MATRIX_BYTES, HilbertConfig, basis_state, coherent_state, population_above_guard
 from .hamiltonians import ModelSpec
-from .propagators import METHODS, RWA_METHODS, phase_rate_bound, sweep_point_models
+from .propagators import BALANCED_METHODS, METHODS, RWA_METHODS, phase_rate_bound, sweep_point_models
 from .transforms import NoDriveError, balanced_params
 
 HBAR_SI = 1.054571817e-34
@@ -71,10 +71,18 @@ class ExperimentConfig:
     out_format: str
 
 
-def _require(mapping, key, path, kind=None):
-    if key not in mapping:
-        raise ConfigError(f"{path}.{key}: required field is missing")
-    return _typed(mapping[key], kind, f"{path}.{key}") if kind else mapping[key]
+def _field(mapping, key, path, kind, default=None):
+    """mapping[key], or default where the key is absent (no default: required), checked as kind at path.key.
+
+    kind is a json type, or a unit conversion: a function from a number to its value in units of nu1, checked finite.
+    """
+    path = f"{path}.{key}"
+    if key not in mapping and default is None:
+        raise ConfigError(f"{path}: required field is missing")
+    value = mapping.get(key, default)
+    if isinstance(kind, type):
+        return _typed(value, kind, path)
+    return _converted(kind(_typed(value, float, path)), path)
 
 
 def _typed(value, kind, path):
@@ -88,21 +96,24 @@ def _typed(value, kind, path):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")
         return value
-    if kind is str and not isinstance(value, str):
-        raise ConfigError(f"{path}: expected a string, got {value!r}")
-    if kind is dict and not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected an object, got {value!r}")
-    if kind is list and not isinstance(value, list):
-        raise ConfigError(f"{path}: expected an array, got {value!r}")
+    if not isinstance(value, kind):  # str, dict or list
+        name = {str: "a string", dict: "an object", list: "an array"}[kind]
+        raise ConfigError(f"{path}: expected {name}, got {value!r}")
     return value
 
 
-def _grid_list(value, path) -> list:
-    """An explicit grid array, bounded before any of its points is converted."""
-    value = _typed(value, list, path)
-    if len(value) > MAX_GRID_POINTS:
+def _grid_list(mapping, key, path, convert) -> np.ndarray:
+    """An explicit grid array, bounded before any of its points is typed, then converted to units of nu1 at once."""
+    values = _field(mapping, key, path, list)
+    path = f"{path}.{key}"
+    if len(values) > MAX_GRID_POINTS:
         raise ConfigError(f"{path}: at most {MAX_GRID_POINTS} points")
-    return value
+    point = f"{path}[*]"
+    with np.errstate(over="ignore"):  # a point converted past the float range is named below
+        grid = convert(np.array([_typed(v, float, point) for v in values]))
+    for i in np.flatnonzero(~np.isfinite(grid))[:1]:
+        _converted(grid[i], f"{path}[{i}]")
+    return grid
 
 
 def _load(source) -> dict:
@@ -126,7 +137,7 @@ def _load(source) -> dict:
 
 def _converted(value: float, path: str) -> float:
     """A value after unit conversion, rejected with its field's path where the conversion left the float range."""
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ConfigError(f"{path}: converts to {float(value)!r} in units of nu1; it must stay finite")
     return value
 
@@ -141,19 +152,11 @@ def _check_phases(rate: float, t: float, path: str) -> None:
 
 
 def _check_balanced(model: ModelSpec, swept: int | None = None) -> None:
-    """Form the balanced parameters of every drive but the swept one, rejecting one that has none with its path.
-
-    A drive has none at Omega_R = 0, at an Omega_R too small for its detuning,
-    and where its corrected detuning hypot(2 Omega_R, delta) leaves the float
-    range; each sweep point sets the swept drive's Omega_R and detuning.
-    """
+    """Name the first drive but the swept one (each sweep point sets its own) that balanced_params rejects."""
     eta = model.eta_matrix()
     for i, drive in enumerate(model.drives):
         if i + 1 == swept:
             continue
-        if not math.isfinite(math.hypot(2.0 * drive.Omega_R, drive.detuning)):  # Python floats: no warning
-            raise ConfigError(f"$.drives[{i}]: the corrected detuning hypot(2 Omega_R, delta) of Omega_R = "
-                              f"{drive.Omega_R!r} and delta = {drive.detuning!r} leaves the float range")
         try:
             balanced_params(drive, eta[i])
         except NoDriveError as exc:
@@ -163,66 +166,59 @@ def _check_balanced(model: ModelSpec, swept: int | None = None) -> None:
 def parse_config(source) -> ExperimentConfig:
     """Parse and validate a config file path or already-loaded mapping."""
     raw = _load(source)
-    experiment = _require(raw, "experiment", "$", str)
+    experiment = _field(raw, "experiment", "$", str)
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"$.experiment: unknown experiment {experiment!r}; pick from {EXPERIMENTS}")
-    units = _typed(raw.get("units", "nu1"), str, "$.units")
+    units = _field(raw, "units", "$", str, "nu1")
     if units not in ("nu1", "si"):
         raise ConfigError(f"$.units: must be 'nu1' or 'si', got {units!r}")
 
-    chain_raw = _require(raw, "chain", "$", dict)
-    n_ions = _require(chain_raw, "N", "$.chain", int)
+    chain_raw = _field(raw, "chain", "$", dict)
+    n_ions = _field(chain_raw, "N", "$.chain", int)
     if not 1 <= n_ions <= MAX_IONS:
         raise ConfigError(f"$.chain.N: N exceeds supported range 1..{MAX_IONS}")
-
-    if units == "si":
-        mu_amu = _require(chain_raw, "mu", "$.chain", float)
-        nu1_si = _require(chain_raw, "nu1", "$.chain", float)
-        if mu_amu <= 0 or nu1_si <= 0:
-            raise ConfigError("$.chain: mu and nu1 must be positive")
-        freq_scale = nu1_si  # divide SI angular frequencies by this
-        mass_freq = 2.0 * (mu_amu * AMU_SI) * nu1_si  # 2 mu nu1 in SI; 0 or inf where it leaves double range
+    si = units == "si"  # mu and nu1 are required in SI, and every unit-bearing field is converted as it is read
+    mu = _field(chain_raw, "mu", "$.chain", float, None if si else 0.5)
+    nu1 = _field(chain_raw, "nu1", "$.chain", float, None if si else 1.0)
+    if mu <= 0 or nu1 <= 0:
+        raise ConfigError("$.chain: mu and nu1 must be positive")
+    freq_scale = k_scale = 1.0  # SI angular frequencies are divided by freq_scale, k_L multiplied by k_scale
+    if si:
+        mass_freq = 2.0 * (mu * AMU_SI) * nu1  # 2 mu nu1 in SI; 0 or inf where it leaves double range
         k_scale = float(np.sqrt(HBAR_SI / mass_freq)) if mass_freq > 0.0 else np.inf  # k_L -> dimensionless prefactor
         if not 0.0 < k_scale < np.inf:
-            raise ConfigError(f"$.chain: mu = {mu_amu!r} amu and nu1 = {nu1_si!r} rad/s put the length scale "
+            raise ConfigError(f"$.chain: mu = {mu!r} amu and nu1 = {nu1!r} rad/s put the length scale "
                               f"sqrt(hbar / (2 mu nu1)) at {float(k_scale)!r} m; it must be finite and non-zero")
-        mu, nu1 = 0.5, 1.0  # so sqrt(2 mu nu1) = 1 after conversion
-    else:
-        mu = _typed(chain_raw.get("mu", 0.5), float, "$.chain.mu")
-        nu1 = _typed(chain_raw.get("nu1", 1.0), float, "$.chain.nu1")
-        if mu <= 0 or nu1 <= 0:
-            raise ConfigError("$.chain: mu and nu1 must be positive")
-        freq_scale = 1.0
-        k_scale = 1.0
+        freq_scale, mu, nu1 = nu1, 0.5, 1.0  # so sqrt(2 mu nu1) = 1 after conversion
+    frequency, time, wavevector = (lambda v: v / freq_scale), (lambda v: v * freq_scale), (lambda v: v * k_scale)
     length = np.sqrt(2.0 * mu * nu1)  # g's divisor, 0 or inf where 2 mu nu1 leaves the float range: compare products
 
-    hilbert = _typed(raw.get("hilbert", {}), dict, "$.hilbert")
-    n_max = _typed(hilbert.get("n_max", 40 if n_ions == 1 else 12), int, "$.hilbert.n_max")
-    guard = _typed(hilbert.get("guard", 10 if n_ions == 1 else 4), int, "$.hilbert.guard")
+    hilbert = _field(raw, "hilbert", "$", dict, {})
+    n_max = _field(hilbert, "n_max", "$.hilbert", int, 40 if n_ions == 1 else 12)
+    guard = _field(hilbert, "guard", "$.hilbert", int, 10 if n_ions == 1 else 4)
 
-    omega_ge = _converted(_typed(raw.get("omega_ge", 0.0), float, "$.omega_ge") / freq_scale, "$.omega_ge")
+    omega_ge = _field(raw, "omega_ge", "$", frequency, 0.0)
 
-    drives_raw = _require(raw, "drives", "$", list)
+    drives_raw = _field(raw, "drives", "$", list)
     if not drives_raw:
         raise ConfigError("$.drives: at least one drive is required")
     drives = []
     for i, d in enumerate(drives_raw):
         path = f"$.drives[{i}]"
         d = _typed(d, dict, path)
-        ion = _require(d, "ion", path, int)
-        omega_r = _converted(_require(d, "Omega_R", path, float) / freq_scale, f"{path}.Omega_R")
+        ion = _field(d, "ion", path, int)
+        omega_r = _field(d, "Omega_R", path, frequency)
         if "delta" in d and "omega_L" in d:
             raise ConfigError(f"{path}: give either delta or omega_L, not both")
         if "delta" in d:
-            delta = _converted(_typed(d["delta"], float, f"{path}.delta") / freq_scale, f"{path}.delta")
-            omega_l = _converted(omega_ge - delta, f"{path}.delta")
+            omega_l = _converted(omega_ge - _field(d, "delta", path, frequency), f"{path}.delta")
         elif "omega_L" in d:
-            omega_l = _converted(_typed(d["omega_L"], float, f"{path}.omega_L") / freq_scale, f"{path}.omega_L")
+            omega_l = _field(d, "omega_L", path, frequency)
         else:
             raise ConfigError(f"{path}: needs delta or omega_L")
-        k_l = _converted(_require(d, "k_L", path, float) * k_scale, f"{path}.k_L")
-        phi = _typed(d.get("phi_beam", 0.0), float, f"{path}.phi_beam")
-        phase = _typed(d.get("phase", 0.0), float, f"{path}.phase")
+        k_l = _field(d, "k_L", path, wavevector)
+        phi = _field(d, "phi_beam", path, float, 0.0)
+        phase = _field(d, "phase", path, float, 0.0)
         try:
             drives.append(
                 LaserDrive(ion=ion, Omega_R=omega_r, omega_L=omega_l, k_L=k_l,
@@ -247,14 +243,14 @@ def parse_config(source) -> ExperimentConfig:
 
     if experiment == "resonance":
         _check_balanced(model)
-    sweep = _parse_sweep(raw, model, freq_scale) if experiment == "sweep-rabi" else None
-    evolve = _parse_evolve(raw, model, freq_scale) if experiment == "evolve" else None
+    sweep = _parse_sweep(raw, model, frequency) if experiment == "sweep-rabi" else None
+    evolve = _parse_evolve(raw, model, time) if experiment == "evolve" else None
 
-    output = _typed(raw.get("output", {}), dict, "$.output")
+    output = _field(raw, "output", "$", dict, {})
     out_path = output.get("path")
     if out_path is not None and not isinstance(out_path, str):
         raise ConfigError("$.output.path: expected a string")
-    out_format = _typed(output.get("format", "csv"), str, "$.output.format")
+    out_format = _field(output, "format", "$.output", str, "csv")
     if out_format not in ("csv", "json"):
         raise ConfigError("$.output.format: must be 'csv' or 'json'")
 
@@ -263,22 +259,21 @@ def parse_config(source) -> ExperimentConfig:
     )
 
 
-def _parse_sweep(raw, model, freq_scale) -> SweepSpec:
-    s = _typed(raw.get("sweep", {}), dict, "$.sweep")
-    drive = _typed(s.get("drive", 1), int, "$.sweep.drive")
-    mode = _typed(s.get("mode", 1), int, "$.sweep.mode")
+def _parse_sweep(raw, model, frequency) -> SweepSpec:
+    s = _field(raw, "sweep", "$", dict, {})
+    drive = _field(s, "drive", "$.sweep", int, 1)
+    mode = _field(s, "mode", "$.sweep", int, 1)
     if not 1 <= drive <= len(model.drives):
         raise ConfigError("$.sweep.drive: out of range")
     if not 1 <= mode <= model.chain.N:
         raise ConfigError("$.sweep.mode: out of range")
     if "grid" in s:
-        grid = np.array([_typed(v, float, "$.sweep.grid[*]") for v in _grid_list(s["grid"], "$.sweep.grid")])
-        grid = grid / freq_scale
+        grid = _grid_list(s, "grid", "$.sweep", frequency)
     else:
-        start = _typed(s.get("start", 1e-2), float, "$.sweep.start") / freq_scale
-        stop = _typed(s.get("stop", 10.0), float, "$.sweep.stop") / freq_scale
-        points = _typed(s.get("points", 25), int, "$.sweep.points")
-        scale = _typed(s.get("scale", "log"), str, "$.sweep.scale")
+        start = _field(s, "start", "$.sweep", frequency, 1e-2)
+        stop = _field(s, "stop", "$.sweep", frequency, 10.0)
+        points = _field(s, "points", "$.sweep", int, 25)
+        scale = _field(s, "scale", "$.sweep", str, "log")
         if not 2 <= points <= MAX_GRID_POINTS:
             raise ConfigError(f"$.sweep.points: need 2..{MAX_GRID_POINTS} grid points")
         if start <= 0 or stop <= start:
@@ -289,7 +284,7 @@ def _parse_sweep(raw, model, freq_scale) -> SweepSpec:
             grid = np.linspace(start, stop, points)
         else:
             raise ConfigError("$.sweep.scale: must be 'log' or 'linear'")
-    if len(grid) < 2 or not np.all(np.diff(grid) > 0) or grid[0] <= 0:
+    if len(grid) < 2 or not np.all(grid[1:] > grid[:-1]) or grid[0] <= 0:  # compared, not differenced
         raise ConfigError("$.sweep.grid: must be positive and strictly increasing with >= 2 points")
     eta_k = model.eta_matrix()[drive - 1, mode - 1]
     if eta_k == 0.0:
@@ -307,52 +302,54 @@ def _parse_sweep(raw, model, freq_scale) -> SweepSpec:
     return SweepSpec(grid=grid, drive=drive, mode=mode)
 
 
-def _parse_evolve(raw, model, freq_scale) -> EvolveSpec:
-    e = _require(raw, "evolve", "$", dict)
+def _parse_evolve(raw, model, time) -> EvolveSpec:
+    e = _field(raw, "evolve", "$", dict)
     if "times" in e:
-        times = np.array([_typed(v, float, "$.evolve.times[*]") for v in _grid_list(e["times"], "$.evolve.times")])
-        times = times * freq_scale
+        times = _grid_list(e, "times", "$.evolve", time)
     else:
-        t_stop = _require(e, "t_stop", "$.evolve", float) * freq_scale
-        t_start = _typed(e.get("t_start", 0.0), float, "$.evolve.t_start") * freq_scale
-        steps = _typed(e.get("steps", 200), int, "$.evolve.steps")
+        t_stop = _field(e, "t_stop", "$.evolve", time)
+        t_start = _field(e, "t_start", "$.evolve", time, 0.0)
+        steps = _field(e, "steps", "$.evolve", int, 200)
         if not 2 <= steps <= MAX_GRID_POINTS:
             raise ConfigError(f"$.evolve.steps: need 2..{MAX_GRID_POINTS} time points")
         if t_stop <= t_start:
             raise ConfigError("$.evolve: need t_stop > t_start")
+        if not math.isfinite(t_stop - t_start):  # Python floats: checked before linspace forms the span
+            raise ConfigError("$.evolve: the span t_stop - t_start leaves the float range")
         times = np.linspace(t_start, t_stop, steps)
-    if len(times) < 2 or not np.all(np.diff(times) > 0):
+    if len(times) < 2 or not np.all(times[1:] > times[:-1]):  # compared, not differenced: no overflow
         raise ConfigError("$.evolve.times: must be strictly increasing with >= 2 points")
 
-    method = _typed(e.get("method", "exact"), str, "$.evolve.method")
+    method = _field(e, "method", "$.evolve", str, "exact")
     if method not in METHODS:
         raise ConfigError(f"$.evolve.method: unknown method {method!r}; pick from {METHODS}")
     pair = None
     if method in RWA_METHODS:
-        ion = _require(e, "resonant_drive", "$.evolve", int)
-        mode = _require(e, "resonant_mode", "$.evolve", int)
+        ion = _field(e, "resonant_drive", "$.evolve", int)
+        mode = _field(e, "resonant_mode", "$.evolve", int)
         if not 1 <= ion <= len(model.drives) or not 1 <= mode <= model.chain.N:
             raise ConfigError("$.evolve: resonant pair out of range")
         pair = (ion, mode)
-    if method not in ("exact", "standard_rwa"):  # the methods in the balanced frame
+    if method in BALANCED_METHODS:
         _check_balanced(model)
-    # the run's t0 is 0, so its largest |t - t0| is its largest |t|, at one end of the increasing grid
+    rate = phase_rate_bound(model, method, None if pair is None else [pair])
+    # t0 is 0, so the largest |t - t0| is at one end of the increasing grid; a W past the float range names the drives
     t_max, end = max((abs(float(times[-1])), "t_stop"), (abs(float(times[0])), "t_start"))
-    _check_phases(phase_rate_bound(model, method, None if pair is None else [pair]), t_max,
-                  "$.evolve.times" if "times" in e else f"$.evolve.{end}")
+    field = "$.evolve.times" if "times" in e else f"$.evolve.{end}"
+    _check_phases(rate, t_max, field if math.isfinite(rate) else "$.drives")
 
-    st = _require(e, "initial_state", "$.evolve", dict)
+    st = _field(e, "initial_state", "$.evolve", dict)
     spins = tuple(_typed(s, str, "$.evolve.initial_state.spins[*]")
-                  for s in _require(st, "spins", "$.evolve.initial_state", list))
+                  for s in _field(st, "spins", "$.evolve.initial_state", list))
     fock = coherent = None
     if ("fock" in st) == ("coherent" in st):
         raise ConfigError("$.evolve.initial_state: give exactly one of fock or coherent")
     if "fock" in st:
         fock = tuple(_typed(n, int, "$.evolve.initial_state.fock[*]")
-                     for n in _typed(st["fock"], list, "$.evolve.initial_state.fock"))
+                     for n in _field(st, "fock", "$.evolve.initial_state", list))
     else:
         coherent = tuple(complex(_typed(a, float, "$.evolve.initial_state.coherent[*]"))
-                         for a in _typed(st["coherent"], list, "$.evolve.initial_state.coherent"))
+                         for a in _field(st, "coherent", "$.evolve.initial_state", list))
     try:  # fock owns the spin, Fock-range and amplitude rules
         psi0 = (basis_state(model.config, fock, spins) if fock is not None
                 else coherent_state(model.config, coherent, spins))

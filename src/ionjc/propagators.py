@@ -28,6 +28,7 @@ from .transforms import FactoredTransform, corrected_detuning, factored_balanced
 # interaction-picture closed form, useful for inspecting the undressed sideband exchange
 RWA_METHODS = ("pipeline_rwa", "standard_rwa", "rwa_jc")
 METHODS = ("exact", "pipeline_exact") + RWA_METHODS
+BALANCED_METHODS = ("pipeline_exact", "pipeline_rwa", "rwa_jc")  # the methods in the balanced frame
 
 # bytes of a closed form's whole workspace in _Plan.apply, which takes the dozen passes over each block: on a
 # 2-core Xeon with 2 MiB of L2 per core, a cold evolve of 300 points at dim 576 ran fastest at 1 MiB, and 9-15%
@@ -415,7 +416,7 @@ def _plan(model: ModelSpec, method: str, resonant_pairs=None) -> _Plan:
 
 
 def phase_rate_bound(model: ModelSpec, method: str, resonant_pairs=None) -> float:
-    """An upper bound W on the rate of every phase the method's plan multiplies by a time, formed without an eigh.
+    """An upper bound W on the rate of every core phase the method's plan multiplies by a time, without an eigh.
 
     An eigen plan's rates are its eigenvalues, so W bounds the spectral radius
     of its Hamiltonian by the largest free-diagonal entry plus the norm of each
@@ -432,15 +433,18 @@ def phase_rate_bound(model: ModelSpec, method: str, resonant_pairs=None) -> floa
     - standard_rwa: exact's free part plus sqrt(top) |eta_jk Omega_j| per pair;
     - rwa_jc, which has no free phases: sqrt(top) |g| per pair.
 
-    The methods that need balanced parameters form them once here, so an
-    undriven ion raises NoDriveError as their plan would.
+    The methods that need balanced parameters (BALANCED_METHODS) form them once
+    here, so an undriven ion raises NoDriveError as their plan would.  W leaves
+    out the rotating frame's phases (omega_L t + phase) / 2: one phase per spin
+    configuration, which every output reads only as |amplitude|^2 within a spin
+    configuration or, in a sweep's U^dag V, cancels between two equal frames.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     pairs = _normalize_pairs(model, resonant_pairs) if method in RWA_METHODS else []
     top, nu, drives = model.config.n_max - 1, model.chain.nu, model.drives
     free = top * float(nu.sum())
-    if method in ("exact", "standard_rwa"):
+    if method not in BALANCED_METHODS:
         free += sum(0.5 * abs(d.detuning) for d in drives)
         if method == "exact":
             return free + sum(d.Omega_R for d in drives)

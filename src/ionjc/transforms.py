@@ -94,8 +94,8 @@ def balanced_params(drive: LaserDrive, eta_row: Sequence[float]) -> BalancedPara
 
     sign(Delta) is taken as +1 at Delta = 0; the term it weights vanishes
     there, the convention just keeps outputs deterministic.  A Delta whose
-    square leaves the float range (|Delta| above about 1.3e154) is rejected
-    like Omega_R = 0: the drive is too weak to balance.
+    square leaves the float range (|Delta| above about 1.3e154), or a corrected
+    detuning delta_eff = hypot(2 Omega_R, delta) past it, is rejected like Omega_R = 0.
     """
     if drive.Omega_R <= 0.0:
         raise NoDriveError(
@@ -111,6 +111,9 @@ def balanced_params(drive: LaserDrive, eta_row: Sequence[float]) -> BalancedPara
     if not math.isfinite(square):
         raise NoDriveError(f"Omega_R = {drive.Omega_R!r} is too small for the detuning {delta!r}: "
                            f"Delta = delta / Omega_R = {big_delta!r} squares past the float range")
+    if not math.isfinite(math.hypot(2.0 * drive.Omega_R, delta)):  # Python floats: no warning
+        raise NoDriveError(f"the corrected detuning hypot(2 Omega_R, delta) of Omega_R = {drive.Omega_R!r} and "
+                           f"delta = {delta!r} leaves the float range")
     s = np.sqrt(4.0 + square)
     root = 1.0 / s
     larger = np.sqrt(0.25 + root / 2.0) + abs(big_delta) / (2.0 * np.sqrt(s) * np.sqrt(s + 2.0))

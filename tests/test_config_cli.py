@@ -202,6 +202,22 @@ def test_si_scale_out_of_double_range_exits_2(tmp_path, capsys, mu, nu1):
                         capsys.readouterr().err)
 
 
+def _si_evolve(**grid):
+    """An SI evolve at nu1 = 1e10 rad/s: times in seconds are multiplied by 1e10."""
+    return {"experiment": "evolve", "chain": {"N": 1, "mu": 40.0, "nu1": 1e10}, "hilbert": {"n_max": 6, "guard": 2},
+            "evolve": {"method": "exact", "initial_state": {"fock": [0], "spins": ["g"]}, **grid}}
+
+
+def _si_sweep(**grid):
+    """An SI sweep at nu1 = 1e-250 rad/s: Rabi frequencies in rad/s are divided by 1e-250."""
+    return {"experiment": "sweep-rabi", "chain": {"N": 1, "mu": 1e20, "nu1": 1e-250},
+            "hilbert": {"n_max": 6, "guard": 2}, "sweep": grid}
+
+
+_SI_EVOLVE_DRIVE = {"Omega_R": 1e9, "delta": 1e10, "k_L": 2 * np.pi / 729e-9}
+_SI_SWEEP_DRIVE = {"Omega_R": 1e-251, "delta": 1e-250, "k_L": 1e-100}
+
+
 @pytest.mark.parametrize("units, extra, drive, field", [
     ("si", {}, {"Omega_R": 1e20, "delta": 1.0, "k_L": 1.0}, "$.drives[0].Omega_R"),
     ("si", {}, {"Omega_R": 1.0, "delta": 1e20, "k_L": 1.0}, "$.drives[0].delta"),
@@ -209,15 +225,88 @@ def test_si_scale_out_of_double_range_exits_2(tmp_path, capsys, mu, nu1):
     ("si", {"omega_ge": 1e20}, {"Omega_R": 1.0, "omega_L": 1.0, "k_L": 1.0}, "$.omega_ge"),
     ("si", {}, {"Omega_R": 1.0, "delta": 1.0, "k_L": 1e170}, "$.drives[0].k_L"),
     ("nu1", {"omega_ge": 1.5e308}, {"Omega_R": 1.0, "delta": -1.5e308, "k_L": 0.1}, "$.drives[0].delta"),
-], ids=["Omega_R", "delta", "omega_L", "omega_ge", "k_L", "omega_ge-minus-delta"])
+    ("si", _si_evolve(t_stop=1e300), _SI_EVOLVE_DRIVE, "$.evolve.t_stop"),
+    ("si", _si_evolve(t_start=1e300, t_stop=1e-6), _SI_EVOLVE_DRIVE, "$.evolve.t_start"),
+    ("si", _si_evolve(times=[0.0, 1e300]), _SI_EVOLVE_DRIVE, "$.evolve.times[1]"),
+    ("si", _si_sweep(grid=[1e-252, 1e100]), _SI_SWEEP_DRIVE, "$.sweep.grid[1]"),
+    ("si", _si_sweep(start=1e-252, stop=1e100, points=3), _SI_SWEEP_DRIVE, "$.sweep.stop"),
+    ("si", _si_sweep(start=1e100, stop=1e101, points=3), _SI_SWEEP_DRIVE, "$.sweep.start"),
+], ids=["Omega_R", "delta", "omega_L", "omega_ge", "k_L", "omega_ge-minus-delta",
+        "evolve-t_stop", "evolve-t_start", "evolve-times", "sweep-grid", "sweep-stop", "sweep-start"])
 def test_conversion_out_of_double_range_exits_2(tmp_path, capsys, units, extra, drive, field):
     # SI nu1 = 1e-290 rad/s divides each frequency past the float range (the length scale stays finite, so k_L
-    # is scaled by 2.8e140); in nu1 units omega_L = omega_ge - delta can overflow alone
+    # is scaled by 2.8e140); in nu1 units omega_L = omega_ge - delta can overflow alone. An SI evolve at nu1 =
+    # 1e10 rad/s multiplies its times past it, and an SI sweep at nu1 = 1e-250 rad/s divides its grid past it:
+    # both used to leak numpy's overflow warning (exit 1 with warnings as errors) and blame another field
     chain = {"N": 1, "mu": 40.0, "nu1": 1e-290} if units == "si" else {"N": 1}
-    cfg = minimal_modes_config(units=units, chain=chain, drives=[{"ion": 1, **drive}], **extra)
-    assert main(["resonance", "--config", write_config(tmp_path, {**cfg, "experiment": "resonance"})]) == 2
-    assert capsys.readouterr().err == (f"config error: {field}: converts to inf in units of nu1; "
-                                       "it must stay finite\n")
+    cfg = {**minimal_modes_config(units=units, chain=chain, drives=[{"ion": 1, **drive}]), "experiment": "resonance",
+           **extra}
+    for warnings_as_errors in (False, True):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("error" if warnings_as_errors else "always")
+            assert main([cfg["experiment"], "--config", write_config(tmp_path, cfg)]) == 2
+        assert caught == []
+        assert capsys.readouterr().err == (f"config error: {field}: converts to inf in units of nu1; "
+                                           "it must stay finite\n")
+
+
+@pytest.mark.parametrize("warnings_as_errors", [False, True], ids=["warnings-recorded", "warnings-as-errors"])
+@pytest.mark.parametrize("grid, message", [
+    ({"t_start": -1.7e308, "t_stop": 1.7e308}, "$.evolve: the span t_stop - t_start leaves the float range"),
+    ({"times": [-1.7e308, 1.7e308]}, "$.evolve.times: the phases reach W t = "),
+    ({"times": [1.7e308, -1.7e308]}, "$.evolve.times: must be strictly increasing"),
+], ids=["t_start-t_stop", "times", "times-reversed"])
+def test_evolve_span_past_the_float_range_names_its_field(tmp_path, capsys, grid, message, warnings_as_errors):
+    # np.linspace and np.diff formed t_stop - t_start past the float range: numpy warned "overflow encountered in
+    # subtract" (exit 1 with warnings as errors) and the run blamed $.evolve.times; the span is now checked before
+    # linspace forms it, and an explicit list is compared point to point, not differenced
+    cfg = evolve_config()
+    cfg["evolve"] = {**{k: v for k, v in cfg["evolve"].items() if k != "t_stop"}, **grid}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error" if warnings_as_errors else "always")
+        assert main(["evolve", "--config", write_config(tmp_path, cfg)]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"config error: {message}")
+
+
+def _sweep(**over):
+    return {"experiment": "sweep-rabi", "chain": {"N": 1}, "hilbert": {"n_max": 6, "guard": 2},
+            "drives": [{"ion": 1, "Omega_R": 0.1, "delta": 1.0, "k_L": 0.05}], "sweep": {"points": 2}, **over}
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({**minimal_modes_config(), "units": "x"}, "$.units: must be 'nu1' or 'si', got 'x'"),
+    (minimal_modes_config(units="si", chain={"N": 1, "mu": 0.0, "nu1": 1e6}), "$.chain: mu and nu1 must be positive"),
+    (minimal_modes_config(chain={"N": 1, "nu1": -1.0}), "$.chain: mu and nu1 must be positive"),
+    (minimal_modes_config(units="si", chain={"N": 1, "nu1": 1e6}), "$.chain.mu: required field is missing"),
+    (_sweep(sweep={"start": 0.0}), "$.sweep: need 0 < start < stop"),
+    (_sweep(sweep={"scale": "x"}), "$.sweep.scale: must be 'log' or 'linear'"),
+    (_sweep(drives=[{"ion": 1, "Omega_R": 0.1, "delta": 1.0, "k_L": 5e-324, "phi_beam": 1.5}]),  # eta underflows
+     "$.sweep: the swept drive does not couple to the target mode (eta = 0)"),
+    (evolve_config(method="x"), "$.evolve.method: unknown method 'x'"),
+    (evolve_config(initial_state={"fock": [0], "coherent": [0.0], "spins": ["g"]}),
+     "$.evolve.initial_state: give exactly one of fock or coherent"),
+], ids=["units", "si-mu-zero", "nu1-negative", "si-mu-missing", "sweep-start", "sweep-scale", "sweep-eta-zero",
+        "evolve-method", "evolve-fock-and-coherent"])
+def test_parser_rejection_names_its_field(cfg, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(cfg)
+    assert str(info.value).startswith(message)
+
+
+def test_rate_bound_past_the_float_range_names_the_drives(tmp_path, capsys):
+    # two drives of Omega_R = 1e308 sum the exact plan's rate bound W to inf: the run blamed $.evolve.t_stop for
+    # what no time could mend
+    cfg = evolve_config(method="exact")
+    cfg["chain"] = {"N": 2}
+    cfg["hilbert"] = {"n_max": 6, "guard": 2}
+    cfg["drives"] = [{"ion": j, "Omega_R": 1e308, "delta": 0.5, "k_L": 0.1} for j in (1, 2)]
+    cfg["evolve"]["initial_state"] = {"fock": [1, 0], "spins": ["g", "g"]}
+    assert main(["evolve", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error: $.drives: the phases reach W t = inf rad (rate bound W = inf, ")
 
 
 def test_modes_table_values():

@@ -207,9 +207,31 @@ def _small(cfg: dict) -> dict:
 
 SMALL_CONFIGS = {path.stem: _small(json.loads(path.read_text()))
                  for path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))}
-# every leaf of a mutated config gets one of these: zero, negative, huge, tiny and subnormal numbers, an integer past
-# the float digits, and each json kind that is not a number
-LEAF_VALUES = (0, -1, 1e300, -1e300, 1e-300, 5e-324, 1e6, 10**20, True, "x", None, [], {})
+# every leaf of a mutated config gets one of these: zero, negative, huge (at the float range's edge among them), tiny
+# and subnormal numbers, an integer past the float digits, and each json kind that is not a number
+LEAF_VALUES = (0, -1, 1e300, -1e300, 1.7e308, -1.7e308, 1e-300, 5e-324, 1e6, 10**20, True, "x", None, [], {})
+_NU1_SI = 2 * np.pi * 1.0e6  # a 1 MHz trap, 40 amu ions and a 729 nm beam: eta about 0.1
+_K_L_SI = 2 * np.pi / 729e-9
+# SI bases, which no shipped config is: an evolve with an explicit times list and omega_L, a sweep with a grid list
+SI_CONFIGS = {
+    "si_evolve": {
+        "experiment": "evolve", "units": "si", "chain": {"N": 1, "mu": 40.0, "nu1": _NU1_SI},
+        "hilbert": {"n_max": 12, "guard": 4}, "omega_ge": 0.0,
+        "drives": [{"ion": 1, "Omega_R": 0.25 * _NU1_SI, "omega_L": -0.8660254037844386 * _NU1_SI, "k_L": _K_L_SI,
+                    "phi_beam": 0.0, "phase": 0.0}],
+        "evolve": {"times": [0.0, 1e-6, 2e-6, 5e-6], "method": "pipeline_rwa", "resonant_drive": 1,
+                   "resonant_mode": 1, "initial_state": {"fock": [1], "spins": ["g"]}},
+        "output": {"path": "si_evolve.csv", "format": "csv"},
+    },
+    "si_sweep": {
+        "experiment": "sweep-rabi", "units": "si", "chain": {"N": 1, "mu": 40.0, "nu1": _NU1_SI},
+        "hilbert": {"n_max": 8, "guard": 2},
+        "drives": [{"ion": 1, "Omega_R": 0.1 * _NU1_SI, "delta": _NU1_SI, "k_L": _K_L_SI}],
+        "sweep": {"grid": [0.05 * _NU1_SI, 0.2 * _NU1_SI], "drive": 1, "mode": 1},
+        "output": {"path": "si_sweep.csv", "format": "json"},
+    },
+}
+FUZZ_BASES = {**SMALL_CONFIGS, **SI_CONFIGS}
 
 
 def _leaves(node, path=()):
@@ -234,6 +256,36 @@ def mutated_configs(draw):
     return name, cfg
 
 
+def _nodes(node, path=()):
+    """The key paths of every value in a json value, containers and the top level (the empty path) included."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _nodes(value, path + (key,))
+
+
+@st.composite
+def edited_configs(draw):
+    """A small shipped or SI config with one or two of its values deleted or replaced whole from LEAF_VALUES.
+
+    Any value may be picked: a leaf, a container (a drive, the drive list, a
+    section) or the whole config.
+    """
+    name = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    cfg = copy.deepcopy(FUZZ_BASES[name])
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_nodes(cfg))))
+        value = copy.deepcopy(draw(st.sampled_from(LEAF_VALUES)))
+        if not path:  # the top level replaced: nothing is left to edit
+            return FUZZ_BASES[name]["experiment"], value
+        parent = reduce(lambda node, key: node[key], path[:-1], cfg)
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return FUZZ_BASES[name]["experiment"], cfg
+
+
 def _cli(tmp: Path, cfg: dict, experiment: str) -> tuple[int, str]:
     """cli.main's exit code and stderr on cfg, written to tmp, with its output in tmp."""
     path = tmp / "cfg.json"
@@ -246,7 +298,7 @@ def _cli(tmp: Path, cfg: dict, experiment: str) -> tuple[int, str]:
 
 def test_small_shipped_configs_run(tmp_path):
     # the mutations start from configs that run, so they reach past the parser
-    for name, cfg in SMALL_CONFIGS.items():
+    for name, cfg in FUZZ_BASES.items():
         (tmp_path / name).mkdir()
         assert _cli(tmp_path / name, cfg, cfg["experiment"]) == (0, ""), name
 
@@ -258,5 +310,16 @@ def test_cli_exit_code_contract_on_mutated_configs(tmp_path_factory, case):
     # error among them): every input the parser lets through runs, and every one it rejects is named on one line
     name, cfg = case
     code, err = _cli(tmp_path_factory.mktemp("contract"), cfg, SMALL_CONFIGS[name]["experiment"])
+    assert code in (0, 2, 3), err
+    assert (code == 0) == (err == "") and len(err.splitlines()) == (code != 0), err
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=edited_configs())
+def test_cli_exit_code_contract_on_edited_configs(tmp_path_factory, case):
+    # the same contract where a field goes missing, a container or the whole config is replaced, and the bases
+    # include SI configs, whose every unit-bearing field is converted
+    experiment, cfg = case
+    code, err = _cli(tmp_path_factory.mktemp("contract"), cfg, experiment)
     assert code in (0, 2, 3), err
     assert (code == 0) == (err == "") and len(err.splitlines()) == (code != 0), err

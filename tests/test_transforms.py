@@ -69,6 +69,14 @@ def test_balanced_params_rejects_delta_whose_square_overflows(omega_r, delta):
         balanced_params(drive(omega_r, delta), [0.1])
 
 
+@pytest.mark.parametrize("omega_r, delta", [(1e308, 0.9), (8e307, 1.7e308)])
+def test_balanced_params_rejects_a_corrected_detuning_past_the_float_range(omega_r, delta):
+    # delta_eff = hypot(2 Omega_R, delta) is checked where it is formed, so a library caller gets it too, and before
+    # numpy's hypot could overflow with a warning (2 Omega_R finite)
+    with pytest.raises(NoDriveError, match=r"^the corrected detuning hypot\(2 Omega_R, delta\) of .* leaves the float"):
+        balanced_params(drive(omega_r, delta), [0.1])
+
+
 def test_balanced_params_keeps_the_largest_delta_that_squares():
     big = math.sqrt(sys.float_info.max)  # its square is finite, the next float's is not
     par = balanced_params(drive(1.0, big), [0.1])

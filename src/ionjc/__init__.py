@@ -15,7 +15,6 @@ from .fock import (
     coherent_state,
     displacement,
     expm_unitary,
-    guarded_distance,
     guarded_infidelity,
     ladder,
     spin_op,

@@ -13,9 +13,11 @@ one 2x2 factor per ion, and ``kron_terms``, the one assembler of such sums,
 is the only code that splits a matrix into mode x mode blocks between spin
 states.  It has one rule: every term, and when asked its adjoint, is added,
 in list order, into a new matrix of zeros, so a Hermitian operator is given
-by its sigma_+ half alone.  The public builders return complex matrices in
-this basis; the propagators build real ones in the mode-parity gauge
-(``parity_gauge``).
+by its sigma_+ half alone.  The public builders return complex ndarrays in
+this basis, each checked by ``check_matrix`` against its hermitian or unitary
+tag before it returns; the propagators build real ones in the mode-parity
+gauge (``parity_gauge``) and return a dense propagator as the certified
+record below.
 
 Truncation is hard: a_dag annihilates the top Fock level.  Displacements and
 propagators are built by exponentiating the *truncated* generator, so they are
@@ -142,20 +144,23 @@ def check_matrix(m: np.ndarray, hermitian: bool = False, unitary: bool = False) 
     return m
 
 
+def _checked(m: np.ndarray, hermitian: bool = False, unitary: bool = False) -> np.ndarray:
+    """m as a complex128 matrix, verified by check_matrix against each tag it carries: a builder's return."""
+    return check_matrix(np.asarray(m, dtype=complex), hermitian=hermitian, unitary=unitary)
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """A checked result: a dense complex square matrix with its Hilbert-space metadata.
+    """A dense propagator: a complex square matrix with its Hilbert-space metadata.
 
-    ``hermitian`` and ``unitary`` are construction tags, each verified by
-    ``check_matrix`` at construction, except that a dense propagator earns its
-    ``unitary`` tag from its plan's certificate (``propagators._certified``).
-    The record has no arithmetic: compose operators through ``.entries``.
+    ``propagators._certified`` builds it and sets the ``unitary`` tag from its
+    plan's certificate; a record built with ``unitary=True`` is verified by
+    ``check_matrix`` instead.  Every other operator is a checked ndarray.
     Instances are treated as immutable.
     """
 
     config: HilbertConfig
     entries: np.ndarray
-    hermitian: bool = False
     unitary: bool = False
 
     def __post_init__(self):
@@ -163,7 +168,7 @@ class OperatorMatrix:
         if m.shape != (self.config.dim, self.config.dim):
             raise ValueError(f"matrix shape {m.shape} does not match config dimension {self.config.dim}")
         object.__setattr__(self, "entries", m)
-        check_matrix(m, hermitian=self.hermitian, unitary=self.unitary)
+        check_matrix(m, unitary=self.unitary)
 
 
 def _mode_destroy(n_max: int) -> np.ndarray:
@@ -231,7 +236,7 @@ def embed_factors(
     return kron_terms(config, [(1.0, mode_ops, spin_ops)])
 
 
-def ladder(config: HilbertConfig, mode: int, kind: str) -> OperatorMatrix:
+def ladder(config: HilbertConfig, mode: int, kind: str) -> np.ndarray:
     """Truncated annihilation / creation / number operator on one mode.
 
     a|n> = sqrt(n)|n-1>, a_dag|n> = sqrt(n+1)|n+1> for n+1 < n_max, and
@@ -246,16 +251,16 @@ def ladder(config: HilbertConfig, mode: int, kind: str) -> OperatorMatrix:
         op, herm = a.conj().T @ a, True
     else:
         raise ValueError(f"unknown ladder kind {kind!r}")
-    return OperatorMatrix(config, embed_factors(config, {mode: op}), hermitian=herm)
+    return _checked(embed_factors(config, {mode: op}), hermitian=herm)
 
 
-def spin_op(config: HilbertConfig, ion: int, kind: str) -> OperatorMatrix:
+def spin_op(config: HilbertConfig, ion: int, kind: str) -> np.ndarray:
     """Pauli operator or |e>/|g> projector on the ion-th spin factor (|e> before |g>)."""
     try:
         s = _SPIN_2X2[kind]
     except KeyError:
         raise ValueError(f"unknown spin kind {kind!r}") from None
-    return OperatorMatrix(config, embed_factors(config, spin_ops={ion: s}), hermitian=kind not in ("plus", "minus"))
+    return _checked(embed_factors(config, spin_ops={ion: s}), hermitian=kind not in ("plus", "minus"))
 
 
 def _expm_hermitian(entries: np.ndarray, t: float) -> np.ndarray:
@@ -292,7 +297,7 @@ def quadrature_basis(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return xi, x
 
 
-def displacement(config: HilbertConfig, mode: int, alpha: complex) -> OperatorMatrix:
+def displacement(config: HilbertConfig, mode: int, alpha: complex) -> np.ndarray:
     """Displacement operator D(alpha) = exp(alpha a_dag - alpha* a) on one mode.
 
     Built from the truncated generator, so D is exactly unitary on the
@@ -300,7 +305,7 @@ def displacement(config: HilbertConfig, mode: int, alpha: complex) -> OperatorMa
     the guarded subspace.
     """
     d1 = _displacement_1mode(config.n_max, complex(alpha))
-    return OperatorMatrix(config, embed_factors(config, {mode: d1}), unitary=True)
+    return _checked(embed_factors(config, {mode: d1}), unitary=True)
 
 
 def displacement_factors(config: HilbertConfig, alphas: Sequence[complex]) -> dict[int, np.ndarray]:
@@ -320,13 +325,12 @@ def displacement_product(config: HilbertConfig, alphas: Sequence[complex]) -> np
     return embed_factors(config, displacement_factors(config, alphas))
 
 
-def expm_unitary(h: OperatorMatrix, t: float) -> OperatorMatrix:
+def expm_unitary(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) for hermitian H, via eigendecomposition.
 
     Rejects input that fails the numerical hermiticity check.
     """
-    check_matrix(h.entries, hermitian=True)
-    return OperatorMatrix(h.config, _expm_hermitian(h.entries, t), unitary=True)
+    return _checked(_expm_hermitian(check_matrix(h, hermitian=True), t), unitary=True)
 
 
 def guarded_norm(m: np.ndarray, config: HilbertConfig) -> float:
@@ -334,17 +338,6 @@ def guarded_norm(m: np.ndarray, config: HilbertConfig) -> float:
     keep = guard_mask(config)
     sub = m[np.ix_(keep, keep)]
     return float(np.linalg.norm(sub, 2))
-
-
-def guarded_distance(a: OperatorMatrix, b: OperatorMatrix) -> float:
-    """||P (A - B) P||_2 over the guarded subspace.
-
-    A pseudo-metric: zero on equal inputs, symmetric, triangle inequality.
-    With guard = 0 it reduces to the plain spectral distance.
-    """
-    if a.config != b.config:
-        raise ValueError("operands have different Hilbert configurations")
-    return guarded_norm(a.entries - b.entries, a.config)
 
 
 def guarded_infidelity(u: OperatorMatrix | np.ndarray, v: OperatorMatrix) -> float:

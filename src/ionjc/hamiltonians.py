@@ -1,10 +1,11 @@
 """Hamiltonians of the driven ion chain, in every frame of the pipeline.
 
 All frequencies are in units of the axial trap frequency.  The rotating frame
-is one checked ``OperatorMatrix``; every later frame is ``IntermediateParts``
-(h0, flip, offset), with the scalar its transformation would otherwise drop
-tracked as the offset, so unitary-equivalence checks close including global
-phases: h0 + flip + offset I is unitarily equivalent to the rotating frame.
+is one hermitian-checked complex ndarray; every later frame is
+``IntermediateParts`` (h0, flip, offset), two such arrays and the scalar its
+transformation would otherwise drop tracked as the offset, so
+unitary-equivalence checks close including global phases: h0 + flip + offset I
+is unitarily equivalent to the rotating frame.
 
 The anharmonic part of the Coulomb interaction is not modelled.
 """
@@ -21,7 +22,7 @@ from .chain import ChainModel, LaserDrive, lamb_dicke_matrix
 from .fock import (
     _SPIN_2X2,
     HilbertConfig,
-    OperatorMatrix,
+    _checked,
     _mode_destroy,
     displacement_factors,
     kron_terms,
@@ -100,7 +101,7 @@ def gauged_rotating_frame_hamiltonian(model: ModelSpec) -> np.ndarray:
     return h
 
 
-def rotating_frame_hamiltonian(model: ModelSpec) -> OperatorMatrix:
+def rotating_frame_hamiltonian(model: ModelSpec) -> np.ndarray:
     """Time-independent Hamiltonian in the frame rotating at the laser frequencies.
 
     sum_p nu_p n_p + sum_j [ delta_j sigma_z^j / 2
@@ -109,13 +110,12 @@ def rotating_frame_hamiltonian(model: ModelSpec) -> OperatorMatrix:
     with D_j^2 = prod_p D_p(i eta_jp).  Hermitian exactly, including at the
     Fock cutoff.
     """
-    config = model.config
-    return OperatorMatrix(config, ungauge(config, gauged_rotating_frame_hamiltonian(model)), hermitian=True)
+    return _checked(ungauge(model.config, gauged_rotating_frame_hamiltonian(model)), hermitian=True)
 
 
 def standard_rwa_generator(
     model: ModelSpec, resonance: str, mode: int | None = None, drive: int = 1
-) -> OperatorMatrix:
+) -> np.ndarray:
     """Effective generator kept by the conventional rotating wave approximation.
 
     resonance selects the carrier, the blue sideband of one mode
@@ -136,7 +136,7 @@ def standard_rwa_generator(
     else:
         raise ValueError(f"unknown resonance kind {resonance!r}")
     terms = [(c, modes, {drive: _SPIN_2X2["plus"]})]  # the sigma_+ half; kron_terms adds the sigma_- half
-    return OperatorMatrix(config, kron_terms(config, terms, adjoint=True), hermitian=True)
+    return _checked(kron_terms(config, terms, adjoint=True), hermitian=True)
 
 
 class IntermediateParts(NamedTuple):
@@ -147,8 +147,8 @@ class IntermediateParts(NamedTuple):
     its own closed expressions, independently of the transformation builders.
     """
 
-    h0: OperatorMatrix
-    flip: OperatorMatrix
+    h0: np.ndarray
+    flip: np.ndarray
     offset: float
 
 
@@ -178,11 +178,8 @@ def linearized_hamiltonian(model: ModelSpec) -> IntermediateParts:
     a1 = _mode_destroy(config.n_max)
     flip = kron_terms(config, [(0.5 * eta[p - 1] * nu[p - 1], {p: 1j * (a1 - a1.conj().T)}, sx)
                                for p in range(1, config.n_modes + 1)])
-    return IntermediateParts(
-        OperatorMatrix(config, h0, hermitian=True),
-        OperatorMatrix(config, flip, hermitian=True),
-        dropped_linearization_constant(eta, nu),
-    )
+    return IntermediateParts(_checked(h0, hermitian=True), _checked(flip, hermitian=True),
+                             dropped_linearization_constant(eta, nu))
 
 
 def mixed_hamiltonian(model: ModelSpec) -> IntermediateParts:
@@ -205,11 +202,8 @@ def mixed_hamiltonian(model: ModelSpec) -> IntermediateParts:
                     + [(-(par.Delta * root / 2.0) * par.eta[p - 1] * nu[p - 1], {p: x}, sz) for p in modes])
     h0[np.diag_indices(config.dim)] += free_diagonal(model, [0.0])
     flip = kron_terms(config, [(root * par.eta[p - 1] * nu[p - 1], {p: x}, sx) for p in modes])
-    return IntermediateParts(
-        OperatorMatrix(config, h0, hermitian=True),
-        OperatorMatrix(config, flip, hermitian=True),
-        dropped_linearization_constant(par.eta, nu),
-    )
+    return IntermediateParts(_checked(h0, hermitian=True), _checked(flip, hermitian=True),
+                             dropped_linearization_constant(par.eta, nu))
 
 
 def restored_displacement_constant(par: BalancedParams, nu: np.ndarray) -> float:
@@ -261,14 +255,12 @@ def balanced_hamiltonian(model: ModelSpec) -> IntermediateParts:
     eta_j eta_j'; the single-drive form is unitarily equivalent to the
     rotating-frame Hamiltonian up to truncation error only.
     """
-    config = model.config
-    diag = free_diagonal(model, [par.delta_eff for par in model.balanced()])
-    h0 = OperatorMatrix(config, np.diag(diag), hermitian=True)
-    flip = OperatorMatrix(config, ungauge(config, gauged_balanced_flip(model)), hermitian=True)
+    h0 = _checked(np.diag(free_diagonal(model, [par.delta_eff for par in model.balanced()])), hermitian=True)
+    flip = _checked(ungauge(model.config, gauged_balanced_flip(model)), hermitian=True)
     return IntermediateParts(h0, flip, balanced_offset(model))
 
 
-def jc_interaction(model: ModelSpec, t: float) -> OperatorMatrix:
+def jc_interaction(model: ModelSpec, t: float) -> np.ndarray:
     """Interaction-picture coupling JC(t) relative to the balanced diagonal part.
 
     Built directly from the closed expression with phase factors
@@ -290,7 +282,7 @@ def jc_interaction(model: ModelSpec, t: float) -> OperatorMatrix:
             ph_plus = np.exp(-1j * (nu[p - 1] + par.delta_eff) * t)
             quad = ph_minus * a1 - np.conj(ph_plus) * a1.conj().T
             terms.append((0.5j * coup, {**dt, p: quad @ dt[p] + dt[p] @ quad}, {j: _SPIN_2X2["plus"]}))
-    return OperatorMatrix(config, kron_terms(config, terms, adjoint=True), hermitian=True)
+    return _checked(kron_terms(config, terms, adjoint=True), hermitian=True)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .chain import LaserDrive
 from .fock import (
     _SPIN_2X2,
     HilbertConfig,
-    OperatorMatrix,
+    _checked,
     check_matrix,
     dagger_factors,
     displacement_factors,
@@ -167,7 +167,7 @@ def rotating_frame_diagonal(
     return np.kron(np.ones(math.prod(config.shape[:config.n_modes])), rotating_frame_phases(drives, t))
 
 
-def linearizing_transform(config: HilbertConfig, eta_row: Sequence[float], ion: int) -> OperatorMatrix:
+def linearizing_transform(config: HilbertConfig, eta_row: Sequence[float], ion: int) -> np.ndarray:
     """Unitary mapping the exponential spin-flip coupling of one ion onto sigma_z.
 
     Block form over (e, g): (1/sqrt(2)) [[D^dag, D], [-D^dag, D]] with
@@ -176,25 +176,25 @@ def linearizing_transform(config: HilbertConfig, eta_row: Sequence[float], ion: 
     d = displacement_factors(config, 0.5j * np.asarray(eta_row, dtype=float))
     t1 = kron_terms(config, [(1.0, dagger_factors(d), {ion: (_SPIN_2X2["ee"] - _SPIN_2X2["minus"]) / np.sqrt(2.0)}),
                              (1.0, d, {ion: (_SPIN_2X2["plus"] + _SPIN_2X2["gg"]) / np.sqrt(2.0)})])
-    return OperatorMatrix(config, t1, unitary=True)
+    return _checked(t1, unitary=True)
 
 
-def mixing_rotation(config: HilbertConfig, theta: float, ion: int) -> OperatorMatrix:
+def mixing_rotation(config: HilbertConfig, theta: float, ion: int) -> np.ndarray:
     """Spin rotation by theta about the y axis on one ion."""
     if not -np.pi / 2 <= theta <= np.pi / 2:
         raise ValueError("theta must lie in [-pi/2, pi/2]")
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     rot = np.array([[c, -s], [s, c]], dtype=complex)
-    return OperatorMatrix(config, embed_factors(config, spin_ops={ion: rot}), unitary=True)
+    return _checked(embed_factors(config, spin_ops={ion: rot}), unitary=True)
 
 
 def conditional_displacement(
     config: HilbertConfig, alpha_row: Sequence[complex], ion: int
-) -> OperatorMatrix:
+) -> np.ndarray:
     """Block-diagonal spin-conditioned displacement diag(D({alpha}), D({alpha})^dag)."""
     d = displacement_factors(config, np.asarray(alpha_row, dtype=complex))
     t3 = kron_terms(config, [(1.0, d, {ion: _SPIN_2X2["ee"]}), (1.0, dagger_factors(d), {ion: _SPIN_2X2["gg"]})])
-    return OperatorMatrix(config, t3, unitary=True)
+    return _checked(t3, unitary=True)
 
 
 _UNITS = ((_SPIN_2X2["ee"], _SPIN_2X2["plus"]), (_SPIN_2X2["minus"], _SPIN_2X2["gg"]))  # |r><q| over (e, g)
@@ -289,7 +289,7 @@ def factored_balanced_transform(config: HilbertConfig, params: Sequence[Balanced
     return FactoredTransform(config, basis, np.exp(-1j * chi), reduce(np.kron, blocks), np.exp(1j * phi))
 
 
-def balanced_transform(config: HilbertConfig, params: Sequence[BalancedParams]) -> OperatorMatrix:
+def balanced_transform(config: HilbertConfig, params: Sequence[BalancedParams]) -> np.ndarray:
     """The balanced transform T as a dense matrix: factored_balanced_transform applied to the identity's columns.
 
     Per driven ion T is the composition conditional_displacement *
@@ -301,12 +301,12 @@ def balanced_transform(config: HilbertConfig, params: Sequence[BalancedParams]) 
     """
     transform = factored_balanced_transform(config, params)
     eye = np.eye(config.dim, dtype=complex)
-    return OperatorMatrix(config, transform.apply(eye, np.empty_like(eye)), unitary=True)
+    return _checked(transform.apply(eye, np.empty_like(eye)), unitary=True)
 
 
 def balanced_transform_closed(
     config: HilbertConfig, params: Sequence[BalancedParams]
-) -> OperatorMatrix:
+) -> np.ndarray:
     """Closed block form of the balanced transform.
 
     Per ion: [[k+ D(i eps- eta), k- D(i eps+ eta)], [-k- D(i eps+ eta)^dag,
@@ -320,4 +320,4 @@ def balanced_transform_closed(
         d_plus = displacement_factors(config, 1j * par.eps_plus * par.eta)
         ions.append([[(par.kappa_plus, d_minus), (par.kappa_minus, d_plus)],
                      [(-par.kappa_minus, dagger_factors(d_plus)), (par.kappa_plus, dagger_factors(d_minus))]])
-    return OperatorMatrix(config, _ion_product(config, ions), unitary=True)
+    return _checked(_ion_product(config, ions), unitary=True)

@@ -13,7 +13,6 @@ from ionjc.chain import LaserDrive, equilibrium_positions, normal_modes
 from ionjc.config import parse_config
 from ionjc.experiments import run_sweep_rabi
 from ionjc.fock import (
-    OperatorMatrix,
     basis_state,
     check_matrix,
     expm_unitary,
@@ -73,14 +72,14 @@ def test_criterion_2_exact_tier_identities():
     par = model.balanced()[0]
     worst = 0.0
 
-    t1 = linearizing_transform(cfg, par.eta, 1).entries
-    sz = spin_op(cfg, 1, "z").entries
-    sx = spin_op(cfg, 1, "x").entries
+    t1 = linearizing_transform(cfg, par.eta, 1)
+    sz = spin_op(cfg, 1, "z")
+    sx = spin_op(cfg, 1, "x")
     worst = max(worst, np.abs(t1 @ sz @ t1.conj().T + sx).max())
 
     lin = linearized_hamiltonian(model)
-    t2 = mixing_rotation(cfg, par.theta, 1).entries
-    rotated = t2 @ lin.h0.entries @ t2.conj().T
+    t2 = mixing_rotation(cfg, par.theta, 1)
+    rotated = t2 @ lin.h0 @ t2.conj().T
     target = np.diag(np.diag(rotated))  # expected exactly diagonal
     worst = max(worst, np.abs(rotated - target).max())
     ket_e = basis_state(cfg, [0], ["e"])
@@ -109,31 +108,31 @@ def test_criterion_3_guarded_tier_identities():
     # spin-flip linearization onto sigma_z
     from ionjc.fock import displacement_product
 
-    t1 = linearizing_transform(cfg, par.eta, 1).entries
+    t1 = linearizing_transform(cfg, par.eta, 1)
     d2 = displacement_product(cfg, [1j * par.eta[0]])
-    sp = spin_op(cfg, 1, "plus").entries
-    sm = spin_op(cfg, 1, "minus").entries
+    sp = spin_op(cfg, 1, "plus")
+    sm = spin_op(cfg, 1, "minus")
     coupling = sm @ d2.conj().T + sp @ d2
-    worst = max(worst, guarded_norm(t1 @ coupling @ t1.conj().T - spin_op(cfg, 1, "z").entries, cfg))
+    worst = max(worst, guarded_norm(t1 @ coupling @ t1.conj().T - spin_op(cfg, 1, "z"), cfg))
 
     # conditional displacement diagonalizes the mixed-frame large part
     mix = mixed_hamiltonian(model)
-    t3 = conditional_displacement(cfg, par.alpha, 1).entries
-    rotated = t3 @ mix.h0.entries @ t3.conj().T
+    t3 = conditional_displacement(cfg, par.alpha, 1)
+    rotated = t3 @ mix.h0 @ t3.conj().T
     worst = max(worst, guarded_norm(rotated - np.diag(np.diag(rotated)), cfg))
 
     # product form vs closed block form of the balanced transform
     worst = max(worst, guarded_norm(
-        balanced_transform(cfg, [par]).entries - balanced_transform_closed(cfg, [par]).entries, cfg
+        balanced_transform(cfg, [par]) - balanced_transform_closed(cfg, [par]), cfg
     ))
 
     # interaction-picture coupling vs frame conjugation of the flip part
     h0, flip, _ = balanced_hamiltonian(model)
-    d0 = np.real(np.diag(h0.entries))
+    d0 = np.real(np.diag(h0))
     for t in (0.9, 4.7):
         phases = np.exp(1j * d0 * t)
-        conj = (phases[:, None] * flip.entries) * np.conj(phases)[None, :]
-        worst = max(worst, guarded_norm(jc_interaction(model, t).entries - conj, cfg))
+        conj = (phases[:, None] * flip) * np.conj(phases)[None, :]
+        worst = max(worst, guarded_norm(jc_interaction(model, t) - conj, cfg))
 
     _verdict(3, "guarded-tier identities", worst <= 1e-8, f"worst guarded residual {worst:.3e}")
 
@@ -155,11 +154,11 @@ def test_criterion_4_closed_form_propagator():
         from ionjc.fock import _mode_destroy, embed_factors
 
         a = embed_factors(cfg, {1: _mode_destroy(cfg.n_max)})
-        sp = spin_op(cfg, 1, "plus").entries
-        sm = spin_op(cfg, 1, "minus").entries
-        gen = OperatorMatrix(cfg, 1j * g * (a @ sp - a.conj().T @ sm), hermitian=True)
+        sp = spin_op(cfg, 1, "plus")
+        sm = spin_op(cfg, 1, "minus")
+        gen = check_matrix(1j * g * (a @ sp - a.conj().T @ sm), hermitian=True)
         ref = expm_unitary(gen, tau)
-        worst_matrix = max(worst_matrix, np.abs(closed.entries - ref.entries).max())
+        worst_matrix = max(worst_matrix, np.abs(closed.entries - ref).max())
 
         psi = closed.entries @ basis_state(cfg, [1], ["g"])
         pop_e = abs(np.vdot(basis_state(cfg, [0], ["e"]), psi)) ** 2
@@ -175,7 +174,7 @@ def test_criterion_5_limit_behavior():
     for m in exponents:
         model = make_single_model(Omega_R=10.0**m, delta=1.0, k_L=0.1, n_max=20, guard=5)
         _, flip, _ = balanced_hamiltonian(model)
-        norms.append(np.linalg.norm(flip.entries, 2))
+        norms.append(np.linalg.norm(flip, 2))
     slope = np.polyfit(exponents, np.log10(norms), 1)[0]
     slope_ok = abs(slope - 1.0) <= 0.02  # norm ~ Omega^1
 
@@ -186,9 +185,9 @@ def test_criterion_5_limit_behavior():
 
     cfg = model.config
     a = embed_factors(cfg, {1: _mode_destroy(cfg.n_max)})
-    limit = 0.05 * (1j * (a - a.conj().T)) @ spin_op(cfg, 1, "x").entries
+    limit = 0.05 * (1j * (a - a.conj().T)) @ spin_op(cfg, 1, "x")
     limit = (limit + limit.conj().T) / 2.0
-    rel = np.linalg.norm(flip.entries - limit, 2) / np.linalg.norm(limit, 2)
+    rel = np.linalg.norm(flip - limit, 2) / np.linalg.norm(limit, 2)
 
     # balanced Lamb-Dicke parameter limits
     eta = np.array([0.1])

@@ -18,8 +18,8 @@ from ionjc.fock import (
     embed_factors,
     expm_unitary,
     guard_mask,
-    guarded_distance,
     guarded_infidelity,
+    guarded_norm,
     kron_terms,
     ladder,
     mode_occupations,
@@ -58,13 +58,13 @@ def test_parity_gauge_turns_quadratures_real():
     assert not gauge.flags.writeable
     assert set(gauge.tolist()) == {1, 1j, -1, -1j}
     for mode in (1, 2):
-        a = ladder(cfg, mode, "annihilate").entries
+        a = ladder(cfg, mode, "annihilate")
         # P^dag (a + a^dag) P = i (a - a^dag), exactly
         conj = gauge.conj()[:, None] * (a + a.conj().T) * gauge[None, :]
         assert np.array_equal(conj, 1j * (a - a.conj().T))
         # P^dag D(i x) P = D(x), which the propagators build as a real factor
-        conj = gauge.conj()[:, None] * displacement(cfg, mode, 0.37j).entries * gauge[None, :]
-        assert np.abs(conj - displacement(cfg, mode, 0.37).entries).max() <= 1e-15
+        conj = gauge.conj()[:, None] * displacement(cfg, mode, 0.37j) * gauge[None, :]
+        assert np.abs(conj - displacement(cfg, mode, 0.37)).max() <= 1e-15
     assert all(f.dtype == np.float64 for f in displacement_factors(cfg, [0.37, -1.2]).values())
 
 
@@ -83,27 +83,27 @@ def test_annihilate_lowers_single_quantum():
     a = ladder(cfg, 1, "annihilate")
     one = basis_state(cfg, [1], ["g"])
     zero = basis_state(cfg, [0], ["g"])
-    assert np.allclose(a.entries @ one, zero)  # sqrt(1) = 1
+    assert np.allclose(a @ one, zero)  # sqrt(1) = 1
 
 
 def test_number_operator_eigenvalue():
     cfg = HilbertConfig(n_modes=1, n_max=4)
     n = ladder(cfg, 1, "number")
     two = basis_state(cfg, [2], ["e"])
-    assert np.allclose(n.entries @ two, 2.0 * two)
+    assert np.allclose(n @ two, 2.0 * two)
 
 
 def test_create_annihilates_top_level():
     cfg = HilbertConfig(n_modes=1, n_max=5)
     adag = ladder(cfg, 1, "create")
     top = basis_state(cfg, [4], ["g"])
-    assert np.allclose(adag.entries @ top, 0.0)
+    assert np.allclose(adag @ top, 0.0)
 
 
 def test_commutator_identity_below_cutoff():
     # [a, a^dag] = 1 everywhere except the single entry at the top Fock level
     cfg = HilbertConfig(n_modes=1, n_max=8)
-    a = ladder(cfg, 1, "annihilate").entries
+    a = ladder(cfg, 1, "annihilate")
     comm = a @ a.conj().T - a.conj().T @ a - np.eye(cfg.dim)
     interior = mode_occupations(cfg)[0] < cfg.n_max - 1
     assert np.abs(comm[np.ix_(interior, interior)]).max() <= 1e-13
@@ -125,13 +125,13 @@ def test_dagger_matches_conjugate_transpose():
     cfg = HilbertConfig(n_modes=1, n_max=6)
     a = ladder(cfg, 1, "annihilate")
     adag = ladder(cfg, 1, "create")
-    assert np.array_equal(a.entries.conj().T, adag.entries)
+    assert np.array_equal(a.conj().T, adag)
 
 
 def test_displacement_zero_is_identity():
     cfg = HilbertConfig(n_modes=1, n_max=10)
     d = displacement(cfg, 1, 0.0)
-    assert np.allclose(d.entries, np.eye(cfg.dim), atol=1e-14)
+    assert np.allclose(d, np.eye(cfg.dim), atol=1e-14)
 
 
 def test_displacement_vacuum_overlap_series():
@@ -145,7 +145,7 @@ def test_displacement_vacuum_overlap_series():
     for k in range(80):
         series += term
         term *= x / (k + 1)
-    got = np.vdot(vac, d.entries @ vac)
+    got = np.vdot(vac, d @ vac)
     assert got == pytest.approx(series, abs=1e-10)
     assert series == pytest.approx(0.955997481833, abs=1e-10)
 
@@ -156,30 +156,29 @@ def test_displacement_shift_property_guarded():
     alpha = 0.3
     for guard, bound in ((8, 1e-6), (10, 1e-8)):
         cfg = HilbertConfig(n_modes=1, n_max=30, guard=guard)
-        d = displacement(cfg, 1, alpha).entries
-        a = ladder(cfg, 1, "annihilate").entries
+        d = displacement(cfg, 1, alpha)
+        a = ladder(cfg, 1, "annihilate")
         shifted = d @ a @ d.conj().T
-        diff = OperatorMatrix(cfg, shifted - (a - alpha * np.eye(cfg.dim)))
-        assert guarded_distance(diff, OperatorMatrix(cfg, np.zeros_like(shifted))) <= bound
+        assert guarded_norm(shifted - (a - alpha * np.eye(cfg.dim)), cfg) <= bound
 
 
 def test_displacement_exactly_unitary():
     cfg = HilbertConfig(n_modes=1, n_max=12)
     for alpha in (0.5, 2.0 + 1.0j, -3.0j):
-        d = displacement(cfg, 1, alpha).entries
+        d = displacement(cfg, 1, alpha)
         assert np.abs(d.conj().T @ d - np.eye(cfg.dim)).max() <= 1e-12
 
 
 def test_spin_algebra():
     cfg = HilbertConfig(n_modes=1, n_max=3, n_spins=2)
     for ion in (1, 2):
-        sp = spin_op(cfg, ion, "plus").entries
-        sm = spin_op(cfg, ion, "minus").entries
-        sz = spin_op(cfg, ion, "z").entries
+        sp = spin_op(cfg, ion, "plus")
+        sm = spin_op(cfg, ion, "minus")
+        sz = spin_op(cfg, ion, "z")
         assert np.allclose(sp @ sm + sm @ sp, np.eye(cfg.dim))
         assert np.allclose(sz @ sp - sp @ sz, 2.0 * sp)
     ground = basis_state(cfg, [0], ["g", "g"])
-    assert np.allclose(spin_op(cfg, 1, "z").entries @ ground, -ground)
+    assert np.allclose(spin_op(cfg, 1, "z") @ ground, -ground)
 
 
 def test_spin_ion_out_of_range():
@@ -191,22 +190,22 @@ def test_spin_ion_out_of_range():
 def test_expm_unitary_basics():
     cfg = HilbertConfig(n_modes=1, n_max=2)
     sz = spin_op(cfg, 1, "z")
-    assert np.allclose(expm_unitary(sz, 0.0).entries, np.eye(cfg.dim))
+    assert np.allclose(expm_unitary(sz, 0.0), np.eye(cfg.dim))
     u = expm_unitary(sz, np.pi / 2)
     # diag(e^{-i pi/2}, e^{+i pi/2}) on the spin factor
     expected = embed_factors(cfg, spin_ops={1: np.diag([np.exp(-1j * np.pi / 2), np.exp(1j * np.pi / 2)])})
-    assert np.allclose(u.entries, expected, atol=1e-14)
+    assert np.allclose(u, expected, atol=1e-14)
 
 
 def test_expm_group_property():
     rng = np.random.default_rng(7)
     cfg = HilbertConfig(n_modes=1, n_max=6)
     raw = rng.normal(size=(cfg.dim, cfg.dim)) + 1j * rng.normal(size=(cfg.dim, cfg.dim))
-    h = OperatorMatrix(cfg, 0.1 * (raw + raw.conj().T), hermitian=True)
+    h = check_matrix(0.1 * (raw + raw.conj().T), hermitian=True)
     t1, t2 = 0.83, 1.91
-    left = check_matrix(expm_unitary(h, t1).entries @ expm_unitary(h, t2).entries, unitary=True)
+    left = check_matrix(expm_unitary(h, t1) @ expm_unitary(h, t2), unitary=True)
     right = expm_unitary(h, t1 + t2)
-    assert np.abs(left - right.entries).max() <= 1e-12
+    assert np.abs(left - right).max() <= 1e-12
 
 
 def test_expm_rejects_non_hermitian():
@@ -214,10 +213,28 @@ def test_expm_rejects_non_hermitian():
     a = ladder(cfg, 1, "annihilate")
     with pytest.raises(NumericalValidationError):
         expm_unitary(a, 1.0)
-    bad = OperatorMatrix(cfg, np.eye(cfg.dim), hermitian=True)
-    object.__setattr__(bad, "entries", bad.entries + 1e-6 * 1j)
+    bad = check_matrix(np.eye(cfg.dim), hermitian=True) + 1e-6 * 1j
     with pytest.raises(NumericalValidationError):
         expm_unitary(bad, 1.0)
+
+
+@pytest.mark.parametrize("build, tag", [
+    (lambda cfg: ladder(cfg, 1, "number"), "hermitian"),
+    (lambda cfg: spin_op(cfg, 1, "z"), "hermitian"),
+    (lambda cfg: displacement(cfg, 1, 0.3 - 0.2j), "unitary"),
+    (lambda cfg: expm_unitary(np.diag(np.arange(cfg.dim, dtype=complex)), 0.4), "unitary"),
+])
+def test_builders_check_their_tag_before_returning(monkeypatch, build, tag):
+    # the check a builder's record ran at construction now runs on the complex array it returns
+    cfg = HilbertConfig(n_modes=1, n_max=4)
+    assert build(cfg).dtype == np.complex128
+    embed, expm = fock.embed_factors, fock._expm_hermitian
+    monkeypatch.setattr(fock, "embed_factors", lambda *a, **kw: embed(*a, **kw) + 1e-6 * np.tri(cfg.dim, k=-1))
+    monkeypatch.setattr(fock, "_expm_hermitian", lambda m, t: (1.0 + 1e-9) * expm(m, t))
+    message = {"hermitian": r"matrix tagged hermitian violates \|\|H - H\^dag\|\|_max <= 1e-10 \(got 1\.000e-06\)",
+               "unitary": r"matrix tagged unitary violates \|\|U\^dag U - I\|\|_max <= 1e-12"}[tag]
+    with pytest.raises(NumericalValidationError, match=message):
+        build(cfg)
 
 
 def test_operator_matrix_shape_checked():
@@ -343,12 +360,12 @@ def test_kron_terms_against_dense_kron(n_modes, n_max, n_spins):
 def test_guarded_distance_basics():
     cfg = HilbertConfig(n_modes=1, n_max=10, guard=3)
     a = ladder(cfg, 1, "annihilate")
-    assert guarded_distance(a, a) == 0.0
+    assert guarded_norm(a - a, cfg) == 0.0
     # guard = 0 reduces to the plain spectral distance
     cfg0 = HilbertConfig(n_modes=1, n_max=10, guard=0)
     a0 = ladder(cfg0, 1, "annihilate")
-    z0 = OperatorMatrix(cfg0, np.zeros((cfg0.dim, cfg0.dim)))
-    assert guarded_distance(a0, z0) == pytest.approx(np.linalg.norm(a0.entries, 2))
+    z0 = np.zeros((cfg0.dim, cfg0.dim))
+    assert guarded_norm(a0 - z0, cfg0) == pytest.approx(np.linalg.norm(a0, 2))
 
 
 def test_guarded_distance_ignores_edge_entries():
@@ -356,50 +373,50 @@ def test_guarded_distance_ignores_edge_entries():
     cfg = HilbertConfig(n_modes=1, n_max=10, guard=1)
     a = ladder(cfg, 1, "annihilate")
     keep = guard_mask(cfg)
-    projected = a.entries * np.outer(keep, keep)
-    assert guarded_distance(a, OperatorMatrix(cfg, projected)) == 0.0
-    assert np.abs(a.entries - projected).max() > 0
+    projected = a * np.outer(keep, keep)
+    assert guarded_norm(a - projected, cfg) == 0.0
+    assert np.abs(a - projected).max() > 0
 
 
 def test_guarded_distance_pseudo_metric():
     rng = np.random.default_rng(11)
     cfg = HilbertConfig(n_modes=1, n_max=6, n_spins=1, guard=2)
     mats = [
-        OperatorMatrix(cfg, rng.normal(size=(cfg.dim, cfg.dim)) + 1j * rng.normal(size=(cfg.dim, cfg.dim)))
+        rng.normal(size=(cfg.dim, cfg.dim)) + 1j * rng.normal(size=(cfg.dim, cfg.dim))
         for _ in range(3)
     ]
     a, b, c = mats
-    assert guarded_distance(a, b) == pytest.approx(guarded_distance(b, a))
-    assert guarded_distance(a, c) <= guarded_distance(a, b) + guarded_distance(b, c) + 1e-12
+    assert guarded_norm(a - b, cfg) == pytest.approx(guarded_norm(b - a, cfg))
+    assert guarded_norm(a - c, cfg) <= guarded_norm(a - b, cfg) + guarded_norm(b - c, cfg) + 1e-12
 
 
 def test_guarded_distance_dimension_mismatch():
-    a = ladder(HilbertConfig(n_modes=1, n_max=4), 1, "annihilate")
-    b = ladder(HilbertConfig(n_modes=1, n_max=5), 1, "annihilate")
+    cfg4, cfg5 = HilbertConfig(n_modes=1, n_max=4), HilbertConfig(n_modes=1, n_max=5)
+    a, b = ladder(cfg4, 1, "annihilate"), ladder(cfg5, 1, "annihilate")
+    with pytest.raises(ValueError, match="could not be broadcast"):
+        guarded_norm(a - b, cfg4)
     with pytest.raises(ValueError, match="different Hilbert configurations"):
-        guarded_distance(a, b)
-    with pytest.raises(ValueError, match="different Hilbert configurations"):
-        guarded_infidelity(a, b)
+        guarded_infidelity(OperatorMatrix(cfg4, a), OperatorMatrix(cfg5, b))
 
 
 def test_guarded_infidelity_basics():
     cfg = HilbertConfig(n_modes=1, n_max=8, guard=2)
-    u = displacement(cfg, 1, 0.4)
+    u = OperatorMatrix(cfg, displacement(cfg, 1, 0.4), unitary=True)
     assert guarded_infidelity(u, u) == pytest.approx(0.0, abs=1e-14)
     v = OperatorMatrix(cfg, np.exp(0.7j) * u.entries, unitary=True)
     assert guarded_infidelity(u, v) == pytest.approx(0.0, abs=1e-14)
     # a full spin flip against the identity has vanishing guarded trace
     eye = OperatorMatrix(cfg, np.eye(cfg.dim), unitary=True)
     flip = spin_op(cfg, 1, "x")
-    assert guarded_infidelity(eye, OperatorMatrix(cfg, flip.entries, unitary=True)) == pytest.approx(1.0)
+    assert guarded_infidelity(eye, OperatorMatrix(cfg, flip, unitary=True)) == pytest.approx(1.0)
 
 
 def test_guarded_infidelity_of_guarded_columns():
     # U given as its guarded columns scores bit for bit like U, in either memory layout
     cfg = HilbertConfig(n_modes=2, n_max=4, n_spins=1, guard=1)
     keep = guard_mask(cfg)
-    u = displacement(cfg, 1, 0.3 - 0.2j)
-    v = displacement(cfg, 2, 0.5j)
+    u = OperatorMatrix(cfg, displacement(cfg, 1, 0.3 - 0.2j), unitary=True)
+    v = OperatorMatrix(cfg, displacement(cfg, 2, 0.5j), unitary=True)
     block = u.entries[:, keep]
     for layout in (block, np.ascontiguousarray(block), np.asfortranarray(block)):
         assert guarded_infidelity(layout, v) == guarded_infidelity(u, v)
@@ -409,10 +426,10 @@ def test_guarded_infidelity_of_guarded_columns():
 
 def test_disjoint_factors_commute_exactly():
     cfg = HilbertConfig(n_modes=2, n_max=4, n_spins=2)
-    a1 = ladder(cfg, 1, "annihilate").entries
-    n2 = ladder(cfg, 2, "number").entries
-    s1 = spin_op(cfg, 1, "plus").entries
-    s2 = spin_op(cfg, 2, "x").entries
+    a1 = ladder(cfg, 1, "annihilate")
+    n2 = ladder(cfg, 2, "number")
+    s1 = spin_op(cfg, 1, "plus")
+    s2 = spin_op(cfg, 2, "x")
     for left, right in [(a1, n2), (a1, s1), (a1, s2), (n2, s2), (s1, s2)]:
         assert np.abs(left @ right - right @ left).max() == 0.0
 

@@ -8,7 +8,7 @@ from ionjc.chain import ChainModel, LaserDrive
 from ionjc.fock import (
     _SPIN_2X2,
     HilbertConfig,
-    OperatorMatrix,
+    NumericalValidationError,
     _mode_destroy,
     basis_state,
     check_matrix,
@@ -63,20 +63,20 @@ def test_model_spec_validation():
 def test_rotating_frame_hamiltonian_free_case():
     model = make_single_model(Omega_R=0.0, delta=0.7, n_max=6, guard=0)
     ht = rotating_frame_hamiltonian(model)
-    diag = np.diag(ht.entries)
-    assert np.abs(ht.entries - np.diag(diag)).max() == 0.0
+    diag = np.diag(ht)
+    assert np.abs(ht - np.diag(diag)).max() == 0.0
     # |g, 1>: nu * 1 - delta / 2
     ket = basis_state(model.config, [1], ["g"])
-    assert np.vdot(ket, ht.entries @ ket) == pytest.approx(1.0 - 0.35)
+    assert np.vdot(ket, ht @ ket) == pytest.approx(1.0 - 0.35)
 
 
 def test_rotating_frame_hamiltonian_zero_eta_flip_block():
     # with eta = 0 the coupling is Omega sigma_x; realized by a perpendicular beam
     model = make_single_model(Omega_R=0.4, delta=0.3, n_max=6, guard=0, phi_beam=np.pi / 2)
-    ht = rotating_frame_hamiltonian(model).entries
+    ht = rotating_frame_hamiltonian(model)
     n_part = np.diag(np.repeat(np.arange(6.0), 2))
-    sz = spin_op(model.config, 1, "z").entries
-    sx = spin_op(model.config, 1, "x").entries
+    sz = spin_op(model.config, 1, "z")
+    sx = spin_op(model.config, 1, "x")
     expected = n_part + 0.15 * sz + 0.4 * sx
     assert np.abs(ht - expected).max() <= 1e-12
 
@@ -84,7 +84,7 @@ def test_rotating_frame_hamiltonian_zero_eta_flip_block():
 def test_rotating_frame_hamiltonian_vacuum_matrix_element():
     # <e,0|H|g,0> = Omega e^{-sum eta^2 / 2}, via the exponential power series
     model = make_single_model(Omega_R=0.3, delta=0.7, k_L=0.1, n_max=30, guard=8)
-    ht = rotating_frame_hamiltonian(model).entries
+    ht = rotating_frame_hamiltonian(model)
     bra = basis_state(model.config, [0], ["e"])
     ket = basis_state(model.config, [0], ["g"])
     x = -0.1**2 / 2.0
@@ -98,31 +98,31 @@ def test_rotating_frame_hamiltonian_vacuum_matrix_element():
 
 def test_rotating_frame_hamiltonian_exactly_hermitian():
     model = make_two_ion_model()
-    ht = rotating_frame_hamiltonian(model).entries
+    ht = rotating_frame_hamiltonian(model)
     assert np.abs(ht - ht.conj().T).max() <= 1e-15
 
 
 def test_standard_rwa_generator_kinds():
     model = make_single_model(Omega_R=0.25, delta=1.0, k_L=0.1, n_max=8, guard=0)
-    carrier = standard_rwa_generator(model, "carrier").entries
-    sx = spin_op(model.config, 1, "x").entries
+    carrier = standard_rwa_generator(model, "carrier")
+    sx = spin_op(model.config, 1, "x")
     assert np.abs(carrier - 0.25 * sx).max() == 0.0
 
-    red = standard_rwa_generator(model, "red", mode=1).entries
+    red = standard_rwa_generator(model, "red", mode=1)
     bra = basis_state(model.config, [0], ["e"])
     ket = basis_state(model.config, [1], ["g"])
     elem = np.vdot(bra, red @ ket)
     assert abs(elem) == pytest.approx(0.1 * 0.25, abs=1e-15)
     assert elem == pytest.approx(1j * 0.1 * 0.25, abs=1e-15)
 
-    blue = standard_rwa_generator(model, "blue", mode=1).entries
+    blue = standard_rwa_generator(model, "blue", mode=1)
     bra2 = basis_state(model.config, [1], ["e"])
     ket2 = basis_state(model.config, [0], ["g"])
     assert np.vdot(bra2, blue @ ket2) == pytest.approx(1j * 0.1 * 0.25, abs=1e-15)
 
     # zero Lamb-Dicke coupling gives the zero matrix (up to cos(pi/2) roundoff)
     perp = make_single_model(Omega_R=0.25, delta=1.0, n_max=8, guard=0, phi_beam=np.pi / 2)
-    assert np.abs(standard_rwa_generator(perp, "red", mode=1).entries).max() <= 1e-16
+    assert np.abs(standard_rwa_generator(perp, "red", mode=1)).max() <= 1e-16
 
     with pytest.raises(ValueError):
         standard_rwa_generator(model, "red", mode=2)
@@ -135,25 +135,25 @@ def test_transformation_chain_closes_step_by_step(single_model):
     model = single_model
     cfg = model.config
     par = model.balanced()[0]
-    ht = rotating_frame_hamiltonian(model).entries
+    ht = rotating_frame_hamiltonian(model)
     eye = np.eye(cfg.dim)
 
     lin = linearized_hamiltonian(model)
-    t1 = linearizing_transform(cfg, par.eta, 1).entries
+    t1 = linearizing_transform(cfg, par.eta, 1)
     conj1 = t1 @ (ht - lin.offset * eye) @ t1.conj().T
-    assert guarded_norm(conj1 - (lin.h0.entries + lin.flip.entries), cfg) <= 1e-8
+    assert guarded_norm(conj1 - (lin.h0 + lin.flip), cfg) <= 1e-8
 
     mix = mixed_hamiltonian(model)
-    t2 = mixing_rotation(cfg, par.theta, 1).entries
-    conj2 = t2 @ (lin.h0.entries + lin.flip.entries) @ t2.conj().T
+    t2 = mixing_rotation(cfg, par.theta, 1)
+    conj2 = t2 @ (lin.h0 + lin.flip) @ t2.conj().T
     # spin-only rotation: exact even on the truncated space
-    assert np.abs(conj2 - (mix.h0.entries + mix.flip.entries)).max() <= 1e-12
+    assert np.abs(conj2 - (mix.h0 + mix.flip)).max() <= 1e-12
 
     h0, flip, _ = balanced_hamiltonian(model)
-    t3 = conditional_displacement(cfg, par.alpha, 1).entries
+    t3 = conditional_displacement(cfg, par.alpha, 1)
     c2 = restored_displacement_constant(par, model.chain.nu)
-    conj3 = t3 @ (mix.h0.entries + mix.flip.entries + c2 * eye) @ t3.conj().T
-    assert guarded_norm(conj3 - (h0.entries + flip.entries), cfg) <= 1e-8
+    conj3 = t3 @ (mix.h0 + mix.flip + c2 * eye) @ t3.conj().T
+    assert guarded_norm(conj3 - (h0 + flip), cfg) <= 1e-8
 
 
 def test_mixing_rotation_diagonalizes_linearized_h0(single_model):
@@ -161,10 +161,10 @@ def test_mixing_rotation_diagonalizes_linearized_h0(single_model):
     cfg = model.config
     par = model.balanced()[0]
     lin = linearized_hamiltonian(model)
-    t2 = mixing_rotation(cfg, par.theta, 1).entries
-    got = t2 @ lin.h0.entries @ t2.conj().T
+    t2 = mixing_rotation(cfg, par.theta, 1)
+    got = t2 @ lin.h0 @ t2.conj().T
     n_diag = model.chain.nu @ mode_occupations(cfg)
-    expected = np.diag(n_diag.astype(complex)) + 0.5 * par.delta_eff * spin_op(cfg, 1, "z").entries
+    expected = np.diag(n_diag.astype(complex)) + 0.5 * par.delta_eff * spin_op(cfg, 1, "z")
     assert np.abs(got - expected).max() <= 1e-12
 
 
@@ -173,8 +173,8 @@ def test_conditional_displacement_diagonalizes_mixed_h0(single_model):
     cfg = model.config
     par = model.balanced()[0]
     mix = mixed_hamiltonian(model)
-    t3 = conditional_displacement(cfg, par.alpha, 1).entries
-    got = t3 @ mix.h0.entries @ t3.conj().T
+    t3 = conditional_displacement(cfg, par.alpha, 1)
+    got = t3 @ mix.h0 @ t3.conj().T
     off_diagonal = got - np.diag(np.diag(got))
     assert guarded_norm(off_diagonal, cfg) <= 1e-8
 
@@ -186,8 +186,8 @@ def test_balanced_frame_is_intermediate_parts(request, model_name):
     parts = balanced_hamiltonian(model)
     assert isinstance(parts, IntermediateParts)
     h0, flip, offset = parts
-    assert np.array_equal(h0.entries, np.diag(free_diagonal(model, [par.delta_eff for par in model.balanced()])))
-    assert h0.hermitian and flip.hermitian
+    assert np.array_equal(h0, np.diag(free_diagonal(model, [par.delta_eff for par in model.balanced()])))
+    assert h0.dtype == flip.dtype == np.complex128
     assert offset == balanced_offset(model)
     if model_name == "single_model":
         assert isinstance(linearized_hamiltonian(model), IntermediateParts)
@@ -197,15 +197,36 @@ def test_balanced_frame_is_intermediate_parts(request, model_name):
 def test_rotating_frame_and_standard_generator_are_checked_operators(single_model):
     for op in (rotating_frame_hamiltonian(single_model), standard_rwa_generator(single_model, "carrier"),
                standard_rwa_generator(single_model, "red", mode=1)):
-        assert isinstance(op, OperatorMatrix)
-        assert op.hermitian and not op.unitary
+        assert isinstance(op, np.ndarray) and op.dtype == np.complex128
+
+
+@pytest.mark.parametrize("build", [
+    rotating_frame_hamiltonian,
+    lambda m: standard_rwa_generator(m, "carrier"),
+    lambda m: standard_rwa_generator(m, "red", mode=1),
+    lambda m: jc_interaction(m, 0.7),
+    lambda m: linearized_hamiltonian(m).flip,
+    lambda m: mixed_hamiltonian(m).h0,
+    lambda m: balanced_hamiltonian(m).flip,
+])
+def test_hamiltonian_builders_check_hermiticity_before_returning(monkeypatch, build):
+    # the hermiticity check a builder's record ran at construction now runs on the array it returns
+    from ionjc import hamiltonians
+
+    model = make_single_model(n_max=6, guard=1)
+    for name in ("kron_terms", "ungauge"):
+        original = getattr(hamiltonians, name)
+        monkeypatch.setattr(hamiltonians, name, lambda *a, f=original, **kw: f(*a, **kw) + 1e-6 * np.tri(12, k=-1))
+    with pytest.raises(NumericalValidationError,
+                       match=r"matrix tagged hermitian violates \|\|H - H\^dag\|\|_max <= 1e-10 \(got [12]\.\d+e-06\)"):
+        build(model)
 
 
 def test_balanced_h0_exactly_diagonal_and_flip_hermitian(single_model):
     h0, flip, _ = balanced_hamiltonian(single_model)
-    m = h0.entries
+    m = h0
     assert np.abs(m - np.diag(np.diag(m))).max() == 0.0
-    assert np.abs(flip.entries - flip.entries.conj().T).max() <= 1e-15
+    assert np.abs(flip - flip.conj().T).max() <= 1e-15
     # eigenvalue of |e, n>: sum nu n + delta_eff / 2
     par = single_model.balanced()[0]
     ket = basis_state(single_model.config, [3], ["e"])
@@ -220,8 +241,8 @@ def test_balanced_offsets_and_spectrum_preservation():
         par = model.balanced()[0]
         expected_offset = dropped_linearization_constant(par.eta, model.chain.nu) - restored_displacement_constant(par, model.chain.nu)
         assert offset == pytest.approx(expected_offset, abs=1e-15)
-        e_ref = np.linalg.eigvalsh(ht.entries)
-        e_bal = np.linalg.eigvalsh(h0.entries + flip.entries) + offset
+        e_ref = np.linalg.eigvalsh(ht)
+        e_bal = np.linalg.eigvalsh(h0 + flip) + offset
         interior = 2 * (model.config.n_max - model.config.guard)
         assert np.abs(e_ref - e_bal)[:interior].max() <= 1e-8
 
@@ -230,7 +251,7 @@ def test_balanced_flip_weak_field_scale():
     # || flip || ~ Omega at fixed detuning
     model = make_single_model(Omega_R=1e-6, delta=1.0, n_max=20, guard=5)
     _, flip, _ = balanced_hamiltonian(model)
-    assert np.linalg.norm(flip.entries, 2) <= 1e-5 * 0.1  # well under nu1 * max eta scale
+    assert np.linalg.norm(flip, 2) <= 1e-5 * 0.1  # well under nu1 * max eta scale
 
 
 def test_balanced_flip_strong_field_limit():
@@ -241,10 +262,10 @@ def test_balanced_flip_strong_field_limit():
     from ionjc.fock import _mode_destroy, embed_factors
 
     a = embed_factors(cfg, {1: _mode_destroy(cfg.n_max)})
-    sx = spin_op(cfg, 1, "x").entries
+    sx = spin_op(cfg, 1, "x")
     limit = 0.5 * 0.1 * 1.0 * (1j * (a - a.conj().T)) @ sx
     limit = (limit + limit.conj().T) / 2.0
-    rel = np.linalg.norm(flip.entries - limit, 2) / np.linalg.norm(limit, 2)
+    rel = np.linalg.norm(flip - limit, 2) / np.linalg.norm(limit, 2)
     assert rel <= 1e-5
 
 
@@ -259,9 +280,9 @@ def test_balanced_flip_small_eta_linearization():
         from ionjc.fock import _mode_destroy, embed_factors
 
         a = embed_factors(cfg, {1: _mode_destroy(cfg.n_max)})
-        sx = spin_op(cfg, 1, "x").entries
+        sx = spin_op(cfg, 1, "x")
         approx = par.eta_eff_by_Delta[0] * model.chain.nu[0] * (1j * (a - a.conj().T)) @ sx
-        dist = guarded_norm(flip.entries - approx, cfg)
+        dist = guarded_norm(flip - approx, cfg)
         ratios.append(dist / k_l**2)
     assert max(ratios) <= 2.0 * min(ratios)
 
@@ -269,28 +290,28 @@ def test_balanced_flip_small_eta_linearization():
 def test_jc_interaction_at_zero_time_is_flip(single_model):
     _, flip, _ = balanced_hamiltonian(single_model)
     jc0 = jc_interaction(single_model, 0.0)
-    assert np.abs(jc0.entries - flip.entries).max() <= 1e-12
+    assert np.abs(jc0 - flip).max() <= 1e-12
 
 
 @pytest.mark.parametrize("t", [0.37, 2.14, 9.81])
 def test_jc_interaction_matches_frame_conjugation(single_model, t):
     h0, flip, _ = balanced_hamiltonian(single_model)
-    d0 = np.real(np.diag(h0.entries))
+    d0 = np.real(np.diag(h0))
     phases = np.exp(1j * d0 * t)
-    conj = (phases[:, None] * flip.entries) * np.conj(phases)[None, :]
+    conj = (phases[:, None] * flip) * np.conj(phases)[None, :]
     jc = jc_interaction(single_model, t)
-    assert guarded_norm(jc.entries - conj, single_model.config) <= 1e-9
-    assert np.abs(jc.entries - jc.entries.conj().T).max() <= 1e-12
+    assert guarded_norm(jc - conj, single_model.config) <= 1e-9
+    assert np.abs(jc - jc.conj().T).max() <= 1e-12
 
 
 def test_jc_interaction_multi_drive_consistency(two_ion_model):
     h0, flip, _ = balanced_hamiltonian(two_ion_model)
     t = 1.3
-    d0 = np.real(np.diag(h0.entries))
+    d0 = np.real(np.diag(h0))
     phases = np.exp(1j * d0 * t)
-    conj = (phases[:, None] * flip.entries) * np.conj(phases)[None, :]
+    conj = (phases[:, None] * flip) * np.conj(phases)[None, :]
     jc = jc_interaction(two_ion_model, t)
-    assert guarded_norm(jc.entries - conj, two_ion_model.config) <= 1e-9
+    assert guarded_norm(jc - conj, two_ion_model.config) <= 1e-9
 
 
 def test_resonance_offsets_inversion():

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 import warnings
 from functools import reduce
@@ -21,7 +22,6 @@ from ionjc.fock import (
     embed_factors,
     expm_unitary,
     guard_mask,
-    guarded_distance,
     guarded_infidelity,
     guarded_norm,
     parity_gauge,
@@ -107,7 +107,7 @@ def test_pipeline_exact_matches_oracle(single_model):
         u_pipe = pipeline_propagator(single_model, t, mode="exact")
         assert guarded_infidelity(u_pipe, u_exact) <= 1e-8
         # offsets are tracked, so the match holds including global phase
-        assert guarded_distance(u_pipe, u_exact) <= 1e-8
+        assert guarded_norm(u_pipe.entries - u_exact.entries, single_model.config) <= 1e-8
 
 
 def test_pipeline_identity_at_equal_times(single_model):
@@ -121,9 +121,9 @@ def test_pipeline_weak_drive_approaches_free_evolution():
     t = 5.0
     weak = pipeline_propagator(make_single_model(Omega_R=1e-4, delta=1.0), t, mode="exact")
     free = exact_propagator(make_single_model(Omega_R=0.0, delta=1.0), t)
-    assert guarded_distance(weak, free) <= 5e-3  # scale: Omega t
+    assert guarded_norm(weak.entries - free.entries, weak.config) <= 5e-3  # scale: Omega t
     weaker = pipeline_propagator(make_single_model(Omega_R=1e-5, delta=1.0), t, mode="exact")
-    assert guarded_distance(weaker, free) <= 5e-4
+    assert guarded_norm(weaker.entries - free.entries, weaker.config) <= 5e-4
 
 
 def test_pipeline_rejects_zero_drive():
@@ -161,7 +161,7 @@ def _red_sideband_generator(model, g, drive=1, mode=1):
     a = embed_factors(config, {mode: _mode_destroy(config.n_max)})
     sp = embed_factors(config, spin_ops={drive: np.array([[0, 1], [0, 0]], complex)})
     sm = embed_factors(config, spin_ops={drive: np.array([[0, 0], [1, 0]], complex)})
-    return OperatorMatrix(config, 1j * g * (a @ sp - a.conj().T @ sm), hermitian=True)
+    return check_matrix(1j * g * (a @ sp - a.conj().T @ sm), hermitian=True)
 
 
 def test_rwa_jc_closed_form_equals_generator_exponential(single_model):
@@ -170,22 +170,22 @@ def test_rwa_jc_closed_form_equals_generator_exponential(single_model):
     for tau in (0.7, 4.1):
         closed = rwa_jc_propagator(single_model, 1, 1, tau)
         ref = expm_unitary(gen, tau)
-        assert np.abs(closed.entries - ref.entries).max() <= 1e-10
+        assert np.abs(closed.entries - ref).max() <= 1e-10
 
 
 def test_rwa_jc_crossed_pairs_equal_generator_exponential():
     # drive j on mode k != j: the banded exchange acts on spin and mode axes that are not aligned
     model = make_two_ion_model(n_max=8, guard=2, phases=(0.3, -0.5))
     pairs = [(1, 2), (2, 1)]
-    parts = [_red_sideband_generator(model, jc_coupling(model, j, k), drive=j, mode=k).entries for j, k in pairs]
-    gen = OperatorMatrix(model.config, sum(parts), hermitian=True)
+    parts = [_red_sideband_generator(model, jc_coupling(model, j, k), drive=j, mode=k) for j, k in pairs]
+    gen = check_matrix(sum(parts), hermitian=True)
     rng = np.random.default_rng(7)
     psi0 = rng.normal(size=model.config.dim) + 1j * rng.normal(size=model.config.dim)
     psi0 /= np.linalg.norm(psi0)
     times = [0.0, 3.7, 150.0]
     states = dict(evolve_states(model, psi0, times, method="rwa_jc", resonant_pairs=pairs))
     for t in times:
-        ref = expm_unitary(gen, t).entries
+        ref = expm_unitary(gen, t)
         assert np.abs(rwa_jc_propagator_multi(model, pairs, t).entries - ref).max() <= 1e-10
         assert np.abs(states[t] - ref @ psi0).max() <= 1e-10
 
@@ -300,7 +300,7 @@ def test_rwa_couplings_converge_quadratically_in_field():
         u_bal = rwa_jc_propagator(model, 1, 1, tau)
         gen = _red_sideband_generator(model, 0.1 * omega_r)
         u_std = expm_unitary(gen, tau)
-        dists.append(guarded_distance(u_bal, u_std))
+        dists.append(guarded_norm(u_bal.entries - u_std, model.config))
     assert dists[1] < dists[0] / 4.0
 
 
@@ -343,7 +343,7 @@ def test_infidelity_examples(single_model):
     v = OperatorMatrix(single_model.config, np.exp(1.3j) * u.entries, unitary=True)
     assert guarded_infidelity(u, v) == pytest.approx(0.0, abs=1e-14)
     eye = OperatorMatrix(single_model.config, np.eye(single_model.config.dim), unitary=True)
-    flip = OperatorMatrix(single_model.config, spin_op(single_model.config, 1, "x").entries, unitary=True)
+    flip = OperatorMatrix(single_model.config, spin_op(single_model.config, 1, "x"), unitary=True)
     assert guarded_infidelity(eye, flip) == pytest.approx(1.0)
 
 
@@ -406,9 +406,9 @@ def test_model_operators_real_in_parity_gauge(index):
     gauge = parity_gauge(model.config)
     h0, flip, _ = balanced_hamiltonian(model)
     for m in (
-        rotating_frame_hamiltonian(model).entries,
-        h0.entries + flip.entries,
-        balanced_transform(model.config, model.balanced()).entries,
+        rotating_frame_hamiltonian(model),
+        h0 + flip,
+        balanced_transform(model.config, model.balanced()),
     ):
         assert np.abs((gauge.conj()[:, None] * m * gauge[None, :]).imag).max() <= 1e-14
 
@@ -419,7 +419,7 @@ def test_exact_propagator_matches_complex_exponential_at_t0(index):
     model = _gauge_models()[index]
     config = model.config
     t0, t = 1.7, 9.4
-    core = expm_unitary(rotating_frame_hamiltonian(model), t - t0).entries
+    core = expm_unitary(rotating_frame_hamiltonian(model), t - t0)
     left = np.conj(rotating_frame_diagonal(config, model.drives, t))
     ref = (left[:, None] * core) * rotating_frame_diagonal(config, model.drives, t0)[None, :]
     assert np.abs(exact_propagator(model, t, t0).entries - ref).max() <= 1e-10
@@ -583,7 +583,8 @@ def test_no_plan_builds_the_dense_transform(tmp_path, monkeypatch):
 
 
 def test_non_orthogonal_eigenbasis_rejected_by_oracle_and_sweep(tmp_path, capsys, monkeypatch):
-    # a dense propagator is certified through its plan's real factor: a V' off by 1e-9 fails V'^T V' = I
+    # a dense propagator is certified through its plan's real factor: a V' off by 1e-9 fails V'^T V' = I;
+    # an evolve's states are certified by their norms, which the same V' moves by 4e-9
     cfg = _two_ion_sweep_config()
     dim, eigh = cfg.model.config.dim, np.linalg.eigh
 
@@ -601,6 +602,19 @@ def test_non_orthogonal_eigenbasis_rejected_by_oracle_and_sweep(tmp_path, capsys
     assert main(["sweep-rabi", "--config", str(path), "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("numerical validation failed: matrix tagged unitary")
     assert not out.exists()
+    norms = r"max_k \| \|\|Y_k\|\|\^2 - \|\|psi0\|\|\^2 \| <= 1e-12 \|\|psi0\|\|\^2 \(got 4\.0\d\de-09\)"
+    psi0 = basis_state(cfg.model.config, [1, 0], ["g", "g"])
+    for method in ("exact", "pipeline_exact"):
+        with pytest.raises(NumericalValidationError, match=norms):
+            list(evolve_states(cfg.model, psi0, [0.0, 2.0, 5.0], method=method))
+        raw = _small_cli_configs()[f"evolve-{method}"]
+        path = tmp_path / f"evolve-{method}.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / f"evolve-{method}.csv"
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and re.match("numerical validation failed: evolved states violate " + norms, err)
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("method", ["exact", "pipeline_exact", "pipeline_rwa", "standard_rwa", "turn_on"])
@@ -705,7 +719,7 @@ def test_pipeline_plans_are_the_balanced_frame(request, model_name):
     # delta_eff free diagonal plus the offset, and the eigenbasis of the gauged balanced Hamiltonian
     model = request.getfixturevalue(model_name)
     config, params = model.config, model.balanced()
-    transform = balanced_transform_closed(config, params).entries
+    transform = balanced_transform_closed(config, params)
     d0 = free_diagonal(model, [par.delta_eff for par in params])
     eye = np.eye(config.dim, dtype=complex)
     rwa = _plan(model, "pipeline_rwa", [(1, 1)])

@@ -111,7 +111,7 @@ def balanced_models(draw):
 def test_factored_transform_is_the_dense_transform(model):
     # T and T^dag through the factors, on the identity's columns, against the closed block form
     config, params = model.config, model.balanced()
-    dense = balanced_transform_closed(config, params).entries
+    dense = balanced_transform_closed(config, params)
     factored = factored_balanced_transform(config, params)
     eye = np.eye(config.dim, dtype=complex)
     for adjoint, want in ((False, dense), (True, dense.conj().T)):
@@ -232,6 +232,10 @@ SI_CONFIGS = {
     },
 }
 FUZZ_BASES = {**SMALL_CONFIGS, **SI_CONFIGS}
+HUGE_VALUES = tuple(v for v in LEAF_VALUES if isinstance(v, float) and abs(v) >= 1e300)
+# the keys of the values an SI config converts to units of nu1; any value under one of them is unit-bearing
+UNIT_FIELDS = {"nu1", "Omega_R", "delta", "omega_L", "k_L", "omega_ge", "times", "t_start", "t_stop", "start",
+               "stop", "grid"}
 
 
 def _leaves(node, path=()):
@@ -269,13 +273,19 @@ def edited_configs(draw):
     """A small shipped or SI config with one or two of its values deleted or replaced whole from LEAF_VALUES.
 
     Any value may be picked: a leaf, a container (a drive, the drive list, a
-    section) or the whole config.
+    section) or the whole config.  Unit conversions past the float range are
+    drawn often: half the cases start from an SI base, half the edits of an
+    SI base pick a unit-bearing value, and half the values put there are
+    HUGE_VALUES.
     """
-    name = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    name = draw(st.sampled_from(sorted(FUZZ_BASES)) | st.sampled_from(sorted(SI_CONFIGS)))
     cfg = copy.deepcopy(FUZZ_BASES[name])
     for _ in range(draw(st.integers(1, 2))):
-        path = draw(st.sampled_from(list(_nodes(cfg))))
-        value = copy.deepcopy(draw(st.sampled_from(LEAF_VALUES)))
+        paths = list(_nodes(cfg))
+        units = [p for p in paths if UNIT_FIELDS.intersection(map(str, p))] if name in SI_CONFIGS else []
+        path = draw(st.sampled_from(units) | st.sampled_from(paths) if units else st.sampled_from(paths))
+        values = st.sampled_from(LEAF_VALUES)
+        value = copy.deepcopy(draw(st.sampled_from(HUGE_VALUES) | values if path in units else values))
         if not path:  # the top level replaced: nothing is left to edit
             return FUZZ_BASES[name]["experiment"], value
         parent = reduce(lambda node, key: node[key], path[:-1], cfg)

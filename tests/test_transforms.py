@@ -7,6 +7,7 @@ import pytest
 from ionjc.chain import LaserDrive
 from ionjc.fock import (
     HilbertConfig,
+    NumericalValidationError,
     basis_state,
     displacement_product,
     embed_factors,
@@ -163,15 +164,15 @@ def test_linearizing_transform_zero_eta_block():
     cfg = HilbertConfig(n_modes=1, n_max=4)
     t1 = linearizing_transform(cfg, [0.0], 1)
     expected = embed_factors(cfg, spin_ops={1: np.array([[1, 1], [-1, 1]]) / np.sqrt(2.0)})
-    assert np.allclose(t1.entries, expected, atol=1e-14)
+    assert np.allclose(t1, expected, atol=1e-14)
 
 
 def test_linearizing_transform_flips_sigma_z():
     cfg = HilbertConfig(n_modes=1, n_max=20)
     t1 = linearizing_transform(cfg, [0.17], 1)
-    sz = spin_op(cfg, 1, "z").entries
-    sx = spin_op(cfg, 1, "x").entries
-    assert np.abs(t1.entries @ sz @ t1.entries.conj().T + sx).max() <= 1e-12
+    sz = spin_op(cfg, 1, "z")
+    sx = spin_op(cfg, 1, "x")
+    assert np.abs(t1 @ sz @ t1.conj().T + sx).max() <= 1e-12
 
 
 def test_linearizing_transform_maps_coupling_to_sigma_z():
@@ -179,40 +180,40 @@ def test_linearizing_transform_maps_coupling_to_sigma_z():
     eta = [0.1]
     t1 = linearizing_transform(cfg, eta, 1)
     d2 = displacement_product(cfg, [1j * eta[0]])
-    sp = spin_op(cfg, 1, "plus").entries
-    sm = spin_op(cfg, 1, "minus").entries
+    sp = spin_op(cfg, 1, "plus")
+    sm = spin_op(cfg, 1, "minus")
     coupling = sm @ d2.conj().T + sp @ d2
-    got = t1.entries @ coupling @ t1.entries.conj().T
-    sz = spin_op(cfg, 1, "z").entries
+    got = t1 @ coupling @ t1.conj().T
+    sz = spin_op(cfg, 1, "z")
     assert guarded_norm(got - sz, cfg) <= 1e-8
 
 
 def test_mixing_rotation_relations():
     cfg = HilbertConfig(n_modes=1, n_max=3)
-    assert np.allclose(mixing_rotation(cfg, 0.0, 1).entries, np.eye(cfg.dim))
+    assert np.allclose(mixing_rotation(cfg, 0.0, 1), np.eye(cfg.dim))
     theta = 0.43
-    t2 = mixing_rotation(cfg, theta, 1).entries
-    sz = spin_op(cfg, 1, "z").entries
-    sx = spin_op(cfg, 1, "x").entries
+    t2 = mixing_rotation(cfg, theta, 1)
+    sz = spin_op(cfg, 1, "z")
+    sx = spin_op(cfg, 1, "x")
     got = t2 @ sz @ t2.conj().T
     assert np.abs(got - (np.cos(theta) * sz + np.sin(theta) * sx)).max() <= 1e-12
-    t2_half = mixing_rotation(cfg, np.pi / 2, 1).entries
+    t2_half = mixing_rotation(cfg, np.pi / 2, 1)
     assert np.abs(t2_half @ sz @ t2_half.conj().T - sx).max() <= 1e-12
     # number operators are untouched by a spin-only rotation
-    n = ladder(cfg, 1, "number").entries
+    n = ladder(cfg, 1, "number")
     assert np.abs(t2 @ n @ t2.conj().T - n).max() <= 1e-14
 
 
 def test_conditional_displacement_basics():
     cfg = HilbertConfig(n_modes=1, n_max=20)
-    assert np.allclose(conditional_displacement(cfg, [0.0], 1).entries, np.eye(cfg.dim))
+    assert np.allclose(conditional_displacement(cfg, [0.0], 1), np.eye(cfg.dim))
     alpha = 0.2j
     t3 = conditional_displacement(cfg, [alpha], 1)
     d = displacement_product(cfg, [alpha])
     # <g, n| T3 |g, n> equals the bare-mode element <n| D(alpha)^dag |n>
     for n in range(5):
         ket = basis_state(cfg, [n], ["g"])
-        assert np.vdot(ket, t3.entries @ ket) == pytest.approx(np.vdot(ket, d.conj().T @ ket), abs=1e-14)
+        assert np.vdot(ket, t3 @ ket) == pytest.approx(np.vdot(ket, d.conj().T @ ket), abs=1e-14)
 
 
 def test_balanced_transform_product_vs_closed_form():
@@ -220,8 +221,8 @@ def test_balanced_transform_product_vs_closed_form():
     par = [balanced_params(drive(0.3, 0.3), [0.1])]  # Delta = 1
     prod = balanced_transform(cfg, par)
     closed = balanced_transform_closed(cfg, par)
-    assert guarded_norm(prod.entries - closed.entries, cfg) <= 1e-10
-    assert np.abs(prod.entries - closed.entries).max() <= 1e-10
+    assert guarded_norm(prod - closed, cfg) <= 1e-10
+    assert np.abs(prod - closed).max() <= 1e-10
 
 
 @pytest.mark.parametrize("big_delta", [0.0, 1e-9, -1e-9, 1e-6, 1e-4, 1e9])
@@ -230,9 +231,9 @@ def test_closed_form_equals_factor_chain_at_every_delta(big_delta):
     # Delta = 1e-9) and kappa- all of them above |Delta| ~ 1e8; the larger plus r over the larger loses none
     cfg = HilbertConfig(n_modes=1, n_max=12, guard=2)
     par = balanced_params(drive(0.3, 0.3 * big_delta), [0.1])
-    chain = (conditional_displacement(cfg, par.alpha, 1).entries @ mixing_rotation(cfg, par.theta, 1).entries
-             @ linearizing_transform(cfg, par.eta, 1).entries)
-    assert np.abs(balanced_transform_closed(cfg, [par]).entries - chain).max() <= 1e-13
+    chain = (conditional_displacement(cfg, par.alpha, 1) @ mixing_rotation(cfg, par.theta, 1)
+             @ linearizing_transform(cfg, par.eta, 1))
+    assert np.abs(balanced_transform_closed(cfg, [par]) - chain).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n_ions, n_max", [(2, 6), (3, 5)], ids=["2-ions", "3-ions"])
@@ -246,11 +247,11 @@ def test_balanced_transform_blocks_equal_dense_factor_product(n_ions, n_max):
     ]
     ref = np.eye(cfg.dim)
     for ion, par in enumerate(pars, start=1):
-        t1 = linearizing_transform(cfg, par.eta, ion).entries
-        t2 = mixing_rotation(cfg, par.theta, ion).entries
-        ref = conditional_displacement(cfg, par.alpha, ion).entries @ t2 @ t1 @ ref
-    assert np.abs(balanced_transform(cfg, pars).entries - ref).max() <= 1e-13
-    assert np.abs(balanced_transform_closed(cfg, pars).entries - ref).max() <= 1e-13
+        t1 = linearizing_transform(cfg, par.eta, ion)
+        t2 = mixing_rotation(cfg, par.theta, ion)
+        ref = conditional_displacement(cfg, par.alpha, ion) @ t2 @ t1 @ ref
+    assert np.abs(balanced_transform(cfg, pars) - ref).max() <= 1e-13
+    assert np.abs(balanced_transform_closed(cfg, pars) - ref).max() <= 1e-13
 
 
 def test_balanced_transform_on_resonance_pattern():
@@ -258,7 +259,7 @@ def test_balanced_transform_on_resonance_pattern():
     cfg = HilbertConfig(n_modes=1, n_max=30, guard=6)
     eta = 0.1
     par = [balanced_params(drive(0.5, 0.0), [eta])]
-    t = balanced_transform(cfg, par).entries
+    t = balanced_transform(cfg, par)
     d_half = displacement_product(cfg, [0.5j * eta])
     e_ee = embed_factors(cfg, spin_ops={1: np.array([[1, 0], [0, 0]], dtype=complex)})
     e_eg = embed_factors(cfg, spin_ops={1: np.array([[0, 1], [0, 0]], dtype=complex)})
@@ -274,7 +275,7 @@ def test_balanced_transform_columns_are_displaced_states():
     # action on |n, e> and |n, g>: displaced states weighted by kappa_plus / kappa_minus
     cfg = HilbertConfig(n_modes=1, n_max=30, guard=6)
     par = balanced_params(drive(0.4, 0.6), [0.12])
-    t = balanced_transform(cfg, [par]).entries
+    t = balanced_transform(cfg, [par])
     d_minus = displacement_product(cfg, 1j * par.eps_minus * par.eta)
     d_plus = displacement_product(cfg, 1j * par.eps_plus * par.eta)
     for n in (0, 2, 5):
@@ -301,4 +302,31 @@ def test_builders_exactly_unitary():
         balanced_transform(cfg, pars),
         balanced_transform_closed(cfg, pars),
     ):
-        assert np.abs(u.entries.conj().T @ u.entries - eye).max() <= 1e-12
+        assert np.abs(u.conj().T @ u - eye).max() <= 1e-12
+
+
+@pytest.mark.parametrize("build", [
+    lambda cfg, pars: linearizing_transform(cfg, pars[0].eta, 1),
+    lambda cfg, pars: mixing_rotation(cfg, pars[0].theta, 1),
+    lambda cfg, pars: conditional_displacement(cfg, pars[0].alpha, 1),
+    balanced_transform,
+    balanced_transform_closed,
+])
+def test_builders_check_unitarity_before_returning(monkeypatch, build):
+    # the unitarity check a builder's record ran at construction now runs on the array it returns
+    import dataclasses
+
+    from ionjc import transforms
+
+    cfg = HilbertConfig(n_modes=1, n_max=6, n_spins=1)
+    pars = [balanced_params(LaserDrive(ion=1, Omega_R=0.3, omega_L=-0.4, k_L=0.1), [0.1])]
+    assert build(cfg, pars).dtype == np.complex128
+    for name in ("kron_terms", "embed_factors"):
+        original = getattr(transforms, name)
+        monkeypatch.setattr(transforms, name, lambda *a, f=original, **kw: (1.0 + 1e-9) * f(*a, **kw))
+    factored = transforms.factored_balanced_transform
+    monkeypatch.setattr(transforms, "factored_balanced_transform",
+                        lambda *a: dataclasses.replace(factored(*a), left=(1.0 + 1e-9) * factored(*a).left))
+    with pytest.raises(NumericalValidationError,
+                       match=r"matrix tagged unitary violates \|\|U\^dag U - I\|\|_max <= 1e-12 \(got 2\.000e-09\)"):
+        build(cfg, pars)

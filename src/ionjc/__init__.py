@@ -13,20 +13,14 @@ from .fock import (
     OperatorMatrix,
     basis_state,
     coherent_state,
-    displacement,
-    expm_unitary,
     guarded_infidelity,
-    ladder,
-    spin_op,
 )
 from .hamiltonians import (
     IntermediateParts,
     ModelSpec,
     balanced_hamiltonian,
-    jc_interaction,
     resonance_offsets,
     rotating_frame_hamiltonian,
-    standard_rwa_generator,
 )
 from .propagators import (
     evolve_states,
@@ -37,15 +31,18 @@ from .propagators import (
     standard_rwa_propagator,
     turn_on_propagator,
 )
-from .transforms import (
-    BalancedParams,
-    NoDriveError,
-    balanced_params,
-    balanced_transform,
+from .reference import (
     balanced_transform_closed,
     conditional_displacement,
+    displacement,
+    expm_unitary,
+    jc_interaction,
+    ladder,
     linearizing_transform,
     mixing_rotation,
+    spin_op,
+    standard_rwa_generator,
 )
+from .transforms import BalancedParams, NoDriveError, balanced_params, balanced_transform
 
 __version__ = "0.1.0"

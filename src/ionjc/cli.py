@@ -37,22 +37,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_out(table, out_path: str, fmt: str) -> None:
-    """Write the table to out_path so that a run or a write failing part-way leaves an earlier file as it was.
+def _output_target(out_path: str) -> str:
+    """The file out_path names, resolved once and checked before the run, but not opened; a device or pipe as given."""
+    if not out_path:
+        raise ConfigError("output path is empty")
+    if os.path.exists(out_path) and not os.path.isfile(out_path) and not os.path.isdir(out_path):
+        return out_path
+    path = os.path.realpath(out_path)
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path)):
+        raise ConfigError(f"output path {out_path!r} is a directory or lies in no existing directory")
+    return path
+
+
+def _write_out(table, path: str, fmt: str) -> None:
+    """Write the table to _output_target's path so that a run or a write failing part-way leaves an earlier file.
 
     An evolve table computes its rows while it is written, so a failing run
     also stops the write part-way.  A new or regular file is written under a
     temporary name in its directory and then moved into place; a failed write
-    removes the temporary file.  A symlink is followed to the file it names,
-    and the file gets the mode a plain open would leave it: the old file's, or
-    0o666 less the umask.  A device or a pipe (/dev/stdout, say) has no
-    contents to keep and is written directly.
+    removes the temporary file.  The file gets the mode a plain open would
+    leave it: the old file's, or 0o666 less the umask.  A device or a pipe has
+    no contents to keep and is written directly.
     """
-    if os.path.exists(out_path) and not os.path.isfile(out_path):
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             write_table(table, fh, fmt)
         return
-    path = os.path.realpath(out_path)
     if os.path.exists(path):
         mode = stat.S_IMODE(os.stat(path).st_mode)
     else:
@@ -81,15 +91,13 @@ def main(argv=None) -> int:
                 f"config declares experiment {cfg.experiment!r} but the {args.command!r} subcommand was invoked"
             )
         out_path = args.out if args.out is not None else cfg.out_path
-        # checked before the run, but not opened: a failing run leaves no file and keeps an earlier one
-        if out_path is not None and (os.path.isdir(out_path) or not os.path.isdir(os.path.dirname(out_path) or ".")):
-            raise ConfigError(f"output path {out_path!r} is a directory or lies in no existing directory")
+        path = None if out_path is None else _output_target(out_path)
         table = run_experiment(cfg, threads=args.threads)
         fmt = args.format if args.format is not None else cfg.out_format
-        if out_path is None:
+        if path is None:
             write_table(table, sys.stdout, fmt)
         else:
-            _write_out(table, out_path, fmt)
+            _write_out(table, path, fmt)
     except (ConfigError, NoDriveError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

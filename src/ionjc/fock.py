@@ -13,7 +13,7 @@ one 2x2 factor per ion, and ``kron_terms``, the one assembler of such sums,
 is the only code that splits a matrix into mode x mode blocks between spin
 states.  It has one rule: every term, and when asked its adjoint, is added,
 in list order, into a new matrix of zeros, so a Hermitian operator is given
-by its sigma_+ half alone.  The public builders return complex ndarrays in
+by its sigma_+ half alone.  The package's builders return complex ndarrays in
 this basis, each checked by ``check_matrix`` against its hermitian or unitary
 tag before it returns; the propagators build real ones in the mode-parity
 gauge (``parity_gauge``) and return a dense propagator as the certified
@@ -236,33 +236,6 @@ def embed_factors(
     return kron_terms(config, [(1.0, mode_ops, spin_ops)])
 
 
-def ladder(config: HilbertConfig, mode: int, kind: str) -> np.ndarray:
-    """Truncated annihilation / creation / number operator on one mode.
-
-    a|n> = sqrt(n)|n-1>, a_dag|n> = sqrt(n+1)|n+1> for n+1 < n_max, and
-    a_dag|n_max - 1> = 0 (hard truncation).
-    """
-    a = _mode_destroy(config.n_max)
-    if kind == "annihilate":
-        op, herm = a, False
-    elif kind == "create":
-        op, herm = a.conj().T, False
-    elif kind == "number":
-        op, herm = a.conj().T @ a, True
-    else:
-        raise ValueError(f"unknown ladder kind {kind!r}")
-    return _checked(embed_factors(config, {mode: op}), hermitian=herm)
-
-
-def spin_op(config: HilbertConfig, ion: int, kind: str) -> np.ndarray:
-    """Pauli operator or |e>/|g> projector on the ion-th spin factor (|e> before |g>)."""
-    try:
-        s = _SPIN_2X2[kind]
-    except KeyError:
-        raise ValueError(f"unknown spin kind {kind!r}") from None
-    return _checked(embed_factors(config, spin_ops={ion: s}), hermitian=kind not in ("plus", "minus"))
-
-
 def _expm_hermitian(entries: np.ndarray, t: float) -> np.ndarray:
     """exp(-i * entries * t) for a hermitian matrix, via eigendecomposition."""
     w, v = np.linalg.eigh(entries)
@@ -297,17 +270,6 @@ def quadrature_basis(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return xi, x
 
 
-def displacement(config: HilbertConfig, mode: int, alpha: complex) -> np.ndarray:
-    """Displacement operator D(alpha) = exp(alpha a_dag - alpha* a) on one mode.
-
-    Built from the truncated generator, so D is exactly unitary on the
-    truncated space; the shift property D a D^dag = a - alpha holds only on
-    the guarded subspace.
-    """
-    d1 = _displacement_1mode(config.n_max, complex(alpha))
-    return _checked(embed_factors(config, {mode: d1}), unitary=True)
-
-
 def displacement_factors(config: HilbertConfig, alphas: Sequence[complex]) -> dict[int, np.ndarray]:
     """Single-mode factors {p: D_p(alphas[p - 1])} of prod_p D_p, keyed like embed_factors."""
     if len(alphas) != config.n_modes:
@@ -315,29 +277,9 @@ def displacement_factors(config: HilbertConfig, alphas: Sequence[complex]) -> di
     return {p + 1: _displacement_1mode(config.n_max, complex(al)) for p, al in enumerate(alphas)}
 
 
-def dagger_factors(factors: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
-    """Factor-wise adjoint: the Kronecker product of the results is the adjoint of the product."""
-    return {p: m.conj().T for p, m in factors.items()}
-
-
 def displacement_product(config: HilbertConfig, alphas: Sequence[complex]) -> np.ndarray:
     """prod_p D_p(alphas[p]) as a raw full-space matrix (one alpha per mode)."""
     return embed_factors(config, displacement_factors(config, alphas))
-
-
-def expm_unitary(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) for hermitian H, via eigendecomposition.
-
-    Rejects input that fails the numerical hermiticity check.
-    """
-    return _checked(_expm_hermitian(check_matrix(h, hermitian=True), t), unitary=True)
-
-
-def guarded_norm(m: np.ndarray, config: HilbertConfig) -> float:
-    """Spectral norm ||P M P||_2 with P the guard-band projector."""
-    keep = guard_mask(config)
-    sub = m[np.ix_(keep, keep)]
-    return float(np.linalg.norm(sub, 2))
 
 
 def guarded_infidelity(u: OperatorMatrix | np.ndarray, v: OperatorMatrix) -> float:

@@ -1,9 +1,9 @@
-"""Hamiltonians of the driven ion chain, in every frame of the pipeline.
+"""Hamiltonians of the driven ion chain in the rotating and the balanced frame.
 
 All frequencies are in units of the axial trap frequency.  The rotating frame
-is one hermitian-checked complex ndarray; every later frame is
-``IntermediateParts`` (h0, flip, offset), two such arrays and the scalar its
-transformation would otherwise drop tracked as the offset, so
+is one hermitian-checked complex ndarray; the balanced frame, like the
+linearized and mixed frames of ``reference``, is ``IntermediateParts`` (h0,
+flip, offset), two such arrays and the scalar its transformation drops, so
 unitary-equivalence checks close including global phases: h0 + flip + offset I
 is unitarily equivalent to the rotating frame.
 
@@ -113,32 +113,6 @@ def rotating_frame_hamiltonian(model: ModelSpec) -> np.ndarray:
     return _checked(ungauge(model.config, gauged_rotating_frame_hamiltonian(model)), hermitian=True)
 
 
-def standard_rwa_generator(
-    model: ModelSpec, resonance: str, mode: int | None = None, drive: int = 1
-) -> np.ndarray:
-    """Effective generator kept by the conventional rotating wave approximation.
-
-    resonance selects the carrier, the blue sideband of one mode
-    (i eta Omega (a^dag sigma_+ - a sigma_-)) or the red sideband
-    (i eta Omega (a sigma_+ - a^dag sigma_-)); the red sideband is the
-    Jaynes-Cummings generator.
-    """
-    config = model.config
-    d = model.drives[drive - 1]
-    eta = model.eta_matrix()[drive - 1]
-    if resonance == "carrier":
-        c, modes = d.Omega_R, {}
-    elif resonance in ("blue", "red"):
-        if mode is None or not 1 <= mode <= config.n_modes:
-            raise ValueError(f"resonance {resonance!r} needs a mode index in 1..{config.n_modes}")
-        a = _mode_destroy(config.n_max)
-        c, modes = 1j * eta[mode - 1] * d.Omega_R, {mode: a.conj().T if resonance == "blue" else a}
-    else:
-        raise ValueError(f"unknown resonance kind {resonance!r}")
-    terms = [(c, modes, {drive: _SPIN_2X2["plus"]})]  # the sigma_+ half; kron_terms adds the sigma_- half
-    return _checked(kron_terms(config, terms, adjoint=True), hermitian=True)
-
-
 class IntermediateParts(NamedTuple):
     """Hamiltonian of the linearized, mixed or balanced frame: large part h0, bounded flip part, scalar offset.
 
@@ -152,58 +126,9 @@ class IntermediateParts(NamedTuple):
     offset: float
 
 
-def _require_single_drive(model: ModelSpec) -> LaserDrive:
-    if len(model.drives) != 1:
-        raise ValueError("intermediate-frame construction is defined for a single drive")
-    return model.drives[0]
-
-
 def dropped_linearization_constant(eta_row: np.ndarray, nu: np.ndarray) -> float:
     """Constant (1/4) sum_p eta_p^2 nu_p absorbed by the linearization step."""
     return float(0.25 * np.sum(np.asarray(eta_row) ** 2 * nu))
-
-
-def linearized_hamiltonian(model: ModelSpec) -> IntermediateParts:
-    """sum nu n + Omega sigma_z - (delta/2) sigma_x, plus the residual mode-spin coupling.
-
-    The flip part is i sum_p (eta_p nu_p / 2)(a_p - a_p^dag) sigma_x.
-    """
-    drive = _require_single_drive(model)
-    config = model.config
-    eta = model.eta_matrix()[0]
-    nu = model.chain.nu
-    sz, sx = {1: _SPIN_2X2["z"]}, {1: _SPIN_2X2["x"]}
-    h0 = kron_terms(config, [(drive.Omega_R, {}, sz), (-0.5 * drive.detuning, {}, sx)])
-    h0[np.diag_indices(config.dim)] += free_diagonal(model, [0.0])
-    a1 = _mode_destroy(config.n_max)
-    flip = kron_terms(config, [(0.5 * eta[p - 1] * nu[p - 1], {p: 1j * (a1 - a1.conj().T)}, sx)
-                               for p in range(1, config.n_modes + 1)])
-    return IntermediateParts(_checked(h0, hermitian=True), _checked(flip, hermitian=True),
-                             dropped_linearization_constant(eta, nu))
-
-
-def mixed_hamiltonian(model: ModelSpec) -> IntermediateParts:
-    """Frame in which the large component is (delta_eff/2) sigma_z plus a mode shift.
-
-    h0 = sum nu n + [ delta_eff/2 - (Delta/(2 sqrt(4+Delta^2))) sum eta nu
-    i(a - a^dag) ] sigma_z; the flip part couples i(a - a^dag) to sigma_x with
-    the bounded weight 1/sqrt(4 + Delta^2).
-    """
-    drive = _require_single_drive(model)
-    config = model.config
-    par = model.balanced()[0]
-    nu = model.chain.nu
-    a1 = _mode_destroy(config.n_max)
-    x = 1j * (a1 - a1.conj().T)
-    sz, sx = {1: _SPIN_2X2["z"]}, {1: _SPIN_2X2["x"]}
-    root = 1.0 / np.sqrt(4.0 + par.Delta**2)
-    modes = range(1, config.n_modes + 1)
-    h0 = kron_terms(config, [(0.5 * par.delta_eff, {}, sz)]
-                    + [(-(par.Delta * root / 2.0) * par.eta[p - 1] * nu[p - 1], {p: x}, sz) for p in modes])
-    h0[np.diag_indices(config.dim)] += free_diagonal(model, [0.0])
-    flip = kron_terms(config, [(root * par.eta[p - 1] * nu[p - 1], {p: x}, sx) for p in modes])
-    return IntermediateParts(_checked(h0, hermitian=True), _checked(flip, hermitian=True),
-                             dropped_linearization_constant(par.eta, nu))
 
 
 def restored_displacement_constant(par: BalancedParams, nu: np.ndarray) -> float:
@@ -258,31 +183,6 @@ def balanced_hamiltonian(model: ModelSpec) -> IntermediateParts:
     h0 = _checked(np.diag(free_diagonal(model, [par.delta_eff for par in model.balanced()])), hermitian=True)
     flip = _checked(ungauge(model.config, gauged_balanced_flip(model)), hermitian=True)
     return IntermediateParts(h0, flip, balanced_offset(model))
-
-
-def jc_interaction(model: ModelSpec, t: float) -> np.ndarray:
-    """Interaction-picture coupling JC(t) relative to the balanced diagonal part.
-
-    Built directly from the closed expression with phase factors
-    e^{-i omega_p^- t} and e^{-i omega_p^+ t}, where
-    omega_p^+- = nu_p +- delta_eff; equals the conjugation of the flip part by
-    exp(i H0 t): like the flip part, its sigma_+ half plus its adjoint.
-    """
-    config = model.config
-    nu = model.chain.nu
-    a1 = _mode_destroy(config.n_max)
-    terms = []
-    for j, par in enumerate(model.balanced(), start=1):
-        # prod_p exp(i etaeff_p (e^{-i nu_p t} a_p + e^{i nu_p t} a_p^dag)), one factor per mode
-        dt = displacement_factors(config, 1j * par.eta_eff * np.exp(1j * nu * t))
-        for p in range(1, config.n_modes + 1):
-            coup = par.eta_eff_by_Delta[p - 1] * nu[p - 1]
-            # L_p rotated by exp(i H0 t): e^{i delta_eff t} (e^{-i nu_p t} a_p - e^{i nu_p t} a_p^dag)
-            ph_minus = np.exp(-1j * (nu[p - 1] - par.delta_eff) * t)
-            ph_plus = np.exp(-1j * (nu[p - 1] + par.delta_eff) * t)
-            quad = ph_minus * a1 - np.conj(ph_plus) * a1.conj().T
-            terms.append((0.5j * coup, {**dt, p: quad @ dt[p] + dt[p] @ quad}, {j: _SPIN_2X2["plus"]}))
-    return _checked(kron_terms(config, terms, adjoint=True), hermitian=True)
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,18 @@
-"""Unitary transformations that balance the ion-laser coupling.
+"""Balanced parameters and the balanced transform, kept as its factors.
 
-The chain of transformations acts per driven ion: a spin-flip linearization
-(mapping the exponential coupling onto sigma_z), a spin rotation by theta with
-tan(theta) = Delta / 2, and a spin-conditioned displacement.  Their product is
-the balanced transform whose closed block form has displacement entries
-weighted by kappa_plus / kappa_minus.
+Per driven ion the transform is a spin-flip linearization (mapping the
+exponential coupling onto sigma_z), a spin rotation by theta with
+tan(theta) = Delta / 2, and a spin-conditioned displacement; ``reference``
+builds that chain, and its closed block form in kappa+- / eps+-, densely.
 
 All displacement arguments in this chain are purely imaginary multiples of the
-same per-mode generator a_p + a_p^dag, so products of these operators compose
-exactly even on the truncated space; only conjugations of ladder operators
-feel the cutoff.
+same per-mode generator a_p + a_p^dag, so the transform is diagonal in that
+generator's eigenbasis and composes exactly even on the truncated space; only
+conjugations of ladder operators feel the cutoff.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -23,19 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .chain import LaserDrive
-from .fock import (
-    _SPIN_2X2,
-    HilbertConfig,
-    _checked,
-    check_matrix,
-    dagger_factors,
-    displacement_factors,
-    embed_factors,
-    kron_terms,
-    mode_occupations,
-    quadrature_basis,
-    spin_signs,
-)
+from .fock import HilbertConfig, _checked, check_matrix, mode_occupations, quadrature_basis, spin_signs
 
 
 class NoDriveError(ValueError):
@@ -167,57 +153,6 @@ def rotating_frame_diagonal(
     return np.kron(np.ones(math.prod(config.shape[:config.n_modes])), rotating_frame_phases(drives, t))
 
 
-def linearizing_transform(config: HilbertConfig, eta_row: Sequence[float], ion: int) -> np.ndarray:
-    """Unitary mapping the exponential spin-flip coupling of one ion onto sigma_z.
-
-    Block form over (e, g): (1/sqrt(2)) [[D^dag, D], [-D^dag, D]] with
-    D = prod_p D_p(i eta_p / 2).
-    """
-    d = displacement_factors(config, 0.5j * np.asarray(eta_row, dtype=float))
-    t1 = kron_terms(config, [(1.0, dagger_factors(d), {ion: (_SPIN_2X2["ee"] - _SPIN_2X2["minus"]) / np.sqrt(2.0)}),
-                             (1.0, d, {ion: (_SPIN_2X2["plus"] + _SPIN_2X2["gg"]) / np.sqrt(2.0)})])
-    return _checked(t1, unitary=True)
-
-
-def mixing_rotation(config: HilbertConfig, theta: float, ion: int) -> np.ndarray:
-    """Spin rotation by theta about the y axis on one ion."""
-    if not -np.pi / 2 <= theta <= np.pi / 2:
-        raise ValueError("theta must lie in [-pi/2, pi/2]")
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    rot = np.array([[c, -s], [s, c]], dtype=complex)
-    return _checked(embed_factors(config, spin_ops={ion: rot}), unitary=True)
-
-
-def conditional_displacement(
-    config: HilbertConfig, alpha_row: Sequence[complex], ion: int
-) -> np.ndarray:
-    """Block-diagonal spin-conditioned displacement diag(D({alpha}), D({alpha})^dag)."""
-    d = displacement_factors(config, np.asarray(alpha_row, dtype=complex))
-    t3 = kron_terms(config, [(1.0, d, {ion: _SPIN_2X2["ee"]}), (1.0, dagger_factors(d), {ion: _SPIN_2X2["gg"]})])
-    return _checked(t3, unitary=True)
-
-
-_UNITS = ((_SPIN_2X2["ee"], _SPIN_2X2["plus"]), (_SPIN_2X2["minus"], _SPIN_2X2["gg"]))  # |r><q| over (e, g)
-
-
-def _ion_product(config: HilbertConfig, ions: Sequence) -> np.ndarray:
-    """prod_j B_j for one 2 x 2 block operator per ion, ions[j - 1][r][q] = (scale, {mode: factor}) its (r, q) block.
-
-    Blocks of different ions commute, so the product is one Kronecker term per
-    choice of an entry (r, q) of each ion: the product of the scales, per mode
-    the product of the factors in ion order, and |r><q| on each ion.
-    """
-    if len(ions) != config.n_spins:
-        raise ValueError("need balanced parameters for every spin factor")
-    terms = []
-    for rq in itertools.product(itertools.product(range(2), repeat=2), repeat=len(ions)):
-        blocks = [ion[r][q] for ion, (r, q) in zip(ions, rq)]
-        modes = {p: reduce(np.matmul, [m[p] for _, m in blocks]) for p in range(1, config.n_modes + 1)}
-        terms.append((np.prod([scale for scale, _ in blocks]), modes,
-                      {j: _UNITS[r][q] for j, (r, q) in enumerate(rq, start=1)}))
-    return kron_terms(config, terms)
-
-
 def _mixing_block(theta: float) -> np.ndarray:
     """R(theta) [[1, 1], [-1, 1]] / sqrt(2), the real orthogonal 2 x 2 spin factor of one ion's balanced transform."""
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
@@ -297,27 +232,8 @@ def balanced_transform(config: HilbertConfig, params: Sequence[BalancedParams]) 
     block matrix diag(Da, Da^dag) R(theta) [[1, 1], [-1, 1]] diag(D^dag, D) /
     sqrt(2) with D = prod_p D_p(i eta_p / 2), Da = prod_p D_p(alpha_p);
     factors of different ions commute.  That per-ion chain and
-    balanced_transform_closed are its independent dense references.
+    balanced_transform_closed, in ``reference``, are its dense references.
     """
     transform = factored_balanced_transform(config, params)
     eye = np.eye(config.dim, dtype=complex)
     return _checked(transform.apply(eye, np.empty_like(eye)), unitary=True)
-
-
-def balanced_transform_closed(
-    config: HilbertConfig, params: Sequence[BalancedParams]
-) -> np.ndarray:
-    """Closed block form of the balanced transform.
-
-    Per ion: [[k+ D(i eps- eta), k- D(i eps+ eta)], [-k- D(i eps+ eta)^dag,
-    k+ D(i eps- eta)^dag]], built from kappa/eps alone and expanded over the
-    ions by _ion_product, so it stays a dense cross-check of the factors
-    independent of them.
-    """
-    ions = []
-    for par in params:
-        d_minus = displacement_factors(config, 1j * par.eps_minus * par.eta)
-        d_plus = displacement_factors(config, 1j * par.eps_plus * par.eta)
-        ions.append([[(par.kappa_plus, d_minus), (par.kappa_minus, d_plus)],
-                     [(-par.kappa_minus, dagger_factors(d_plus)), (par.kappa_plus, dagger_factors(d_minus))]])
-    return _checked(_ion_product(config, ions), unitary=True)

@@ -12,20 +12,8 @@ from conftest import make_single_model, make_two_ion_model
 from ionjc.chain import LaserDrive, equilibrium_positions, normal_modes
 from ionjc.config import parse_config
 from ionjc.experiments import run_sweep_rabi
-from ionjc.fock import (
-    basis_state,
-    check_matrix,
-    expm_unitary,
-    guarded_infidelity,
-    guarded_norm,
-    spin_op,
-)
-from ionjc.hamiltonians import (
-    balanced_hamiltonian,
-    jc_interaction,
-    linearized_hamiltonian,
-    mixed_hamiltonian,
-)
+from ionjc.fock import basis_state, check_matrix, guarded_infidelity
+from ionjc.hamiltonians import balanced_hamiltonian
 from ionjc.propagators import (
     exact_propagator,
     jc_coupling,
@@ -33,14 +21,19 @@ from ionjc.propagators import (
     rwa_jc_propagator,
     rwa_jc_propagator_multi,
 )
-from ionjc.transforms import (
-    balanced_params,
-    balanced_transform,
+from ionjc.reference import (
     balanced_transform_closed,
     conditional_displacement,
+    expm_unitary,
+    guarded_norm,
+    jc_interaction,
+    linearized_hamiltonian,
     linearizing_transform,
+    mixed_hamiltonian,
     mixing_rotation,
+    spin_op,
 )
+from ionjc.transforms import balanced_params, balanced_transform
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = ""):

@@ -747,23 +747,37 @@ def test_corrected_detuning_past_the_float_range_names_its_drive(tmp_path, capsy
     assert not out.exists()
 
 
-@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "empty", "dangling-link"])
 def test_cli_bad_output_path_exits_2_before_the_run(tmp_path, capsys, monkeypatch, where):
     def never(cfg, threads=1):
         raise AssertionError("run_experiment called")
 
     monkeypatch.setattr("ionjc.cli.run_experiment", never)
+    monkeypatch.chdir(tmp_path)  # a path resolved against the working directory stays in tmp_path
     if where == "missing-directory":  # from --out
         out = tmp_path / "missing" / "x.csv"
-        path, flags = write_config(tmp_path, minimal_modes_config()), ["--out", str(out)]
-    else:  # from output.path
+        runs = [(minimal_modes_config(), ["--out", str(out)])]
+    elif where == "directory":  # from output.path
         out = tmp_path / "existing"
         out.mkdir()
-        path, flags = write_config(tmp_path, minimal_modes_config(output={"path": str(out)})), []
-    assert main(["modes", "--config", path, *flags]) == 2
-    err = capsys.readouterr().err
-    assert err == f"config error: output path {str(out)!r} is a directory or lies in no existing directory\n"
-    assert not out.parent.exists() if where == "missing-directory" else out.is_dir() and not any(out.iterdir())
+        runs = [(minimal_modes_config(output={"path": str(out)}), [])]
+    elif where == "empty":  # from --out and from output.path; it resolves to the working directory
+        out = ""
+        runs = [(minimal_modes_config(), ["--out", ""]), (minimal_modes_config(output={"path": ""}), [])]
+    else:  # from --out: a symlink to a file in a missing directory
+        out = tmp_path / "dangling"
+        out.symlink_to(tmp_path / "missing" / "x.csv")
+        runs = [(minimal_modes_config(), ["--out", str(out)])]
+    expected = ("config error: output path is empty\n" if where == "empty"
+                else f"config error: output path {str(out)!r} is a directory or lies in no existing directory\n")
+    for cfg, flags in runs:
+        path = write_config(tmp_path, cfg)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["modes", "--config", path, *flags]) == 2
+        assert capsys.readouterr().err == expected
+        assert sorted(tmp_path.rglob("*")) == before
+    assert not (tmp_path / "missing").exists()
+    assert where != "directory" or out.is_dir() and not any(out.iterdir())
 
 
 def test_cli_failed_write_keeps_the_previous_output(tmp_path, capsys, monkeypatch):

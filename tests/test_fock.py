@@ -5,7 +5,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from ionjc import fock
+from ionjc import fock, reference
 from ionjc.fock import (
     HilbertConfig,
     NumericalValidationError,
@@ -13,21 +13,17 @@ from ionjc.fock import (
     basis_state,
     check_matrix,
     coherent_state,
-    displacement,
     displacement_factors,
     embed_factors,
-    expm_unitary,
     guard_mask,
     guarded_infidelity,
-    guarded_norm,
     kron_terms,
-    ladder,
     mode_occupations,
     parity_gauge,
     population_above_guard,
-    spin_op,
     spin_signs,
 )
+from ionjc.reference import displacement, expm_unitary, guarded_norm, ladder, spin_op
 
 
 def test_config_validation():
@@ -229,8 +225,9 @@ def test_builders_check_their_tag_before_returning(monkeypatch, build, tag):
     cfg = HilbertConfig(n_modes=1, n_max=4)
     assert build(cfg).dtype == np.complex128
     embed, expm = fock.embed_factors, fock._expm_hermitian
-    monkeypatch.setattr(fock, "embed_factors", lambda *a, **kw: embed(*a, **kw) + 1e-6 * np.tri(cfg.dim, k=-1))
-    monkeypatch.setattr(fock, "_expm_hermitian", lambda m, t: (1.0 + 1e-9) * expm(m, t))
+    monkeypatch.setattr(reference, "embed_factors", lambda *a, **kw: embed(*a, **kw) + 1e-6 * np.tri(cfg.dim, k=-1))
+    for module in (fock, reference):  # displacement's single-mode factor reaches it through fock
+        monkeypatch.setattr(module, "_expm_hermitian", lambda m, t: (1.0 + 1e-9) * expm(m, t))
     message = {"hermitian": r"matrix tagged hermitian violates \|\|H - H\^dag\|\|_max <= 1e-10 \(got 1\.000e-06\)",
                "unitary": r"matrix tagged unitary violates \|\|U\^dag U - I\|\|_max <= 1e-12"}[tag]
     with pytest.raises(NumericalValidationError, match=message):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_single_model, make_two_ion_model
-from ionjc import fock, propagators, transforms
+from ionjc import fock, propagators, reference, transforms
 from ionjc.cli import main
 from ionjc.config import parse_config, serialize_config
 from ionjc.experiments import _sweep_point, run_evolve, run_sweep_rabi
@@ -20,13 +20,10 @@ from ionjc.fock import (
     check_matrix,
     coherent_state,
     embed_factors,
-    expm_unitary,
     guard_mask,
     guarded_infidelity,
-    guarded_norm,
     parity_gauge,
     quadrature_basis,
-    spin_op,
     spin_signs,
 )
 from ionjc.hamiltonians import (balanced_hamiltonian, balanced_offset, free_diagonal, gauged_balanced_flip,
@@ -43,8 +40,9 @@ from ionjc.propagators import (
     standard_rwa_propagator,
     turn_on_propagator,
 )
-from ionjc.transforms import (NoDriveError, _mixing_block, balanced_transform, balanced_transform_closed,
-                              rotating_frame_diagonal, rotating_frame_phases)
+from ionjc.reference import balanced_transform_closed, expm_unitary, guarded_norm, spin_op
+from ionjc.transforms import (NoDriveError, _mixing_block, balanced_transform, rotating_frame_diagonal,
+                              rotating_frame_phases)
 
 
 def _gauge_models():
@@ -572,7 +570,7 @@ def test_no_plan_builds_the_dense_transform(tmp_path, monkeypatch):
         raise AssertionError("a plan built the dense balanced transform")
 
     monkeypatch.setattr(transforms, "balanced_transform", dense)
-    monkeypatch.setattr(transforms, "_ion_product", dense)
+    monkeypatch.setattr(reference, "_ion_product", dense)
     model = make_two_ion_model(n_max=6, guard=2)
     _plan(model, "pipeline_rwa", [(1, 1)])
     _plan(model, "pipeline_exact")

@@ -22,8 +22,8 @@ from ionjc.config import ConfigError, parse_config, serialize_config  # noqa: E4
 from ionjc.fock import HilbertConfig, check_matrix, coherent_state  # noqa: E402
 from ionjc.hamiltonians import ModelSpec  # noqa: E402
 from ionjc.propagators import METHODS, _plan, evolve_states, phase_rate_bound  # noqa: E402
-from ionjc.transforms import (balanced_params, balanced_transform_closed,  # noqa: E402
-                              factored_balanced_transform)
+from ionjc.reference import balanced_transform_closed  # noqa: E402
+from ionjc.transforms import balanced_params, factored_balanced_transform  # noqa: E402
 from test_propagators import _method_propagator  # noqa: E402
 
 MODELS = st.builds(

@@ -5,25 +5,21 @@ import numpy as np
 import pytest
 
 from ionjc.chain import LaserDrive
-from ionjc.fock import (
-    HilbertConfig,
-    NumericalValidationError,
-    basis_state,
-    displacement_product,
-    embed_factors,
+from ionjc.fock import HilbertConfig, NumericalValidationError, basis_state, displacement_product, embed_factors
+from ionjc.reference import (
+    balanced_transform_closed,
+    conditional_displacement,
     guarded_norm,
     ladder,
+    linearizing_transform,
+    mixing_rotation,
     spin_op,
 )
 from ionjc.transforms import (
     NoDriveError,
     balanced_params,
     balanced_transform,
-    balanced_transform_closed,
-    conditional_displacement,
     corrected_detuning,
-    linearizing_transform,
-    mixing_rotation,
     rotating_frame_diagonal,
     rotating_frame_phases,
 )
@@ -316,14 +312,14 @@ def test_builders_check_unitarity_before_returning(monkeypatch, build):
     # the unitarity check a builder's record ran at construction now runs on the array it returns
     import dataclasses
 
-    from ionjc import transforms
+    from ionjc import reference, transforms
 
     cfg = HilbertConfig(n_modes=1, n_max=6, n_spins=1)
     pars = [balanced_params(LaserDrive(ion=1, Omega_R=0.3, omega_L=-0.4, k_L=0.1), [0.1])]
     assert build(cfg, pars).dtype == np.complex128
     for name in ("kron_terms", "embed_factors"):
-        original = getattr(transforms, name)
-        monkeypatch.setattr(transforms, name, lambda *a, f=original, **kw: (1.0 + 1e-9) * f(*a, **kw))
+        original = getattr(reference, name)
+        monkeypatch.setattr(reference, name, lambda *a, f=original, **kw: (1.0 + 1e-9) * f(*a, **kw))
     factored = transforms.factored_balanced_transform
     monkeypatch.setattr(transforms, "factored_balanced_transform",
                         lambda *a: dataclasses.replace(factored(*a), left=(1.0 + 1e-9) * factored(*a).left))
